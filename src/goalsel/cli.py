@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, from_flat, load_flat, parse_overrides, to_flat
-from .data import DatasetFormatError, filter_best_fraction, load, save
+from .config import from_flat, load_flat, parse_overrides, to_flat
+from .data import filter_best_fraction, load, save
 from .envs import DemoGenConfig, generate_dataset, make_env
 from .evaluation import (
     EvalConfig,
@@ -26,7 +26,6 @@ from .evaluation import (
     rollout,
 )
 from .models import VARIANTS
-from .nn import CheckpointFormatError
 from .training import TrainConfig, standard_grad_check_suite, train
 from .control import make_policy
 
@@ -176,8 +175,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DatasetFormatError, CheckpointFormatError,
-            FileNotFoundError, ValueError, RuntimeError) as exc:
+    except (FileNotFoundError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelSet
+from .models import ModelSet, proposal_value
 
 
 @dataclass(frozen=True)
@@ -68,27 +68,17 @@ class HierarchicalController:
         self._goal: np.ndarray | None = None
         self.goal_log: list[GoalLogEntry] = []
 
-    def _score_goals(self, goals: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """V(g) = max over m action proposals at g of Q(g, a)."""
-        actions = self.action_cvae.sample_each(goals, self.m_actions, rng)
-        best = np.full(goals.shape[0], -np.inf)
-        for j in range(self.m_actions):
-            q = self.qnet.value(goals, actions[j], use_target=self.value_use_target)
-            best = np.maximum(best, q)
-        return best
-
     def select_goal(self, s, rng: np.random.Generator) -> tuple[np.ndarray, float | None]:
         """Pick the next goal; argmax ties break toward the lowest index."""
         proposal_rng, score_rng = rng.spawn(2)
+        s = np.asarray(s, dtype=np.float64)
         if self.goal_mode == "regressor":
-            return self.goal_regressor.predict(np.asarray(s, dtype=np.float64)), None
+            return self.goal_regressor.predict(s), None
         if self.goal_mode == "sample":
-            goals = self.goal_cvae.sample(np.asarray(s, dtype=np.float64), 1,
-                                          proposal_rng)
-            return goals[0], None
-        goals = self.goal_cvae.sample(np.asarray(s, dtype=np.float64),
-                                      self.n_goals, proposal_rng)
-        scores = self._score_goals(goals, score_rng)
+            return self.goal_cvae.sample(s, 1, proposal_rng)[0], None
+        goals = self.goal_cvae.sample(s, self.n_goals, proposal_rng)
+        scores = proposal_value(self.qnet, self.action_cvae, goals, self.m_actions,
+                                score_rng, use_target=self.value_use_target)
         pick = int(np.argmax(scores))
         return goals[pick], float(scores[pick])
 
@@ -113,7 +103,7 @@ class BCController:
         pass
 
     def act(self, s, rng=None) -> np.ndarray:
-        return self.bc_net.act(np.asarray(s, dtype=np.float64))
+        return self.bc_net.predict(np.asarray(s, dtype=np.float64))
 
 
 class BCRNNController:

@@ -3,25 +3,21 @@
 A trajectory is goal-reaching when its final reward is 1 and every earlier
 reward is 0. Datasets are append-then-freeze: once training starts nothing
 mutates them, so concurrent readers and samplers (each with its own rng) are
-safe.
+safe. Dataset files use the container of :mod:`goalsel.binfile`.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from .binfile import Reader, Writer
 
 DATASET_MAGIC = b"IRD1"
 DATASET_VERSION = 1
 STD_FLOOR = 1e-6
-
-
-class DatasetFormatError(ValueError):
-    """Malformed dataset file: bad magic, bad version, or truncated payload."""
 
 
 def _frozen_f32(x, name: str) -> np.ndarray:
@@ -104,34 +100,21 @@ class NormStats:
 
 
 @dataclass(frozen=True)
-class SequenceWindow:
-    """A contiguous T-step slice of one stored trajectory.
-
-    The goal field (last state) is ``states[-1]``; ``is_terminal`` is true iff
-    the window ends at the trajectory's final state. ``traj_index``/``start``
-    record where the slice came from so tests can verify it verbatim.
-    """
-
-    states: np.ndarray   # (T+1, obs_dim)
-    actions: np.ndarray  # (T, act_dim)
-    rewards: np.ndarray  # (T,)
-    is_terminal: bool
-    traj_index: int
-    start: int
-
-    @property
-    def goal(self) -> np.ndarray:
-        return self.states[-1]
-
-
-@dataclass(frozen=True)
 class WindowBatch:
-    """Stacked windows in float64, ready for the model boundary."""
+    """Stacked T-step windows in float64, ready for the model boundary.
+
+    Row ``b`` is the verbatim slice of trajectory ``traj_index[b]`` that
+    starts at transition ``start[b]``; its goal is ``states[b, -1]`` and
+    ``is_terminal[b]`` is true iff the slice ends at the trajectory's final
+    state.
+    """
 
     states: np.ndarray       # (B, T+1, obs_dim)
     actions: np.ndarray      # (B, T, act_dim)
     rewards: np.ndarray      # (B, T)
     is_terminal: np.ndarray  # (B,) bool
+    traj_index: np.ndarray   # (B,) int64
+    start: np.ndarray        # (B,) int64
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -213,70 +196,49 @@ class TrajectoryDataset:
         return self._stacked_states
 
     def _windows(self, t_window: int) -> tuple[np.ndarray, np.ndarray]:
-        """(eligible trajectory indices, cumulative window counts) for length T."""
+        """(eligible trajectory indices, offsets) for length T, where
+        ``offsets[j]`` counts the windows of the eligible trajectories before
+        the j-th and ``offsets[-1]`` counts them all."""
         if t_window < 1:
             raise ValueError("window length must be positive")
         cached = self._window_index.get(t_window)
         if cached is not None:
             return cached
-        idx = []
-        counts = []
-        for i, traj in enumerate(self.trajectories):
-            n = traj.length - t_window + 1
-            if n > 0:
-                idx.append(i)
-                counts.append(n)
-        if not idx:
+        counts = self.lengths - t_window + 1
+        idx = np.flatnonzero(counts > 0)
+        if not idx.size:
             raise ValueError(f"no trajectory admits a window of length {t_window}")
-        entry = (np.array(idx, dtype=np.int64), np.cumsum(counts, dtype=np.int64))
+        entry = (idx, np.concatenate(([0], np.cumsum(counts[idx]))))
         self._window_index[t_window] = entry
         return entry
 
-    def _locate(self, t_window: int, flat: int) -> tuple[int, int]:
-        idx, cumsum = self._windows(t_window)
-        j = int(np.searchsorted(cumsum, flat, side="right"))
-        prev = int(cumsum[j - 1]) if j > 0 else 0
-        return int(idx[j]), int(flat - prev)
-
-    def sample_window(self, t_window: int, rng: np.random.Generator) -> SequenceWindow:
-        """Draw one window uniformly over all valid (trajectory, start) pairs.
-
-        Trajectories shorter than ``t_window`` are excluded; each eligible
-        trajectory is chosen proportional to its number of valid start indices.
-        """
-        _, cumsum = self._windows(t_window)
-        flat = int(rng.integers(cumsum[-1]))
-        ti, start = self._locate(t_window, flat)
-        traj = self.trajectories[ti]
-        return SequenceWindow(
-            states=traj.states[start:start + t_window + 1],
-            actions=traj.actions[start:start + t_window],
-            rewards=traj.rewards[start:start + t_window],
-            is_terminal=(start + t_window == traj.length),
-            traj_index=ti,
-            start=start,
-        )
-
     def sample_window_batch(self, t_window: int, batch_size: int,
                             rng: np.random.Generator) -> WindowBatch:
-        """Stack ``batch_size`` independent window draws as float64 arrays."""
+        """Stack ``batch_size`` independent window draws as float64 arrays.
+
+        Each draw is uniform over all valid (trajectory, start) pairs:
+        trajectories shorter than ``t_window`` are excluded and each eligible
+        trajectory is chosen in proportion to its number of valid starts.
+        """
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        _, cumsum = self._windows(t_window)
-        flats = rng.integers(cumsum[-1], size=batch_size)
+        idx, offsets = self._windows(t_window)
+        flats = rng.integers(offsets[-1], size=batch_size)
+        j = np.searchsorted(offsets, flats, side="right") - 1
+        traj_index = idx[j]
+        start = flats - offsets[j]
         states = np.empty((batch_size, t_window + 1, self.obs_dim), dtype=np.float64)
         actions = np.empty((batch_size, t_window, self.act_dim), dtype=np.float64)
         rewards = np.empty((batch_size, t_window), dtype=np.float64)
-        terminal = np.empty(batch_size, dtype=bool)
-        for b, flat in enumerate(flats):
-            ti, start = self._locate(t_window, int(flat))
+        for b, (ti, s0) in enumerate(zip(traj_index.tolist(), start.tolist())):
             traj = self.trajectories[ti]
-            states[b] = traj.states[start:start + t_window + 1]
-            actions[b] = traj.actions[start:start + t_window]
-            rewards[b] = traj.rewards[start:start + t_window]
-            terminal[b] = start + t_window == traj.length
+            states[b] = traj.states[s0:s0 + t_window + 1]
+            actions[b] = traj.actions[s0:s0 + t_window]
+            rewards[b] = traj.rewards[s0:s0 + t_window]
+        # a window is terminal iff it is the last one of its trajectory
         return WindowBatch(states=states, actions=actions, rewards=rewards,
-                           is_terminal=terminal)
+                           is_terminal=flats + 1 == offsets[j + 1],
+                           traj_index=traj_index, start=start)
 
 
 def filter_best_fraction(dataset: TrajectoryDataset, frac: float) -> TrajectoryDataset:
@@ -296,72 +258,34 @@ def filter_best_fraction(dataset: TrajectoryDataset, frac: float) -> TrajectoryD
     )
 
 
-def _pack_u32(value: int) -> bytes:
-    return struct.pack("<I", value)
-
-
 def save(dataset: TrajectoryDataset, path) -> None:
-    """Write the little-endian binary format (bit-exact round trip)."""
-    env_bytes = dataset.env_id.encode("utf-8")
-    parts = [
-        DATASET_MAGIC,
-        _pack_u32(DATASET_VERSION),
-        _pack_u32(dataset.obs_dim),
-        _pack_u32(dataset.act_dim),
-        _pack_u32(len(env_bytes)),
-        env_bytes,
-        _pack_u32(len(dataset)),
-    ]
+    """Write the dataset container (bit-exact round trip)."""
+    w = Writer(DATASET_MAGIC, DATASET_VERSION)
+    w.u32(dataset.obs_dim)
+    w.u32(dataset.act_dim)
+    w.text(dataset.env_id)
+    w.u32(len(dataset))
     for traj in dataset:
-        parts.append(_pack_u32(traj.length))
-        parts.append(traj.states.astype("<f4").tobytes())
-        parts.append(traj.actions.astype("<f4").tobytes())
-        parts.append(traj.rewards.astype("<f4").tobytes())
-    Path(path).write_bytes(b"".join(parts))
-
-
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.off = 0
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.blob):
-            raise DatasetFormatError(
-                f"truncated file: wanted {n} bytes at offset {self.off}, "
-                f"have {len(self.blob) - self.off}"
-            )
-        out = self.blob[self.off:self.off + n]
-        self.off += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def f32_array(self, shape: tuple[int, ...]) -> np.ndarray:
-        n = int(np.prod(shape))
-        return np.frombuffer(self.take(4 * n), dtype="<f4").reshape(shape)
+        w.u32(traj.length)
+        w.f32(traj.states)
+        w.f32(traj.actions)
+        w.f32(traj.rewards)
+    w.write(path)
 
 
 def load(path) -> TrajectoryDataset:
     """Read a dataset written by :func:`save`, validating magic and payload."""
-    r = _Reader(Path(path).read_bytes())
-    if r.take(4) != DATASET_MAGIC:
-        raise DatasetFormatError("bad magic bytes: not a dataset file")
-    version = r.u32()
-    if version != DATASET_VERSION:
-        raise DatasetFormatError(f"unsupported dataset version {version}")
+    r = Reader(path, DATASET_MAGIC, DATASET_VERSION, "dataset")
     obs_dim = r.u32()
     act_dim = r.u32()
-    env_id = r.take(r.u32()).decode("utf-8")
+    env_id = r.text()
     n_traj = r.u32()
     dataset = TrajectoryDataset(obs_dim, act_dim, env_id=env_id)
     for _ in range(n_traj):
         length = r.u32()
-        states = r.f32_array((length + 1, obs_dim))
-        actions = r.f32_array((length, act_dim))
-        rewards = r.f32_array((length,))
+        states = r.f32((length + 1, obs_dim))
+        actions = r.f32((length, act_dim))
+        rewards = r.f32((length,))
         dataset.append(Trajectory(states=states, actions=actions, rewards=rewards))
-    if r.off != len(r.blob):
-        raise DatasetFormatError(f"{len(r.blob) - r.off} unexpected trailing bytes")
+    r.finish()
     return dataset

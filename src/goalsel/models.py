@@ -1,6 +1,7 @@
 """The learned models: a goal-conditioned recurrent policy, conditional VAEs
-for goal and action proposals, a Q-network with a polyak-averaged target copy,
-and the small nets used by the ablation and baseline policies.
+for goal and action proposals, a Q-network with a polyak-averaged target copy
+and the BCQ value of a state over action proposals, and the regression net
+used by the ``iris_no_goal_vae`` ablation and the ``bc`` baseline.
 
 All models normalize their inputs with dataset statistics and denormalize
 predictions at the interface, so losses are computed in normalized space and
@@ -132,21 +133,6 @@ class PolicyRNN:
         h_new, _ = self.cell.forward(hidden, e)
         a_n, _ = self.head.forward(h_new)
         return self.norm.denorm_action(a_n)[0], h_new
-
-
-def bc_loss(predicted, actual):
-    """Sum over a window of squared L2 action errors.
-
-    (T, d) inputs give a scalar; (B, T, d) inputs give a per-window vector.
-    """
-    predicted = np.asarray(predicted, dtype=np.float64)
-    actual = np.asarray(actual, dtype=np.float64)
-    if predicted.shape != actual.shape:
-        raise ValueError(f"shape mismatch: {predicted.shape} vs {actual.shape}")
-    sq = (predicted - actual) ** 2
-    if sq.ndim <= 2:
-        return float(sq.sum())
-    return sq.reshape(sq.shape[0], -1).sum(axis=1)
 
 
 class ConditionalVAE:
@@ -291,27 +277,6 @@ class ActionCVAE(ConditionalVAE):
                          hidden_dim=hidden_dim, rng=rng)
 
 
-def cvae_loss(cvae: ConditionalVAE, target, condition,
-              rng: np.random.Generator | None = None,
-              eps: np.ndarray | None = None) -> tuple[float, dict[str, float]]:
-    """Training loss of a conditional VAE (accumulates gradients)."""
-    return cvae.loss_and_grad(target, condition, rng=rng, eps=eps)
-
-
-def sample_goals(goal_cvae: ConditionalVAE, s, n: int,
-                 rng: np.random.Generator | None = None,
-                 z: np.ndarray | None = None) -> np.ndarray:
-    """n goal-state proposals at state s."""
-    return goal_cvae.sample(s, n, rng=rng, z=z)
-
-
-def sample_actions(action_cvae: ConditionalVAE, s, n: int,
-                   rng: np.random.Generator | None = None,
-                   z: np.ndarray | None = None) -> np.ndarray:
-    """n action proposals at state s."""
-    return action_cvae.sample(s, n, rng=rng, z=z)
-
-
 class QNet:
     """State-action value MLP with a polyak-averaged target copy."""
 
@@ -363,59 +328,48 @@ def polyak_update(qnet: QNet, tau: float) -> QNet:
     return qnet
 
 
-def q_value(qnet: QNet, s, a, use_target: bool = False):
-    """Convenience wrapper over :meth:`QNet.value`."""
-    return qnet.value(s, a, use_target=use_target)
+def proposal_value(qnet: QNet, action_cvae: ConditionalVAE, s, m: int,
+                   rng: np.random.Generator, use_target: bool) -> np.ndarray:
+    """BCQ state value ``V(s) = max_j Q(s, a_j)`` over ``m`` action-VAE
+    proposals ``a_j`` drawn at each row of the (B, obs_dim) batch ``s``.
+
+    One Q forward per proposal index: on a 2-CPU host, one forward over all
+    m * B rows of a 128-row training batch measured slower than m forwards.
+    """
+    proposals = action_cvae.sample_each(s, m, rng)
+    best = np.full(len(s), -np.inf)
+    for a in proposals:
+        best = np.maximum(best, qnet.value(s, a, use_target=use_target))
+    return best
 
 
-class GoalRegressor:
-    """Deterministic goal predictor: squared-error regression s -> s_{t+T}."""
+class Regressor:
+    """Deterministic squared-error regression from a state to a target vector:
+    the goal predictor of ``iris_no_goal_vae`` (state -> state T steps ahead)
+    and the ``bc`` policy (state -> action). Targets are normalized with the
+    given mean and std."""
 
-    def __init__(self, obs_dim: int, norm: NormStats, *, hidden_dim: int = 64,
-                 rng: np.random.Generator):
-        self.obs_dim = obs_dim
+    def __init__(self, name: str, obs_dim: int, norm: NormStats, target_mean,
+                 target_std, *, hidden_dim: int = 64, rng: np.random.Generator):
         self.norm = norm
+        self.target_mean = np.asarray(target_mean, dtype=np.float64)
+        self.target_std = np.asarray(target_std, dtype=np.float64)
         self.store = ParamStore()
-        self.mlp = MLP(self.store, "reg", [obs_dim, hidden_dim, hidden_dim, obs_dim], rng)
+        self.mlp = MLP(self.store, name,
+                       [obs_dim, hidden_dim, hidden_dim, len(self.target_mean)], rng)
 
     def predict(self, s) -> np.ndarray:
         s_n, single = _as_batch(self.norm.norm_state(s))
         out_n, _ = self.mlp.forward(s_n)
-        out = self.norm.denorm_state(out_n)
+        out = out_n * self.target_std + self.target_mean
         return out[0] if single else out
 
     def loss_and_grad(self, s, target) -> float:
         s_n, _ = _as_batch(self.norm.norm_state(s))
-        t_n, _ = _as_batch(self.norm.norm_state(target))
+        t_n, _ = _as_batch((np.asarray(target, dtype=np.float64) - self.target_mean)
+                           / self.target_std)
         out_n, cache = self.mlp.forward(s_n)
         diff = out_n - t_n
-        loss = float((diff ** 2).sum(axis=-1).mean())
-        self.mlp.backward(cache, 2.0 * diff / s_n.shape[0])
-        return loss
-
-
-class BCNet:
-    """Plain behavioral cloning: squared-error regression s -> a."""
-
-    def __init__(self, obs_dim: int, act_dim: int, norm: NormStats, *,
-                 hidden_dim: int = 64, rng: np.random.Generator):
-        self.obs_dim = obs_dim
-        self.act_dim = act_dim
-        self.norm = norm
-        self.store = ParamStore()
-        self.mlp = MLP(self.store, "bc", [obs_dim, hidden_dim, hidden_dim, act_dim], rng)
-
-    def act(self, s) -> np.ndarray:
-        s_n, single = _as_batch(self.norm.norm_state(s))
-        out_n, _ = self.mlp.forward(s_n)
-        out = self.norm.denorm_action(out_n)
-        return out[0] if single else out
-
-    def loss_and_grad(self, s, a) -> float:
-        s_n, _ = _as_batch(self.norm.norm_state(s))
-        a_n, _ = _as_batch(self.norm.norm_action(a))
-        out_n, cache = self.mlp.forward(s_n)
-        diff = out_n - a_n
         loss = float((diff ** 2).sum(axis=-1).mean())
         self.mlp.backward(cache, 2.0 * diff / s_n.shape[0])
         return loss
@@ -433,8 +387,8 @@ class ModelSet:
     goal_cvae: GoalCVAE | None = None
     action_cvae: ActionCVAE | None = None
     qnet: QNet | None = None
-    goal_regressor: GoalRegressor | None = None
-    bc_net: BCNet | None = None
+    goal_regressor: Regressor | None = None
+    bc_net: Regressor | None = None
 
     def stores(self) -> dict[str, ParamStore]:
         """Checkpoint-prefix -> parameter store for every present component."""
@@ -496,8 +450,10 @@ def build_models(variant: str, obs_dim: int, act_dim: int, norm: NormStats, *,
                                     beta=beta_a, hidden_dim=hidden_dim, rng=slots[2])
         ms.qnet = QNet(obs_dim, act_dim, norm, hidden_dim=hidden_dim, rng=slots[3])
     if variant == "iris_no_goal_vae":
-        ms.goal_regressor = GoalRegressor(obs_dim, norm, hidden_dim=hidden_dim,
-                                          rng=slots[4])
+        ms.goal_regressor = Regressor("reg", obs_dim, norm, norm.state_mean,
+                                      norm.state_std, hidden_dim=hidden_dim,
+                                      rng=slots[4])
     if variant == "bc":
-        ms.bc_net = BCNet(obs_dim, act_dim, norm, hidden_dim=hidden_dim, rng=slots[5])
+        ms.bc_net = Regressor("bc", obs_dim, norm, norm.action_mean, norm.action_std,
+                              hidden_dim=hidden_dim, rng=slots[5])
     return ms

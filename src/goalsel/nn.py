@@ -1,6 +1,7 @@
 """Minimal neural substrate: parameter tensors with gradient slots, dense and
-gated-recurrent layers, Gaussian reparameterization, Adam, finite-difference
-gradient checking, and a named-tensor checkpoint format.
+gated-recurrent layers, clamped diagonal-Gaussian heads, Adam, finite-difference
+gradient checking, and a named-tensor checkpoint format (stored in the
+container of :mod:`goalsel.binfile`).
 
 Everything is float64 numpy with hand-written backward passes. Layers follow a
 ``forward(...) -> (output, cache)`` / ``backward(cache, dout) -> din``
@@ -11,22 +12,18 @@ backpropagated one cached step at a time.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import expit as sigmoid
+
+from .binfile import Reader, Writer
 
 LOG_SIGMA_MIN = -5.0
 LOG_SIGMA_MAX = 2.0
 
 CHECKPOINT_MAGIC = b"IRC1"
 CHECKPOINT_VERSION = 1
-
-
-class CheckpointFormatError(ValueError):
-    """Malformed checkpoint file: bad magic, bad version, or truncated payload."""
 
 
 class Tensor:
@@ -170,11 +167,6 @@ class MLP:
         return y
 
 
-def mlp_forward(mlp: MLP, x) -> np.ndarray:
-    """Forward pass through an MLP (no cache kept)."""
-    return mlp(x)
-
-
 class GRUCell:
     """Gated-recurrent update: h' = (1 - z) * h + z * tanh(candidate).
 
@@ -230,17 +222,6 @@ class GRUCell:
         return dh, dx
 
 
-def gru_step(cell: GRUCell, hidden, x) -> np.ndarray:
-    """One recurrent update (no cache kept); accepts 1-D or batched input."""
-    hidden = np.asarray(hidden, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if hidden.ndim == 1:
-        h_new, _ = cell.forward(hidden[None, :], x[None, :])
-        return h_new[0]
-    h_new, _ = cell.forward(hidden, x)
-    return h_new
-
-
 @dataclass(frozen=True)
 class GaussianHead:
     """Diagonal-Gaussian parameters with log-sigma clamped to a fixed range.
@@ -268,25 +249,6 @@ class GaussianHead:
         log_sigma = np.clip(ls_raw, LOG_SIGMA_MIN, LOG_SIGMA_MAX)
         mask = ((ls_raw >= LOG_SIGMA_MIN) & (ls_raw <= LOG_SIGMA_MAX)).astype(np.float64)
         return cls(mu=mu, log_sigma=log_sigma, clip_mask=mask)
-
-
-def make_gaussian_head(mu, log_sigma) -> GaussianHead:
-    """Build a head directly from mu/log-sigma (clamped), mostly for tests."""
-    mu = np.asarray(mu, dtype=np.float64)
-    ls_raw = np.asarray(log_sigma, dtype=np.float64)
-    log_sigma = np.clip(ls_raw, LOG_SIGMA_MIN, LOG_SIGMA_MAX)
-    mask = ((ls_raw >= LOG_SIGMA_MIN) & (ls_raw <= LOG_SIGMA_MAX)).astype(np.float64)
-    return GaussianHead(mu=mu, log_sigma=log_sigma, clip_mask=mask)
-
-
-def reparam_sample(head: GaussianHead, rng: np.random.Generator | None = None,
-                   eps: np.ndarray | None = None) -> np.ndarray:
-    """z = mu + sigma * eps with eps ~ N(0, 1) (or injected)."""
-    if eps is None:
-        if rng is None:
-            raise ValueError("need either an rng or injected noise")
-        eps = rng.standard_normal(head.mu.shape)
-    return head.mu + head.sigma * eps
 
 
 def kl_to_standard_normal(head: GaussianHead):
@@ -383,62 +345,28 @@ def grad_check(loss_fn, store: ParamStore, rng: np.random.Generator,
     return GradCheckReport(entries=tuple(entries), rel_tol=rel_tol)
 
 
-def _pack_u32(value: int) -> bytes:
-    return struct.pack("<I", value)
-
-
 def save_checkpoint(path, tensors: dict[str, np.ndarray], config_hash: str = "") -> None:
     """Write a named-tensor container (name, shape, f32 payload)."""
-    hash_bytes = config_hash.encode("utf-8")
-    parts = [
-        CHECKPOINT_MAGIC,
-        _pack_u32(CHECKPOINT_VERSION),
-        _pack_u32(len(hash_bytes)),
-        hash_bytes,
-        _pack_u32(len(tensors)),
-    ]
+    w = Writer(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    w.text(config_hash)
+    w.u32(len(tensors))
     for name, value in tensors.items():
-        name_bytes = name.encode("utf-8")
         value = np.asarray(value)
-        parts.append(_pack_u32(len(name_bytes)))
-        parts.append(name_bytes)
-        parts.append(_pack_u32(value.ndim))
+        w.text(name)
+        w.u32(value.ndim)
         for d in value.shape:
-            parts.append(_pack_u32(d))
-        parts.append(value.astype("<f4").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+            w.u32(d)
+        w.f32(value)
+    w.write(path)
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
     """Read a checkpoint container; returns (name -> f32 array, config hash)."""
-    blob = Path(path).read_bytes()
-    off = 0
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(blob):
-            raise CheckpointFormatError(
-                f"truncated checkpoint: wanted {n} bytes at offset {off}"
-            )
-        out = blob[off:off + n]
-        off += n
-        return out
-
-    def u32() -> int:
-        return struct.unpack("<I", take(4))[0]
-
-    if take(4) != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError("bad magic bytes: not a checkpoint file")
-    version = u32()
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-    config_hash = take(u32()).decode("utf-8")
+    r = Reader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
+    config_hash = r.text()
     tensors: dict[str, np.ndarray] = {}
-    for _ in range(u32()):
-        name = take(u32()).decode("utf-8")
-        shape = tuple(u32() for _ in range(u32()))
-        n = int(np.prod(shape)) if shape else 1
-        tensors[name] = np.frombuffer(take(4 * n), dtype="<f4").reshape(shape)
-    if off != len(blob):
-        raise CheckpointFormatError(f"{len(blob) - off} unexpected trailing bytes")
+    for _ in range(r.u32()):
+        name = r.text()
+        tensors[name] = r.f32(tuple(r.u32() for _ in range(r.u32())))
+    r.finish()
     return tensors, config_hash

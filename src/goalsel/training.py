@@ -15,7 +15,6 @@ rng slots so a disabled component never perturbs the others' draws.
 from __future__ import annotations
 
 import csv
-import io
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +30,7 @@ from .models import (
     QNet,
     build_models,
     polyak_update,
+    proposal_value,
 )
 from .nn import adam_step, grad_check, save_checkpoint
 
@@ -117,10 +117,8 @@ def q_targets_batch(qnet: QNet, action_cvae: ConditionalVAE, s_next, r,
     s_next = np.asarray(s_next, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
     is_terminal = np.asarray(is_terminal, dtype=bool)
-    proposals = action_cvae.sample_each(s_next, n_proposals, rng)
-    best = np.full(s_next.shape[0], -np.inf)
-    for j in range(n_proposals):
-        best = np.maximum(best, qnet.value(s_next, proposals[j], use_target=True))
+    best = proposal_value(qnet, action_cvae, s_next, n_proposals, rng,
+                          use_target=True)
     out = r + gamma * best
     out[is_terminal] = r[is_terminal] / (1.0 - gamma)
     return out
@@ -233,6 +231,9 @@ class TrainResult:
 
 def _checkpoint(models: ModelSet, out_dir: Path, iteration: int,
                 digest: str) -> Path:
+    """Write one checkpoint, refusing parameters that are not finite."""
+    for store in models.stores().values():
+        store.assert_finite()
     path = out_dir / f"ckpt_{iteration:07d}.bin"
     save_checkpoint(path, models.state_dict(), config_hash=digest)
     return path
@@ -243,12 +244,16 @@ def train(dataset: TrajectoryDataset, cfg: TrainConfig, out_dir) -> TrainResult:
 
     Fully offline and deterministic given (config, seed): the initial
     checkpoint is always written, then one every ``ckpt_every`` iterations and
-    at the end.
+    at the end. Each metrics row reaches the file as it is produced. A run
+    directory that already holds checkpoints is refused, since an earlier
+    run's later checkpoints would survive beside the new ones.
     """
     cfg.validate()
     started = time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    if any(out_dir.glob("ckpt_*.bin")):
+        raise ValueError(f"run directory {out_dir} already holds checkpoints")
     (out_dir / "config.json").write_text(canonical_json(cfg) + "\n")
     digest = config_digest(cfg)
 
@@ -262,24 +267,25 @@ def train(dataset: TrajectoryDataset, cfg: TrainConfig, out_dir) -> TrainResult:
 
     checkpoints = [_checkpoint(models, out_dir, 0, digest)]
     state = TrainState()
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(METRIC_COLUMNS)
-    for i in range(1, cfg.n_iter + 1):
-        losses = train_step(models, dataset, cfg, step_rng)
-        state.update(losses)
-        if i % cfg.log_every == 0 or i == cfg.n_iter:
-            means = state.flush()
-            writer.writerow([i] + [
-                repr(means[_COLUMN_KEYS[col]]) if _COLUMN_KEYS[col] in means else ""
-                for col in METRIC_COLUMNS[1:]
-            ])
-        if i % cfg.ckpt_every == 0 or i == cfg.n_iter:
-            path = _checkpoint(models, out_dir, i, digest)
-            if path != checkpoints[-1]:
-                checkpoints.append(path)
     metrics_path = out_dir / "metrics.csv"
-    metrics_path.write_text(buffer.getvalue())
+    with open(metrics_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(METRIC_COLUMNS)
+        fh.flush()
+        for i in range(1, cfg.n_iter + 1):
+            losses = train_step(models, dataset, cfg, step_rng)
+            state.update(losses)
+            if i % cfg.log_every == 0 or i == cfg.n_iter:
+                means = state.flush()
+                writer.writerow([i] + [
+                    repr(means[_COLUMN_KEYS[col]]) if _COLUMN_KEYS[col] in means
+                    else "" for col in METRIC_COLUMNS[1:]
+                ])
+                fh.flush()
+            if i % cfg.ckpt_every == 0 or i == cfg.n_iter:
+                path = _checkpoint(models, out_dir, i, digest)
+                if path != checkpoints[-1]:
+                    checkpoints.append(path)
     return TrainResult(out_dir=out_dir, checkpoints=checkpoints,
                        metrics_path=metrics_path, config=cfg, models=models,
                        elapsed=time.perf_counter() - started)

@@ -3,6 +3,7 @@ import pytest
 
 from goalsel.data import Trajectory, TrajectoryDataset
 from goalsel.envs import DemoGenConfig, generate_dataset
+from goalsel.models import Regressor
 from goalsel.training import TrainConfig, train
 
 
@@ -23,6 +24,18 @@ def make_dataset(rng, n_traj=5, lengths=None, obs_dim=2, act_dim=2):
     for length in lengths:
         ds.append(make_traj(rng, length, obs_dim, act_dim))
     return ds
+
+
+def goal_regressor(norm, **kwargs):
+    """The goal predictor of ``iris_no_goal_vae``, named as build_models does."""
+    return Regressor("reg", len(norm.state_mean), norm, norm.state_mean,
+                     norm.state_std, **kwargs)
+
+
+def bc_net(norm, **kwargs):
+    """The ``bc`` policy net, named as build_models does."""
+    return Regressor("bc", len(norm.state_mean), norm, norm.action_mean,
+                     norm.action_std, **kwargs)
 
 
 def small_train_config(variant="iris", **overrides):

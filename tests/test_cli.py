@@ -116,6 +116,20 @@ class TestTrainEval:
         assert json.dumps(reports[0], sort_keys=True) == \
             json.dumps(reports[1], sort_keys=True)
 
+    def test_train_into_used_run_dir_fails(self, tiny_setup):
+        _, data_path, run_dir = tiny_setup
+        before = (run_dir / "config.json").read_bytes()
+        rc = main(["train", "--dataset", str(data_path), "--out", str(run_dir),
+                   "--variant", "bc", "--set", "n_iter=4"])
+        assert rc == 1
+        assert (run_dir / "config.json").read_bytes() == before
+
+    def test_corrupt_dataset_fails(self, tmp_path):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"NOPE")
+        rc = main(["train", "--dataset", str(bad), "--out", str(tmp_path / "r")])
+        assert rc == 1
+
     def test_missing_dataset_fails(self, tmp_path):
         rc = main(["train", "--dataset", str(tmp_path / "no.bin"),
                    "--out", str(tmp_path / "r")])

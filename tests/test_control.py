@@ -13,9 +13,9 @@ from goalsel.control import (
 from goalsel.data import NormStats
 from goalsel.envs import make_env
 from goalsel.evaluation import rollout
-from goalsel.models import ActionCVAE, BCNet, GoalCVAE, GoalRegressor, QNet
+from goalsel.models import GoalCVAE
 from goalsel.nn import adam_step
-from conftest import small_train_config
+from conftest import bc_net, goal_regressor
 
 
 def flat_norm(obs_dim=2, act_dim=2):
@@ -192,7 +192,7 @@ class TestGoalRegressorMode:
     def test_zero_regressor_proposes_mean_state(self, small_demo_set, rng):
         dataset, _ = small_demo_set
         norm = dataset.norm_stats
-        reg = GoalRegressor(2, norm, hidden_dim=6, rng=rng)
+        reg = goal_regressor(norm, hidden_dim=6, rng=rng)
         for _, t in reg.store:
             t.value[...] = 0.0
         ctrl = HierarchicalController(StubPolicy(), 5, "regressor",
@@ -202,7 +202,7 @@ class TestGoalRegressorMode:
 
     def test_goal_is_exact_regressor_output(self, small_demo_set, rng):
         dataset, _ = small_demo_set
-        reg = GoalRegressor(2, dataset.norm_stats, hidden_dim=6, rng=rng)
+        reg = goal_regressor(dataset.norm_stats, hidden_dim=6, rng=rng)
         ctrl = HierarchicalController(StubPolicy(), 5, "regressor",
                                       goal_regressor=reg)
         s = np.array([0.4, 0.7])
@@ -213,7 +213,7 @@ class TestGoalRegressorMode:
     def test_beats_single_cvae_sample_on_unimodal_data(self, rng):
         # deterministic regression wins when the future is single-moded
         norm = flat_norm()
-        reg = GoalRegressor(2, norm, hidden_dim=16, rng=rng)
+        reg = goal_regressor(norm, hidden_dim=16, rng=rng)
         cvae = GoalCVAE(2, norm, latent_dim=4, hidden_dim=16, rng=rng)
         data_rng = np.random.default_rng(0)
         states = data_rng.normal(0, 1, (512, 2))
@@ -237,7 +237,7 @@ class TestGoalRegressorMode:
 class TestBaselines:
     def test_bc_zero_net_mean_action(self, small_demo_set, rng):
         dataset, _ = small_demo_set
-        net = BCNet(2, 2, dataset.norm_stats, hidden_dim=6, rng=rng)
+        net = bc_net(dataset.norm_stats, hidden_dim=6, rng=rng)
         for _, t in net.store:
             t.value[...] = 0.0
         ctrl = BCController(net)

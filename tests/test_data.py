@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from goalsel.binfile import FormatError
 from goalsel.data import (
-    DatasetFormatError,
     Trajectory,
     TrajectoryDataset,
     filter_best_fraction,
@@ -111,56 +111,59 @@ class TestNormStats:
 class TestSampleWindow:
     def test_full_length_window_is_terminal(self, rng):
         ds = make_dataset(rng, lengths=[6])
-        w = ds.sample_window(6, rng)
-        assert w.is_terminal and w.start == 0
-        assert np.array_equal(w.states, ds.trajectories[0].states)
+        w = ds.sample_window_batch(6, 1, rng)
+        assert w.is_terminal[0] and w.start[0] == 0
+        assert np.array_equal(w.states[0], ds.trajectories[0].states)
 
     def test_two_window_frequencies_binomial(self, rng):
         ds = make_dataset(rng, lengths=[7])  # T=6 gives exactly two windows
         draws = 10000
-        zeros = sum(ds.sample_window(6, rng).start == 0 for _ in range(draws))
+        zeros = np.count_nonzero(ds.sample_window_batch(6, draws, rng).start == 0)
         sigma3 = 3 * np.sqrt(draws * 0.25)
         assert abs(zeros - draws / 2) <= sigma3
 
     def test_all_too_short_rejected(self, rng):
         ds = make_dataset(rng, lengths=[4, 5])
         with pytest.raises(ValueError, match="no trajectory admits"):
-            ds.sample_window(6, rng)
+            ds.sample_window_batch(6, 1, rng)
 
     def test_short_trajectories_excluded(self, rng):
         ds = make_dataset(rng, lengths=[3, 10])
-        for _ in range(50):
-            assert ds.sample_window(8, rng).traj_index == 1
+        assert np.all(ds.sample_window_batch(8, 50, rng).traj_index == 1)
 
     def test_windows_are_verbatim_slices(self, rng):
         ds = make_dataset(rng, n_traj=6)
-        for _ in range(100):
-            w = ds.sample_window(4, rng)
-            traj = ds.trajectories[w.traj_index]
-            assert np.array_equal(w.states, traj.states[w.start:w.start + 5])
-            assert np.array_equal(w.actions, traj.actions[w.start:w.start + 4])
-            assert np.array_equal(w.rewards, traj.rewards[w.start:w.start + 4])
-            assert w.is_terminal == (w.start + 4 == traj.length)
-            assert np.array_equal(w.goal, w.states[-1])
+        w = ds.sample_window_batch(4, 100, rng)
+        for b in range(100):
+            traj = ds.trajectories[w.traj_index[b]]
+            start = w.start[b]
+            assert np.array_equal(w.states[b], traj.states[start:start + 5])
+            assert np.array_equal(w.actions[b], traj.actions[start:start + 4])
+            assert np.array_equal(w.rewards[b], traj.rewards[start:start + 4])
+            assert w.is_terminal[b] == (start + 4 == traj.length)
+            assert np.array_equal(w.states[b, -1], traj.states[start + 4])
 
     def test_seeded_determinism(self, rng):
         ds = make_dataset(rng, n_traj=6)
-        a = [ds.sample_window(4, np.random.default_rng(9)) for _ in range(20)]
-        b = [ds.sample_window(4, np.random.default_rng(9)) for _ in range(20)]
-        assert [(w.traj_index, w.start) for w in a] == [(w.traj_index, w.start) for w in b]
+        a = ds.sample_window_batch(4, 20, np.random.default_rng(9))
+        b = ds.sample_window_batch(4, 20, np.random.default_rng(9))
+        assert np.array_equal(a.traj_index, b.traj_index)
+        assert np.array_equal(a.start, b.start)
+        assert np.array_equal(a.states, b.states)
 
     def test_batch_matches_metadata(self, rng):
         ds = make_dataset(rng, n_traj=4)
         batch = ds.sample_window_batch(3, 16, rng)
         assert batch.states.shape == (16, 4, 2)
         assert batch.states.dtype == np.float64
+        assert batch.traj_index.shape == batch.start.shape == (16,)
         assert len(batch) == 16
 
     def test_selection_proportional_to_window_count(self, rng):
         # lengths 4 and 12 with T=4 give 1 vs 9 valid windows
         ds = make_dataset(rng, lengths=[4, 12])
-        picks = [ds.sample_window(4, rng).traj_index for _ in range(5000)]
-        frac = np.mean(np.array(picks) == 0)
+        picks = ds.sample_window_batch(4, 5000, rng).traj_index
+        frac = np.mean(picks == 0)
         assert abs(frac - 0.1) < 0.02
 
 
@@ -235,7 +238,7 @@ class TestSerialization:
         blob = bytearray(path.read_bytes())
         blob[:4] = b"NOPE"
         path.write_bytes(bytes(blob))
-        with pytest.raises(DatasetFormatError, match="magic"):
+        with pytest.raises(FormatError, match="magic"):
             load(path)
 
     def test_truncated_payload(self, rng, tmp_path):
@@ -243,7 +246,7 @@ class TestSerialization:
         save(make_dataset(rng, n_traj=2), path)
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) - 40])
-        with pytest.raises(DatasetFormatError, match="truncated"):
+        with pytest.raises(FormatError, match="truncated"):
             load(path)
 
     def test_declared_count_exceeds_payload(self, rng, tmp_path):
@@ -255,12 +258,12 @@ class TestSerialization:
         offset = 4 + 4 + 4 + 4 + 4 + len(ds.env_id)  # magic/ver/dims/env header
         blob[offset:offset + 4] = (5).to_bytes(4, "little")
         path.write_bytes(bytes(blob))
-        with pytest.raises(DatasetFormatError, match="truncated"):
+        with pytest.raises(FormatError, match="truncated"):
             load(path)
 
     def test_trailing_bytes_rejected(self, rng, tmp_path):
         path = tmp_path / "d.bin"
         save(make_dataset(rng), path)
         path.write_bytes(path.read_bytes() + b"xx")
-        with pytest.raises(DatasetFormatError, match="trailing"):
+        with pytest.raises(FormatError, match="trailing"):
             load(path)

@@ -6,21 +6,15 @@ from hypothesis import strategies as st
 from goalsel.data import NormStats
 from goalsel.models import (
     ActionCVAE,
-    BCNet,
     GoalCVAE,
-    GoalRegressor,
     PolicyRNN,
     QNet,
-    bc_loss,
     build_models,
-    cvae_loss,
     polyak_update,
-    q_value,
-    sample_actions,
-    sample_goals,
 )
-from goalsel.nn import GaussianHead, grad_check, gru_step, kl_to_standard_normal
+from goalsel.nn import GaussianHead, grad_check, kl_to_standard_normal
 from goalsel.training import jitter_params
+from conftest import bc_net, goal_regressor
 
 
 def flat_norm(obs_dim=2, act_dim=2):
@@ -66,14 +60,14 @@ class TestPolicyRNN:
         goal = rng.normal(0, 1, 2)
         out = policy.rollout_train(states, goal)
         # manual unroll with the public primitives
-        h = np.zeros(4)
+        h = np.zeros((1, 4))
         g_n = norm.norm_state(goal)
         expected = []
         for t in range(3):
             x = np.concatenate([norm.norm_state(states[t]), g_n])
             e = np.maximum(x @ policy.enc.W.value + policy.enc.b.value, 0.0)
-            h = gru_step(policy.cell, h, e)
-            a_n = h @ policy.head.W.value + policy.head.b.value
+            h, _ = policy.cell.forward(h, e[None])
+            a_n = h[0] @ policy.head.W.value + policy.head.b.value
             expected.append(norm.denorm_action(a_n))
         assert np.allclose(out, np.stack(expected), atol=1e-12)
 
@@ -113,34 +107,6 @@ class TestPolicyRNN:
         assert report.passed, report.failures
 
 
-class TestBCLoss:
-    def test_perfect_prediction_zero(self, rng):
-        a = rng.normal(0, 1, (5, 2))
-        assert bc_loss(a, a.copy()) == 0.0
-
-    def test_scalar_example(self):
-        pred = np.array([[1.0], [0.0], [2.0]])
-        assert bc_loss(pred, np.zeros((3, 1))) == 5.0
-
-    def test_matches_double_loop(self, rng):
-        pred = rng.normal(0, 1, (6, 3))
-        actual = rng.normal(0, 1, (6, 3))
-        expected = sum((pred[t, d] - actual[t, d]) ** 2
-                       for t in range(6) for d in range(3))
-        assert np.isclose(bc_loss(pred, actual), expected)
-
-    def test_length_mismatch(self, rng):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            bc_loss(np.zeros((3, 2)), np.zeros((4, 2)))
-
-    def test_batched_returns_per_window(self, rng):
-        pred = rng.normal(0, 1, (4, 3, 2))
-        actual = rng.normal(0, 1, (4, 3, 2))
-        out = bc_loss(pred, actual)
-        assert out.shape == (4,)
-        assert np.isclose(out[1], bc_loss(pred[1], actual[1]))
-
-
 class TestConditionalVAE:
     def test_zero_beta_perfect_reconstruction(self, rng):
         norm = random_norm(rng)
@@ -167,7 +133,7 @@ class TestConditionalVAE:
         target = rng.normal(0, 1, (4, 2))
         cond = rng.normal(0, 1, (4, 2))
         eps = rng.standard_normal((4, 3))
-        loss, parts = cvae_loss(cvae, target, cond, eps=eps)
+        loss, parts = cvae.loss_and_grad(target, cond, eps=eps)
         # independent recomposition
         t_n = (target - norm.action_mean) / norm.action_std
         c_n = (cond - norm.state_mean) / norm.state_std
@@ -197,21 +163,21 @@ class TestSampling:
         norm = random_norm(rng)
         cvae = GoalCVAE(2, norm, latent_dim=3, hidden_dim=6, rng=rng)
         s = rng.normal(0, 1, 2)
-        out = sample_goals(cvae, s, 1, z=np.zeros((1, 3)))
+        out = cvae.sample(s, 1, z=np.zeros((1, 3)))
         expected = cvae.decode_raw(np.zeros(3), s)
         assert np.allclose(out[0], expected)
 
     def test_seeded_determinism(self, rng):
         cvae = ActionCVAE(2, 2, flat_norm(), latent_dim=2, hidden_dim=6, rng=rng)
         s = rng.normal(0, 1, 2)
-        a = sample_actions(cvae, s, 8, np.random.default_rng(3))
-        b = sample_actions(cvae, s, 8, np.random.default_rng(3))
+        a = cvae.sample(s, 8, np.random.default_rng(3))
+        b = cvae.sample(s, 8, np.random.default_rng(3))
         assert np.array_equal(a, b)
 
     def test_zero_samples_rejected(self, rng):
         cvae = GoalCVAE(2, flat_norm(), hidden_dim=4, rng=rng)
         with pytest.raises(ValueError, match="at least one"):
-            sample_goals(cvae, np.zeros(2), 0, rng)
+            cvae.sample(np.zeros(2), 0, rng)
 
     def test_outputs_finite_and_shaped(self, rng):
         cvae = GoalCVAE(3, flat_norm(3, 2), latent_dim=2, hidden_dim=5, rng=rng)
@@ -301,14 +267,14 @@ class TestPolyak:
 
 class TestAuxiliaryNets:
     def test_goal_regressor_gradient_check(self, rng):
-        reg = GoalRegressor(2, random_norm(rng), hidden_dim=5, rng=rng)
+        reg = goal_regressor(random_norm(rng), hidden_dim=5, rng=rng)
         s = rng.normal(0, 1, (4, 2))
         target = rng.normal(0, 1, (4, 2))
         report = grad_check(lambda: reg.loss_and_grad(s, target), reg.store, rng)
         assert report.passed, report.failures
 
     def test_bc_net_gradient_check(self, rng):
-        net = BCNet(2, 2, random_norm(rng), hidden_dim=5, rng=rng)
+        net = bc_net(random_norm(rng), hidden_dim=5, rng=rng)
         s = rng.normal(0, 1, (4, 2))
         a = rng.normal(0, 1, (4, 2))
         report = grad_check(lambda: net.loss_and_grad(s, a), net.store, rng)
@@ -316,13 +282,13 @@ class TestAuxiliaryNets:
 
     def test_zero_bc_net_outputs_mean_action(self, rng):
         norm = random_norm(rng)
-        net = BCNet(2, 2, norm, hidden_dim=4, rng=rng)
+        net = bc_net(norm, hidden_dim=4, rng=rng)
         zero_store(net.store)
-        assert np.allclose(net.act(rng.normal(0, 1, 2)), norm.action_mean)
+        assert np.allclose(net.predict(rng.normal(0, 1, 2)), norm.action_mean)
 
     def test_zero_regressor_outputs_mean_state(self, rng):
         norm = random_norm(rng)
-        reg = GoalRegressor(2, norm, hidden_dim=4, rng=rng)
+        reg = goal_regressor(norm, hidden_dim=4, rng=rng)
         zero_store(reg.store)
         assert np.allclose(reg.predict(rng.normal(0, 1, 2)), norm.state_mean)
 
@@ -370,8 +336,3 @@ class TestModelSet:
                                   rng=np.random.default_rng(0))
             for slot in all_slots:
                 assert (getattr(models, slot) is not None) == (slot in present)
-
-    def test_q_value_wrapper(self, rng):
-        q = QNet(2, 2, flat_norm(), hidden_dim=4, rng=rng)
-        s, a = rng.normal(0, 1, 2), rng.normal(0, 1, 2)
-        assert q_value(q, s, a) == q.value(s, a)

@@ -5,20 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from goalsel.binfile import FormatError
 from goalsel.nn import (
-    CheckpointFormatError,
     GRUCell,
     MLP,
+    GaussianHead,
     ParamStore,
     Tensor,
     adam_step,
     grad_check,
-    gru_step,
     kl_to_standard_normal,
     load_checkpoint,
-    make_gaussian_head,
-    mlp_forward,
-    reparam_sample,
     save_checkpoint,
 )
 
@@ -67,7 +64,7 @@ class TestMLP:
         store.params["m.l0.W"].value[...] = np.eye(3)
         store.params["m.l0.b"].value[...] = 0.0
         x = rng.normal(size=3)
-        assert np.allclose(mlp_forward(mlp, x), x)
+        assert np.allclose(mlp(x), x)
 
     def test_matches_hand_matrix_arithmetic(self, rng):
         # 2x2 two-layer net checked against explicit by-hand products
@@ -112,6 +109,16 @@ def _scalar_gru_reference(cell, h, x):
     return np.array([(1.0 - z[j]) * h[j] + z[j] * c[j] for j in range(hd)])
 
 
+def gru(cell, h, x):
+    """One cell update of a single (h, x) row pair."""
+    return cell.forward(np.atleast_2d(h), np.atleast_2d(x))[0][0]
+
+
+def head_of(mu, log_sigma):
+    """A Gaussian head from mu and raw (unclamped) log-sigma."""
+    return GaussianHead.from_raw(np.concatenate([mu, log_sigma], axis=-1))
+
+
 class TestGRU:
     def test_zero_weights_halve_hidden(self, rng):
         store = ParamStore()
@@ -120,8 +127,8 @@ class TestGRU:
             t.value[...] = 0.0
         h = rng.normal(size=3)
         # z = sigmoid(0) = 0.5 and candidate = tanh(0) = 0, so h' = 0.5 h
-        assert np.allclose(gru_step(cell, h, np.zeros(2)), 0.5 * h)
-        assert np.array_equal(gru_step(cell, np.zeros(3), rng.normal(size=2)),
+        assert np.allclose(gru(cell, h, np.zeros(2)), 0.5 * h)
+        assert np.array_equal(gru(cell, np.zeros(3), rng.normal(size=2)),
                               np.zeros(3))
 
     def test_saturated_update_gate_ignores_hidden(self, rng):
@@ -130,8 +137,8 @@ class TestGRU:
         cell.b.value[:3] = 50.0   # saturate the update gate
         cell.Uc.value[...] = 0.0  # candidate independent of hidden
         x = rng.normal(size=2)
-        out_a = gru_step(cell, rng.normal(size=3), x)
-        out_b = gru_step(cell, rng.normal(size=3), x)
+        out_a = gru(cell, rng.normal(size=3), x)
+        out_b = gru(cell, rng.normal(size=3), x)
         assert np.allclose(out_a, out_b, atol=1e-3)
 
     def test_matches_scalar_reference(self, rng):
@@ -139,7 +146,7 @@ class TestGRU:
         cell = GRUCell(store, "g", 3, 4, rng)
         h = rng.normal(size=4)
         x = rng.normal(size=3)
-        assert np.allclose(gru_step(cell, h, x),
+        assert np.allclose(gru(cell, h, x),
                            _scalar_gru_reference(cell, h, x), atol=1e-12)
 
     def test_batched_matches_single(self, rng):
@@ -147,41 +154,41 @@ class TestGRU:
         cell = GRUCell(store, "g", 3, 4, rng)
         h = rng.normal(size=(5, 4))
         x = rng.normal(size=(5, 3))
-        batched = gru_step(cell, h, x)
+        batched, _ = cell.forward(h, x)
         for i in range(5):
-            assert np.allclose(batched[i], gru_step(cell, h[i], x[i]))
+            assert np.allclose(batched[i], gru(cell, h[i], x[i]))
 
 
 class TestGaussianHead:
     def test_sigma_floor_keeps_z_near_mu(self):
-        head = make_gaussian_head(np.array([1.0, -2.0]), np.array([-20.0, -20.0]))
-        z = reparam_sample(head, eps=np.array([1.0, -1.0]))
+        head = head_of(np.array([1.0, -2.0]), np.array([-20.0, -20.0]))
+        z = head.mu + head.sigma * np.array([1.0, -1.0])
         assert np.allclose(z, head.mu, atol=0.01)
         assert np.all(head.log_sigma == -5.0)
 
     def test_injected_eps_exact(self):
-        head = make_gaussian_head(np.array([0.5, -0.5]), np.array([0.3, -0.2]))
+        head = head_of(np.array([0.5, -0.5]), np.array([0.3, -0.2]))
         eps = np.array([2.0, -1.5])
-        assert np.array_equal(reparam_sample(head, eps=eps),
-                              head.mu + np.exp(head.log_sigma) * eps)
+        assert np.array_equal(head.mu + head.sigma * eps,
+                              np.array([0.5, -0.5]) + np.exp([0.3, -0.2]) * eps)
 
     def test_law_of_large_numbers(self):
-        head = make_gaussian_head(np.zeros(100_000), np.zeros(100_000))
-        z = reparam_sample(head, np.random.default_rng(7))
+        head = head_of(np.zeros(100_000), np.zeros(100_000))
+        z = head.mu + head.sigma * np.random.default_rng(7).standard_normal(100_000)
         assert abs(z.mean()) < 0.02
         assert abs(z.var() - 1.0) < 0.05
 
     def test_kl_zero_at_standard_normal(self):
-        head = make_gaussian_head(np.zeros(3), np.zeros(3))
+        head = head_of(np.zeros(3), np.zeros(3))
         assert kl_to_standard_normal(head) == 0.0
 
     def test_kl_closed_form_scalar(self):
-        head = make_gaussian_head(np.array([1.0]), np.array([0.0]))
+        head = head_of(np.array([1.0]), np.array([0.0]))
         assert np.isclose(kl_to_standard_normal(head), 0.5)
 
     def test_kl_matches_monte_carlo(self):
         mu, sigma = 0.3, 0.7
-        head = make_gaussian_head(np.array([mu]), np.array([np.log(sigma)]))
+        head = head_of(np.array([mu]), np.array([np.log(sigma)]))
         rng = np.random.default_rng(11)
         x = rng.normal(mu, sigma, 1_000_000)
         log_q = -0.5 * ((x - mu) / sigma) ** 2 - np.log(sigma)
@@ -194,11 +201,10 @@ class TestGaussianHead:
     @settings(max_examples=60, deadline=None)
     def test_kl_nonnegative(self, mu, ls):
         k = min(len(mu), len(ls))
-        head = make_gaussian_head(np.array(mu[:k]), np.array(ls[:k]))
+        head = head_of(np.array(mu[:k]), np.array(ls[:k]))
         assert kl_to_standard_normal(head) >= -1e-12
 
     def test_even_split_required(self):
-        from goalsel.nn import GaussianHead
         with pytest.raises(ValueError, match="even"):
             GaussianHead.from_raw(np.zeros(3))
 
@@ -290,7 +296,7 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         blob[:4] = b"XXXX"
         path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointFormatError, match="magic"):
+        with pytest.raises(FormatError, match="magic"):
             load_checkpoint(path)
 
     def test_truncated(self, tmp_path):
@@ -298,7 +304,7 @@ class TestCheckpoint:
         save_checkpoint(path, {"a": np.zeros(8, dtype=np.float32)})
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
-        with pytest.raises(CheckpointFormatError, match="truncated"):
+        with pytest.raises(FormatError, match="truncated"):
             load_checkpoint(path)
 
 

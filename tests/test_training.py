@@ -1,4 +1,5 @@
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -216,6 +217,56 @@ class TestTrainLoop:
         names = [p.name for p in result.checkpoints]
         assert names == ["ckpt_0000000.bin", "ckpt_0000020.bin",
                          "ckpt_0000040.bin", "ckpt_0000050.bin"]
+
+    def test_refuses_run_dir_with_checkpoints(self, small_demo_set, tmp_path):
+        # a shorter second run would leave the first run's later checkpoints
+        dataset, _ = small_demo_set
+        run_dir = tmp_path / "r"
+        train(dataset, small_train_config("bc", n_iter=6, ckpt_every=3), run_dir)
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        with pytest.raises(ValueError, match=re.escape(str(run_dir))):
+            train(dataset, small_train_config("bc", n_iter=4, ckpt_every=3), run_dir)
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+    def test_non_finite_parameter_blocks_checkpoint(self, small_demo_set, tmp_path,
+                                                     monkeypatch):
+        dataset, _ = small_demo_set
+        real_step = training_module.train_step
+        calls = []
+
+        def corrupting_step(models, *args, **kwargs):
+            # the loss of step 3 stays finite; only its update goes bad
+            calls.append(1)
+            losses = real_step(models, *args, **kwargs)
+            if len(calls) == 3:
+                models.bc_net.store.params["bc.l0.W"].value[0, 0] = np.nan
+            return losses
+
+        monkeypatch.setattr(training_module, "train_step", corrupting_step)
+        cfg = small_train_config("bc", n_iter=6, ckpt_every=3)
+        with pytest.raises(FloatingPointError, match="bc.l0.W"):
+            train(dataset, cfg, tmp_path / "r")
+        assert [p.name for p in sorted((tmp_path / "r").glob("ckpt_*.bin"))] == \
+            ["ckpt_0000000.bin"]
+
+    def test_metrics_rows_survive_a_failed_run(self, small_demo_set, tmp_path,
+                                               monkeypatch):
+        dataset, _ = small_demo_set
+        real_step = training_module.train_step
+        calls = []
+
+        def failing_step(*args, **kwargs):
+            calls.append(1)
+            losses = real_step(*args, **kwargs)
+            return {"policy": np.nan} if len(calls) == 5 else losses
+
+        monkeypatch.setattr(training_module, "train_step", failing_step)
+        cfg = small_train_config("bc", n_iter=10, log_every=2)
+        with pytest.raises(FloatingPointError, match="iteration 5"):
+            train(dataset, cfg, tmp_path / "r")
+        metrics = read_metrics(tmp_path / "r" / "metrics.csv")
+        assert list(metrics["iter"]) == [2.0, 4.0]
+        assert np.all(np.isfinite(metrics["loss_policy"]))
 
     def test_metrics_columns_spec(self, trained_iris_run):
         result, _ = trained_iris_run
