@@ -4,8 +4,10 @@ A file is a 4-byte magic, a u32 format version, then a sequence of fields:
 u32 integers, UTF-8 text prefixed by its u32 byte length, and raw f32 arrays
 whose shapes the surrounding fields declare. :class:`Reader` rejects a wrong
 magic or version, a payload shorter than the fields ask for, and bytes left
-over after the last field. :class:`Writer` replaces its target atomically, so
-a failed write leaves any earlier file at the path untouched.
+over after the last field. :class:`Writer` replaces its target atomically
+through :func:`write_atomic`, which the package's text outputs (reports,
+sidecars, run configs and manifests, trajectory exports) use as well, so a
+failed write leaves any earlier file at the path untouched.
 """
 
 from __future__ import annotations
@@ -26,6 +28,20 @@ class FormatError(ValueError):
     or trailing bytes."""
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it over
+    ``path``; on any failure the temporary file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 class Writer:
     """Collects the fields of one container in order, then writes them at once."""
 
@@ -44,17 +60,8 @@ class Writer:
         self._parts.append(np.asarray(array).astype("<f4").tobytes())
 
     def write(self, path) -> None:
-        """Write to a temporary file beside ``path``, then rename it over
-        ``path``; on any failure the temporary file is removed."""
-        path = Path(path)
-        tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
-        try:
-            with open(tmp, "xb") as fh:
-                fh.write(b"".join(self._parts))
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        """Replace ``path`` atomically with the collected fields."""
+        write_atomic(path, b"".join(self._parts))
 
 
 class Reader:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .binfile import write_atomic
 from .config import from_flat, load_flat, parse_overrides, to_flat
 from .data import filter_best_fraction, load, save
 from .envs import DemoGenConfig, generate_dataset, make_env
@@ -53,7 +54,8 @@ def cmd_gen_data(args) -> int:
         "lengths": [int(t.length) for t in dataset],
         "decisions": [[list(d) for d in demo] for demo in decisions],
     }
-    out.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    write_atomic(out.with_suffix(".json"),
+                 (json.dumps(sidecar, indent=2) + "\n").encode())
     print(f"wrote {len(dataset)} trajectories to {out} "
           f"(mean length {np.mean([t.length for t in dataset]):.1f})")
     return 0
@@ -79,7 +81,7 @@ def cmd_eval(args) -> int:
     report = json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n"
     if args.report:
         Path(args.report).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.report).write_text(report)
+        write_atomic(args.report, report.encode())
     best = result.best
     rate, rate_std = best.success_rate
     print(f"best checkpoint {result.best_checkpoint.name}: "

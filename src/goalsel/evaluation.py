@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .binfile import write_atomic
 from .config import config_digest, from_flat, load_flat
 from .control import make_policy
 from .data import TrajectoryDataset
@@ -343,7 +344,7 @@ def export_trajectories(records_by_policy: dict[str, list[EpisodeRecord]],
         for ep, record in enumerate(records):
             for step, state in enumerate(record.states):
                 rows.append(f"{name},{ep},{step},{state[0]!r},{state[1]!r}")
-    csv_path.write_text("\n".join(rows) + "\n")
+    write_atomic(csv_path, ("\n".join(rows) + "\n").encode())
 
     style = [".dataset{fill:none;stroke:#9bb0c9;stroke-width:1;opacity:0.55}"]
     body = []
@@ -368,5 +369,5 @@ def export_trajectories(records_by_policy: dict[str, list[EpisodeRecord]],
     svg = (f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SVG_SIZE} '
            f'{SVG_SIZE}">\n<style>.label{{font:12px sans-serif}}'
            + "".join(style) + "</style>\n" + "\n".join(body) + "\n</svg>\n")
-    svg_path.write_text(svg)
+    write_atomic(svg_path, svg.encode())
     return svg_path, csv_path

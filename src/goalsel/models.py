@@ -8,6 +8,10 @@ predictions at the interface, so losses are computed in normalized space and
 the VAE KL weights stay scale-free. Each model owns a disjoint
 :class:`~goalsel.nn.ParamStore`; ``loss_and_grad`` methods return the scalar
 loss and accumulate parameter gradients as a side effect.
+
+The recurrent policy computes in float32 by default, which nearly halves the
+cost of its unroll; the VAEs, the Q-network and the regressor compute in
+float64. Gradient checks build the policy in float64.
 """
 
 from __future__ import annotations
@@ -43,25 +47,30 @@ class PolicyRNN:
 
     The training unroll starts from a zero hidden state over a T-step window;
     at test time the controller owns the hidden state and resets it whenever
-    it refreshes the goal.
+    it refreshes the goal. Normalized inputs are cast once to ``dtype``, the
+    dtype of the parameter store, so the encoder, cell and head compute in it.
     """
 
     def __init__(self, obs_dim: int, act_dim: int, norm: NormStats, *,
                  hidden_dim: int = 64, enc_dim: int = 64,
-                 goal_conditioned: bool = True, rng: np.random.Generator):
+                 goal_conditioned: bool = True, dtype=np.float32,
+                 rng: np.random.Generator):
         self.obs_dim = obs_dim
         self.act_dim = act_dim
         self.norm = norm
         self.goal_conditioned = goal_conditioned
         self.hidden_dim = hidden_dim
-        self.store = ParamStore()
+        self.store = ParamStore(dtype)
         in_dim = obs_dim * 2 if goal_conditioned else obs_dim
         self.enc = Linear(self.store, "enc", in_dim, enc_dim, rng)
         self.cell = GRUCell(self.store, "gru", enc_dim, hidden_dim, rng)
         self.head = Linear(self.store, "head", hidden_dim, act_dim, rng)
 
     def init_hidden(self, batch: int = 1) -> np.ndarray:
-        return np.zeros((batch, self.hidden_dim))
+        return np.zeros((batch, self.hidden_dim), dtype=self.store.dtype)
+
+    def _norm_state(self, s) -> np.ndarray:
+        return self.norm.norm_state(s).astype(self.store.dtype)
 
     def _inputs(self, s_n: np.ndarray, g_n: np.ndarray | None) -> np.ndarray:
         if self.goal_conditioned:
@@ -74,7 +83,7 @@ class PolicyRNN:
         """states_n: (B, T, obs) -> normalized actions (B, T, act) plus caches."""
         batch, t_window, _ = states_n.shape
         h = self.init_hidden(batch)
-        acts = np.empty((batch, t_window, self.act_dim))
+        acts = np.empty((batch, t_window, self.act_dim), dtype=self.store.dtype)
         caches = []
         for t in range(t_window):
             x = self._inputs(states_n[:, t], goal_n)
@@ -97,8 +106,8 @@ class PolicyRNN:
         if single:
             states = states[None]
             goal = None if goal is None else np.asarray(goal)[None]
-        states_n = self.norm.norm_state(states)
-        goal_n = None if goal is None else self.norm.norm_state(goal)
+        states_n = self._norm_state(states)
+        goal_n = None if goal is None else self._norm_state(goal)
         acts_n, _ = self._unroll(states_n, goal_n)
         acts = self.norm.denorm_action(acts_n)
         return acts[0] if single else acts
@@ -106,15 +115,15 @@ class PolicyRNN:
     def loss_and_grad(self, states, actions, goal=None) -> float:
         """Imitation loss: per-window sum of squared normalized-action errors,
         averaged over the batch. Accumulates gradients."""
-        states_n = self.norm.norm_state(states)
-        actions_n = self.norm.norm_action(actions)
-        goal_n = None if goal is None else self.norm.norm_state(goal)
+        states_n = self._norm_state(states)
+        actions_n = self.norm.norm_action(actions).astype(self.store.dtype)
+        goal_n = None if goal is None else self._norm_state(goal)
         batch, t_window, _ = states_n.shape
         pred_n, caches = self._unroll(states_n, goal_n)
         err = pred_n - actions_n
         loss = float((err ** 2).sum(axis=(1, 2)).mean())
         dpred = 2.0 * err / batch
-        dh_next = np.zeros((batch, self.hidden_dim))
+        dh_next = self.init_hidden(batch)
         for t in range(t_window - 1, -1, -1):
             e_cache, e_mask, c_cache, h_cache = caches[t]
             dh = self.head.backward(h_cache, dpred[:, t]) + dh_next
@@ -125,8 +134,8 @@ class PolicyRNN:
 
     def step(self, hidden: np.ndarray, s, goal=None) -> tuple[np.ndarray, np.ndarray]:
         """One closed-loop step; returns (denormalized action, new hidden)."""
-        s_n = self.norm.norm_state(np.asarray(s, dtype=np.float64))[None, :]
-        g_n = None if goal is None else self.norm.norm_state(goal)[None, :]
+        s_n = self._norm_state(s)[None, :]
+        g_n = None if goal is None else self._norm_state(goal)[None, :]
         x = self._inputs(s_n, g_n)
         e_pre, _ = self.enc.forward(x)
         e, _ = relu(e_pre)
@@ -425,8 +434,9 @@ class ModelSet:
 def build_models(variant: str, obs_dim: int, act_dim: int, norm: NormStats, *,
                  hidden_dim: int = 64, enc_dim: int = 64, goal_latent: int = 8,
                  action_latent: int = 4, beta_g: float = 0.05, beta_a: float = 0.05,
-                 rng: np.random.Generator) -> ModelSet:
-    """Instantiate the component models a variant needs.
+                 policy_dtype=np.float32, rng: np.random.Generator) -> ModelSet:
+    """Instantiate the component models a variant needs; ``policy_dtype`` is
+    the compute dtype of the recurrent policy.
 
     Each component draws its initialization from its own fixed rng slot, so a
     component shared by two variants starts from identical parameters when the
@@ -438,10 +448,12 @@ def build_models(variant: str, obs_dim: int, act_dim: int, norm: NormStats, *,
     ms = ModelSet(variant=variant, obs_dim=obs_dim, act_dim=act_dim, norm=norm)
     if variant in ("iris", "iris_no_goal_vae", "iris_no_q"):
         ms.policy = PolicyRNN(obs_dim, act_dim, norm, hidden_dim=hidden_dim,
-                              enc_dim=enc_dim, goal_conditioned=True, rng=slots[0])
+                              enc_dim=enc_dim, goal_conditioned=True,
+                              dtype=policy_dtype, rng=slots[0])
     elif variant == "bc_rnn":
         ms.policy = PolicyRNN(obs_dim, act_dim, norm, hidden_dim=hidden_dim,
-                              enc_dim=enc_dim, goal_conditioned=False, rng=slots[0])
+                              enc_dim=enc_dim, goal_conditioned=False,
+                              dtype=policy_dtype, rng=slots[0])
     if variant in ("iris", "iris_no_q"):
         ms.goal_cvae = GoalCVAE(obs_dim, norm, latent_dim=goal_latent, beta=beta_g,
                                 hidden_dim=hidden_dim, rng=slots[1])

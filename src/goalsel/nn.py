@@ -3,11 +3,13 @@ gated-recurrent layers, clamped diagonal-Gaussian heads, Adam, finite-difference
 gradient checking, and a named-tensor checkpoint format (stored in the
 container of :mod:`goalsel.binfile`).
 
-Everything is float64 numpy with hand-written backward passes. Layers follow a
-``forward(...) -> (output, cache)`` / ``backward(cache, dout) -> din``
-convention; parameter gradients accumulate into the owning :class:`Tensor`
-until the next :func:`adam_step`, so a recurrent cell can be unrolled and
-backpropagated one cached step at a time.
+Each :class:`ParamStore` fixes the dtype of its parameters, gradients and Adam
+moments (float64 unless the owner asks for float32); layers compute in the
+dtype of their inputs and parameters, with hand-written backward passes.
+Layers follow a ``forward(...) -> (output, cache)`` /
+``backward(cache, dout) -> din`` convention; parameter gradients accumulate
+into the owning :class:`Tensor` until the next :func:`adam_step`, so a
+recurrent cell can be unrolled and backpropagated one cached step at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit as sigmoid
 
 from .binfile import Reader, Writer
 
@@ -31,8 +32,8 @@ class Tensor:
 
     __slots__ = ("value", "grad")
 
-    def __init__(self, value):
-        self.value = np.array(value, dtype=np.float64)
+    def __init__(self, value, dtype=np.float64):
+        self.value = np.array(value, dtype=dtype)
         self.grad = np.zeros_like(self.value)
 
     @property
@@ -44,9 +45,11 @@ class Tensor:
 
 
 class ParamStore:
-    """Named parameter tensors plus Adam moment buffers and a step counter."""
+    """Named parameter tensors plus Adam moment buffers and a step counter,
+    all held in the store's ``dtype``."""
 
-    def __init__(self):
+    def __init__(self, dtype=np.float64):
+        self.dtype = np.dtype(dtype)
         self.params: dict[str, Tensor] = {}
         self.moment1: dict[str, np.ndarray] = {}
         self.moment2: dict[str, np.ndarray] = {}
@@ -55,7 +58,7 @@ class ParamStore:
     def add(self, name: str, value) -> Tensor:
         if name in self.params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        tensor = Tensor(value)
+        tensor = Tensor(value, self.dtype)
         self.params[name] = tensor
         self.moment1[name] = np.zeros_like(tensor.value)
         self.moment2[name] = np.zeros_like(tensor.value)
@@ -90,7 +93,7 @@ class ParamStore:
                              f"unexpected={sorted(extra)}")
         for name, value in state.items():
             tensor = self.params[name]
-            value = np.asarray(value, dtype=np.float64)
+            value = np.asarray(value, dtype=self.dtype)
             if value.shape != tensor.value.shape:
                 raise ValueError(f"shape mismatch for {name!r}: "
                                  f"{value.shape} vs {tensor.value.shape}")
@@ -117,6 +120,12 @@ class Linear:
         self.W.grad += cache.T @ dout
         self.b.grad += dout.sum(axis=0)
         return dout @ self.W.value.T
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function as ``0.5 * tanh(0.5 x) + 0.5``: it keeps the input
+    dtype and cannot overflow, and costs less than ``scipy.special.expit``."""
+    return 0.5 * np.tanh(0.5 * x) + 0.5
 
 
 def relu(x: np.ndarray):
@@ -190,8 +199,10 @@ class GRUCell:
         hd = self.hidden_dim
         xw = x @ self.W.value + self.b.value
         hu = h @ self.U.value
-        z = sigmoid(xw[:, :hd] + hu[:, :hd])
-        r = sigmoid(xw[:, hd:2 * hd] + hu[:, hd:])
+        # one sigmoid for both gates: on a batch-1 step its cost is per
+        # ufunc call, not per element
+        zr = sigmoid(xw[:, :2 * hd] + hu)
+        z, r = zr[:, :hd], zr[:, hd:]
         rh = r * h
         c = np.tanh(xw[:, 2 * hd:] + rh @ self.Uc.value)
         h_new = (1.0 - z) * h + z * c

@@ -15,12 +15,18 @@ rng slots so a disabled component never perturbs the others' draws.
 from __future__ import annotations
 
 import csv
+import json
+import platform
 import time
 from dataclasses import dataclass
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from . import __version__
+from .binfile import write_atomic
 from .config import canonical_json, config_digest
 from .data import TrajectoryDataset, WindowBatch
 from .models import (
@@ -239,22 +245,46 @@ def _checkpoint(models: ModelSet, out_dir: Path, iteration: int,
     return path
 
 
+def _utc_now() -> str:
+    return datetime.now(timezone.utc).isoformat(timespec="milliseconds")
+
+
+def _write_manifest(out_dir: Path, digest: str, models: ModelSet, start_time: str,
+                    end_time: str | None = None) -> None:
+    """Record what produced a run: config digest, library versions, the dtype
+    of each parameter store, and the start and (once finished) end time."""
+    manifest = {
+        "config_digest": digest,
+        "versions": {"goalsel": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__,
+                     "python": platform.python_version()},
+        "dtypes": {prefix: store.dtype.name
+                   for prefix, store in models.stores().items()},
+        "start_time": start_time,
+        "end_time": end_time,
+    }
+    write_atomic(out_dir / "manifest.json",
+                 (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
+
+
 def train(dataset: TrajectoryDataset, cfg: TrainConfig, out_dir) -> TrainResult:
     """Run ``cfg.n_iter`` training steps, writing checkpoints and a metrics log.
 
     Fully offline and deterministic given (config, seed): the initial
     checkpoint is always written, then one every ``ckpt_every`` iterations and
-    at the end. Each metrics row reaches the file as it is produced. A run
+    at the end. Each metrics row reaches the file as it is produced, and
+    ``manifest.json`` gains its end time when the run finishes. A run
     directory that already holds checkpoints is refused, since an earlier
     run's later checkpoints would survive beside the new ones.
     """
     cfg.validate()
     started = time.perf_counter()
+    start_time = _utc_now()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if any(out_dir.glob("ckpt_*.bin")):
         raise ValueError(f"run directory {out_dir} already holds checkpoints")
-    (out_dir / "config.json").write_text(canonical_json(cfg) + "\n")
+    write_atomic(out_dir / "config.json", (canonical_json(cfg) + "\n").encode())
     digest = config_digest(cfg)
 
     root = np.random.default_rng(cfg.seed)
@@ -264,6 +294,7 @@ def train(dataset: TrajectoryDataset, cfg: TrainConfig, out_dir) -> TrainResult:
                           enc_dim=cfg.enc_dim, goal_latent=cfg.goal_latent,
                           action_latent=cfg.action_latent, beta_g=cfg.beta_g,
                           beta_a=cfg.beta_a, rng=init_rng)
+    _write_manifest(out_dir, digest, models, start_time)
 
     checkpoints = [_checkpoint(models, out_dir, 0, digest)]
     state = TrainState()
@@ -286,6 +317,7 @@ def train(dataset: TrajectoryDataset, cfg: TrainConfig, out_dir) -> TrainResult:
                 path = _checkpoint(models, out_dir, i, digest)
                 if path != checkpoints[-1]:
                     checkpoints.append(path)
+    _write_manifest(out_dir, digest, models, start_time, _utc_now())
     return TrainResult(out_dir=out_dir, checkpoints=checkpoints,
                        metrics_path=metrics_path, config=cfg, models=models,
                        elapsed=time.perf_counter() - started)
@@ -332,7 +364,7 @@ def standard_grad_check_suite(n_instances: int = 20, rel_tol: float = 1e-4,
         )
         models = build_models("iris", obs_dim, act_dim, norm, hidden_dim=6,
                               enc_dim=5, goal_latent=3, action_latent=2,
-                              rng=rng.spawn(1)[0])
+                              policy_dtype=np.float64, rng=rng.spawn(1)[0])
         for store in models.stores().values():
             jitter_params(store, rng)
         states = rng.normal(0, 1.0, (batch, t_window + 1, obs_dim))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from goalsel import binfile
 from goalsel.cli import main
 from goalsel.data import load
 
@@ -84,6 +85,24 @@ class TestTrainEval:
         assert set(report["per_checkpoint"]) == {
             "ckpt_0000000.bin", "ckpt_0000030.bin", "ckpt_0000060.bin"}
         assert 0.0 <= report["best"]["success_rate"]["mean"] <= 1.0
+
+    def test_failed_report_write_keeps_old_report(self, tiny_setup, tmp_path,
+                                                  monkeypatch):
+        root, data_path, run_dir = tiny_setup
+        report_path = tmp_path / "report.json"
+        argv = ["eval", "--run", str(run_dir), "--dataset", str(data_path),
+                "--report", str(report_path), "--set", "n_episodes=1",
+                "--set", "h_max=20", "--set", "m_actions=2"]
+        report_path.write_text("old report\n")
+
+        def fail_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(binfile.os, "replace", fail_replace)
+        with pytest.raises(OSError, match="disk full"):
+            main(argv)
+        assert report_path.read_text() == "old report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
     def test_eval_missing_run_no_partial_report(self, tiny_setup):
         root, data_path, _ = tiny_setup

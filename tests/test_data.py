@@ -206,9 +206,9 @@ class TestFilterBestFraction:
 
 
 class TestSerialization:
-    def test_roundtrip_bit_exact(self, rng):
+    def test_roundtrip_bit_exact(self, rng, tmp_path):
         ds = make_dataset(rng, n_traj=4, obs_dim=3, act_dim=2)
-        path = "/tmp/goalsel_test_roundtrip.bin"
+        path = tmp_path / "roundtrip.bin"
         save(ds, path)
         loaded = load(path)
         assert loaded.env_id == ds.env_id

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from goalsel.control import make_policy
 from goalsel.envs import GraphReachEnv, WaypointPolicy, central_waypoints, make_env
 from goalsel.evaluation import (
     EvalConfig,
@@ -21,6 +22,8 @@ from goalsel.evaluation import (
     SVG_MARGIN,
     SVG_SIZE,
 )
+from goalsel.training import train
+from conftest import small_train_config
 
 
 class ZeroPolicy:
@@ -191,6 +194,20 @@ class TestCheckpointEval:
         best_rate = out.best.success_rate[0]
         assert all(best_rate >= r.success_rate[0]
                    for r in out.per_checkpoint.values())
+
+    def test_float32_policy_checkpoint_is_lossless(self, small_demo_set, tmp_path):
+        dataset, _ = small_demo_set
+        cfg = small_train_config("bc_rnn", n_iter=30, hidden_dim=8, enc_dim=8)
+        result = train(dataset, cfg, tmp_path / "r")
+        loaded = load_models(result.checkpoints[-1], dataset, cfg)
+        for name, t in result.models.policy.store:
+            assert np.array_equal(loaded.policy.store.params[name].value, t.value)
+        env = make_env(dataset.env_id)
+        episodes = [rollout(env, make_policy(models, t_segment=cfg.t_window), 60,
+                            np.random.default_rng(3))
+                    for models in (result.models, loaded)]
+        assert np.array_equal(episodes[0].states, episodes[1].states)
+        assert np.array_equal(episodes[0].actions, episodes[1].actions)
 
     def test_missing_run_dir(self, tmp_path, small_demo_set):
         dataset, _ = small_demo_set

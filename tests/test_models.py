@@ -12,7 +12,7 @@ from goalsel.models import (
     build_models,
     polyak_update,
 )
-from goalsel.nn import GaussianHead, grad_check, kl_to_standard_normal
+from goalsel.nn import GaussianHead, adam_step, grad_check, kl_to_standard_normal
 from goalsel.training import jitter_params
 from conftest import bc_net, goal_regressor
 
@@ -89,7 +89,8 @@ class TestPolicyRNN:
             policy.rollout_train(rng.normal(0, 1, (3, 2)))
 
     def test_loss_gradient_check(self, rng):
-        policy = PolicyRNN(2, 2, random_norm(rng), hidden_dim=5, enc_dim=4, rng=rng)
+        policy = PolicyRNN(2, 2, random_norm(rng), hidden_dim=5, enc_dim=4,
+                           dtype=np.float64, rng=rng)
         states = rng.normal(0, 1, (2, 4, 2))
         actions = rng.normal(0, 1, (2, 4, 2))
         goal = rng.normal(0, 1, (2, 2))
@@ -99,12 +100,50 @@ class TestPolicyRNN:
 
     def test_non_goal_conditioned_gradient_check(self, rng):
         policy = PolicyRNN(2, 2, random_norm(rng), hidden_dim=5, enc_dim=4,
-                           goal_conditioned=False, rng=rng)
+                           goal_conditioned=False, dtype=np.float64, rng=rng)
         states = rng.normal(0, 1, (2, 4, 2))
         actions = rng.normal(0, 1, (2, 4, 2))
         report = grad_check(lambda: policy.loss_and_grad(states, actions),
                             policy.store, rng)
         assert report.passed, report.failures
+
+    def test_float32_matches_float64(self):
+        norm = random_norm(np.random.default_rng(7))
+        p32, p64 = (PolicyRNN(2, 2, norm, hidden_dim=16, enc_dim=12, dtype=dtype,
+                              rng=np.random.default_rng(8))
+                    for dtype in (np.float32, np.float64))
+        batch = np.random.default_rng(9)
+        states = batch.normal(0, 1, (16, 6, 2))
+        actions = batch.normal(0, 1, (16, 6, 2))
+        goal = batch.normal(0, 1, (16, 2))
+        loss32 = p32.loss_and_grad(states, actions, goal)
+        loss64 = p64.loss_and_grad(states, actions, goal)
+        assert loss32 == pytest.approx(loss64, rel=1e-4)
+        for name, t in p64.store:
+            assert np.allclose(p32.store.params[name].grad, t.grad, rtol=1e-4,
+                               atol=1e-4 * np.abs(t.grad).max()), name
+
+    @pytest.mark.parametrize("goal_conditioned", [True, False])
+    def test_float32_policy_never_upcasts(self, rng, goal_conditioned):
+        policy = PolicyRNN(2, 2, random_norm(rng), hidden_dim=6, enc_dim=5,
+                           goal_conditioned=goal_conditioned, rng=rng)
+        states = rng.normal(0, 1, (3, 4, 2))
+        goal = rng.normal(0, 1, (3, 2)) if goal_conditioned else None
+        pred_n, caches = policy._unroll(
+            policy._norm_state(states),
+            None if goal is None else policy._norm_state(goal))
+        arrays = [pred_n] + [a for step in caches for part in step
+                             for a in (part if isinstance(part, tuple) else (part,))]
+        assert all(a.dtype in (np.float32, np.bool_) for a in arrays)
+        policy.loss_and_grad(states, rng.normal(0, 1, (3, 4, 2)), goal)
+        adam_step(policy.store)
+        for name, t in policy.store:
+            assert t.value.dtype == t.grad.dtype == np.float32, name
+            assert policy.store.moment1[name].dtype == np.float32, name
+            assert policy.store.moment2[name].dtype == np.float32, name
+        _, hidden = policy.step(policy.init_hidden(), states[0, 0],
+                                None if goal is None else goal[0])
+        assert hidden.dtype == np.float32
 
 
 class TestConditionalVAE:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from goalsel.binfile import FormatError
 from goalsel.nn import (
@@ -17,6 +18,7 @@ from goalsel.nn import (
     kl_to_standard_normal,
     load_checkpoint,
     save_checkpoint,
+    sigmoid,
 )
 
 
@@ -117,6 +119,23 @@ def gru(cell, h, x):
 def head_of(mu, log_sigma):
     """A Gaussian head from mu and raw (unclamped) log-sigma."""
     return GaussianHead.from_raw(np.concatenate([mu, log_sigma], axis=-1))
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-14)])
+    def test_matches_expit_and_keeps_dtype(self, rng, dtype, rtol):
+        # 0.5 + 0.5 * tanh rounds to the dtype's absolute spacing near 0.5,
+        # so tiny outputs carry an absolute, not a relative, error
+        x = rng.normal(0, 6, (64, 32)).astype(dtype)
+        out = sigmoid(x)
+        assert out.dtype == dtype
+        assert np.allclose(out, expit(x), rtol=rtol, atol=np.finfo(dtype).eps)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_exact_limits_and_midpoint(self, dtype):
+        with np.errstate(all="raise"):
+            out = sigmoid(np.array([-1e4, 0.0, 1e4], dtype=dtype))
+        assert out.tolist() == [0.0, 0.5, 1.0]
 
 
 class TestGRU:

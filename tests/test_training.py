@@ -1,10 +1,15 @@
 import inspect
+import json
+import platform
 import re
 
 import numpy as np
 import pytest
+import scipy
 
+import goalsel
 from goalsel import training as training_module
+from goalsel.config import config_digest
 from goalsel.data import NormStats
 from goalsel.models import ActionCVAE, QNet, build_models
 from goalsel.training import (
@@ -267,6 +272,29 @@ class TestTrainLoop:
         metrics = read_metrics(tmp_path / "r" / "metrics.csv")
         assert list(metrics["iter"]) == [2.0, 4.0]
         assert np.all(np.isfinite(metrics["loss_policy"]))
+
+    def test_manifest_records_run(self, small_demo_set, tmp_path, monkeypatch):
+        dataset, _ = small_demo_set
+        cfg = small_train_config("iris", n_iter=3, hidden_dim=8, enc_dim=8)
+        train(dataset, cfg, tmp_path / "r")
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        assert manifest["config_digest"] == config_digest(cfg)
+        assert manifest["versions"] == {
+            "goalsel": goalsel.__version__, "numpy": np.__version__,
+            "scipy": scipy.__version__, "python": platform.python_version()}
+        assert manifest["dtypes"] == {
+            "policy": "float32", "goal_cvae": "float64", "action_cvae": "float64",
+            "qnet": "float64", "qnet_target": "float64"}
+        assert manifest["start_time"] <= manifest["end_time"]
+
+        def failing_step(*args, **kwargs):
+            raise FloatingPointError("step failed")
+
+        monkeypatch.setattr(training_module, "train_step", failing_step)
+        with pytest.raises(FloatingPointError):
+            train(dataset, cfg, tmp_path / "failed")
+        manifest = json.loads((tmp_path / "failed" / "manifest.json").read_text())
+        assert manifest["start_time"] and manifest["end_time"] is None
 
     def test_metrics_columns_spec(self, trained_iris_run):
         result, _ = trained_iris_run
