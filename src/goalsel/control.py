@@ -1,5 +1,7 @@
 """Test-time policies: the hierarchical propose-select-imitate controller, its
-two ablations, and the BC / BC-RNN / BCQ baselines.
+two ablations, and the BC / BC-RNN / BCQ baselines. :func:`make_policy` picks
+the controller from the components of a model set, and the hierarchical
+controller's goal selection follows from the models it is given.
 
 The hierarchical controller refreshes its goal exactly every ``t_segment``
 low-level steps and resets the policy hidden state at each refresh. Goal
@@ -28,38 +30,31 @@ class GoalLogEntry:
 class HierarchicalController:
     """Propose goals, pick the highest-value one, imitate toward it for T steps.
 
-    ``goal_mode`` selects the high level: "value" scores sampled proposals with
-    the Q-network, "sample" takes a single generative draw, "regressor" uses a
-    deterministic goal predictor (single candidate, no scoring).
+    The models given decide the high level: a ``goal_regressor`` predicts one
+    goal (no scoring); a ``goal_cvae`` alone takes a single generative draw;
+    a ``goal_cvae`` with a ``qnet`` (which needs the ``action_cvae`` for its
+    BCQ value) scores ``n_goals`` proposals and keeps the best.
     """
 
-    def __init__(self, policy, t_segment: int, goal_mode: str = "value", *,
-                 goal_cvae=None, action_cvae=None, qnet=None, goal_regressor=None,
-                 n_goals: int = 100, m_actions: int = 10,
-                 value_use_target: bool = False):
+    def __init__(self, policy, t_segment: int, *, goal_cvae=None, action_cvae=None,
+                 qnet=None, goal_regressor=None, n_goals: int = 100,
+                 m_actions: int = 10):
         if t_segment < 1:
             raise ValueError("t_segment must be >= 1")
-        if goal_mode not in ("value", "sample", "regressor"):
-            raise ValueError(f"unknown goal_mode {goal_mode!r}")
-        if goal_mode == "value" and (goal_cvae is None or action_cvae is None
-                                     or qnet is None):
+        if (goal_cvae is None) == (goal_regressor is None):
+            raise ValueError("need one goal source: goal_cvae or goal_regressor")
+        if qnet is not None and (goal_cvae is None or action_cvae is None):
             raise ValueError("value mode needs goal_cvae, action_cvae, and qnet")
-        if goal_mode == "sample" and goal_cvae is None:
-            raise ValueError("sample mode needs goal_cvae")
-        if goal_mode == "regressor" and goal_regressor is None:
-            raise ValueError("regressor mode needs goal_regressor")
         if n_goals < 1 or m_actions < 1:
             raise ValueError("n_goals and m_actions must be >= 1")
         self.policy = policy
         self.t_segment = t_segment
-        self.goal_mode = goal_mode
         self.goal_cvae = goal_cvae
         self.action_cvae = action_cvae
         self.qnet = qnet
         self.goal_regressor = goal_regressor
         self.n_goals = n_goals
         self.m_actions = m_actions
-        self.value_use_target = value_use_target
         self.reset()
 
     def reset(self) -> None:
@@ -72,13 +67,13 @@ class HierarchicalController:
         """Pick the next goal; argmax ties break toward the lowest index."""
         proposal_rng, score_rng = rng.spawn(2)
         s = np.asarray(s, dtype=np.float64)
-        if self.goal_mode == "regressor":
+        if self.goal_regressor is not None:
             return self.goal_regressor.predict(s), None
-        if self.goal_mode == "sample":
+        if self.qnet is None:
             return self.goal_cvae.sample(s, 1, proposal_rng)[0], None
         goals = self.goal_cvae.sample(s, self.n_goals, proposal_rng)
         scores = proposal_value(self.qnet, self.action_cvae, goals, self.m_actions,
-                                score_rng, use_target=self.value_use_target)
+                                score_rng, use_target=False)
         pick = int(np.argmax(scores))
         return goals[pick], float(scores[pick])
 
@@ -131,14 +126,12 @@ class BCRNNController:
 class BCQController:
     """Pick the highest-Q action among generative proposals at each step."""
 
-    def __init__(self, action_cvae, qnet, m_actions: int = 10,
-                 value_use_target: bool = False):
+    def __init__(self, action_cvae, qnet, m_actions: int = 10):
         if m_actions < 1:
             raise ValueError("m_actions must be >= 1")
         self.action_cvae = action_cvae
         self.qnet = qnet
         self.m_actions = m_actions
-        self.value_use_target = value_use_target
 
     def reset(self) -> None:
         pass
@@ -147,34 +140,22 @@ class BCQController:
         s = np.asarray(s, dtype=np.float64)
         proposals = self.action_cvae.sample(s, self.m_actions, rng)
         tiled = np.broadcast_to(s[None, :], (self.m_actions, s.shape[0]))
-        q = self.qnet.value(tiled, proposals, use_target=self.value_use_target)
+        q = self.qnet.value(tiled, proposals)
         return proposals[int(np.argmax(q))]
 
 
 def make_policy(models: ModelSet, *, t_segment: int = 10, n_goals: int = 100,
-                m_actions: int = 10, value_use_target: bool = False,
-                bc_rnn_windowed_reset: bool = False):
-    """Build the test-time policy matching a model set's variant."""
-    variant = models.variant
-    if variant == "iris":
-        return HierarchicalController(
-            models.policy, t_segment, "value", goal_cvae=models.goal_cvae,
-            action_cvae=models.action_cvae, qnet=models.qnet, n_goals=n_goals,
-            m_actions=m_actions, value_use_target=value_use_target)
-    if variant == "iris_no_q":
-        return HierarchicalController(
-            models.policy, t_segment, "sample", goal_cvae=models.goal_cvae)
-    if variant == "iris_no_goal_vae":
-        return HierarchicalController(
-            models.policy, t_segment, "regressor",
-            goal_regressor=models.goal_regressor)
-    if variant == "bc":
-        return BCController(models.bc_net)
-    if variant == "bc_rnn":
-        return BCRNNController(models.policy, t_segment,
+                m_actions: int = 10, bc_rnn_windowed_reset: bool = False):
+    """Build the test-time policy that a model set's components call for."""
+    if "bc" in models:
+        return BCController(models["bc"])
+    if "policy" not in models:
+        return BCQController(models["action_cvae"], models["qnet"],
+                             m_actions=m_actions)
+    if not models["policy"].goal_conditioned:
+        return BCRNNController(models["policy"], t_segment,
                                windowed_reset=bc_rnn_windowed_reset)
-    if variant == "bcq":
-        return BCQController(models.action_cvae, models.qnet,
-                             m_actions=m_actions,
-                             value_use_target=value_use_target)
-    raise ValueError(f"unknown variant {variant!r}")
+    return HierarchicalController(
+        models["policy"], t_segment, goal_cvae=models.get("goal_cvae"),
+        action_cvae=models.get("action_cvae"), qnet=models.get("qnet"),
+        goal_regressor=models.get("goal_reg"), n_goals=n_goals, m_actions=m_actions)

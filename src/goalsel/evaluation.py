@@ -35,7 +35,6 @@ class EvalConfig:
     seeds: tuple[int, ...] = (0,)
     n_goals: int = 100
     m_actions: int = 10
-    value_use_target: bool = False
     bc_rnn_windowed_reset: bool = False
 
     def validate(self) -> None:
@@ -264,7 +263,6 @@ def evaluate_checkpoint(ckpt_path, dataset: TrajectoryDataset,
     models = load_models(ckpt_path, dataset, train_cfg)
     policy = make_policy(models, t_segment=train_cfg.t_window,
                          n_goals=eval_cfg.n_goals, m_actions=eval_cfg.m_actions,
-                         value_use_target=eval_cfg.value_use_target,
                          bc_rnn_windowed_reset=eval_cfg.bc_rnn_windowed_reset)
     return evaluate(policy, env, eval_cfg, checkpoint_hash=file_sha256(ckpt_path))
 

@@ -1,7 +1,10 @@
 """The learned models: a goal-conditioned recurrent policy, conditional VAEs
 for goal and action proposals, a Q-network with a polyak-averaged target copy
-and the BCQ value of a state over action proposals, and the regression net
-used by the ``iris_no_goal_vae`` ablation and the ``bc`` baseline.
+and the BCQ value of a state over action proposals, and a regression net.
+
+``VARIANTS`` states once which components each policy variant has. Training,
+checkpoints and the test-time controller follow from the components in the
+:class:`ModelSet` that :func:`build_models` returns, never from variant names.
 
 All models normalize their inputs with dataset statistics and denormalize
 predictions at the interface, so losses are computed in normalized space and
@@ -15,8 +18,6 @@ float64. Gradient checks build the policy in float64.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +33,20 @@ from .nn import (
     relu_backward,
 )
 
-VARIANTS = ("iris", "iris_no_goal_vae", "iris_no_q", "bc", "bc_rnn", "bcq")
+# A component's position is its place in a checkpoint and the index of the rng
+# slot its initialization draws from.
+COMPONENTS = ("policy", "goal_cvae", "action_cvae", "qnet", "goal_reg", "bc")
+
+# Variant -> its components. A policy is goal-conditioned when a goal source
+# (goal_cvae or goal_reg) is present; a qnet scores the goal or action proposals.
+VARIANTS = {
+    "iris": ("policy", "goal_cvae", "action_cvae", "qnet"),
+    "iris_no_goal_vae": ("policy", "goal_reg"),
+    "iris_no_q": ("policy", "goal_cvae"),
+    "bc": ("bc",),
+    "bc_rnn": ("policy",),
+    "bcq": ("action_cvae", "qnet"),
+}
 
 
 def _as_batch(x) -> tuple[np.ndarray, bool]:
@@ -354,9 +368,9 @@ def proposal_value(qnet: QNet, action_cvae: ConditionalVAE, s, m: int,
 
 class Regressor:
     """Deterministic squared-error regression from a state to a target vector:
-    the goal predictor of ``iris_no_goal_vae`` (state -> state T steps ahead)
-    and the ``bc`` policy (state -> action). Targets are normalized with the
-    given mean and std."""
+    the ``goal_reg`` component (state -> state T steps ahead) and the ``bc``
+    component (state -> action). Targets are normalized with the given mean
+    and std."""
 
     def __init__(self, name: str, obs_dim: int, norm: NormStats, target_mean,
                  target_std, *, hidden_dim: int = 64, rng: np.random.Generator):
@@ -384,37 +398,17 @@ class Regressor:
         return loss
 
 
-@dataclass
-class ModelSet:
-    """The models a policy variant trains and runs; unused slots stay None."""
-
-    variant: str
-    obs_dim: int
-    act_dim: int
-    norm: NormStats
-    policy: PolicyRNN | None = None
-    goal_cvae: GoalCVAE | None = None
-    action_cvae: ActionCVAE | None = None
-    qnet: QNet | None = None
-    goal_regressor: Regressor | None = None
-    bc_net: Regressor | None = None
+class ModelSet(dict):
+    """Component name -> model for one variant, in ``COMPONENTS`` order."""
 
     def stores(self) -> dict[str, ParamStore]:
-        """Checkpoint-prefix -> parameter store for every present component."""
+        """Checkpoint prefix -> parameter store, with the Q-network's target
+        copy as ``qnet_target`` right after ``qnet``."""
         out: dict[str, ParamStore] = {}
-        if self.policy is not None:
-            out["policy"] = self.policy.store
-        if self.goal_cvae is not None:
-            out["goal_cvae"] = self.goal_cvae.store
-        if self.action_cvae is not None:
-            out["action_cvae"] = self.action_cvae.store
-        if self.qnet is not None:
-            out["qnet"] = self.qnet.store
-            out["qnet_target"] = self.qnet.target_store
-        if self.goal_regressor is not None:
-            out["goal_reg"] = self.goal_regressor.store
-        if self.bc_net is not None:
-            out["bc"] = self.bc_net.store
+        for name, model in self.items():
+            out[name] = model.store
+            if name == "qnet":
+                out["qnet_target"] = model.target_store
         return out
 
     def state_dict(self) -> dict[str, np.ndarray]:
@@ -435,37 +429,33 @@ def build_models(variant: str, obs_dim: int, act_dim: int, norm: NormStats, *,
                  hidden_dim: int = 64, enc_dim: int = 64, goal_latent: int = 8,
                  action_latent: int = 4, beta_g: float = 0.05, beta_a: float = 0.05,
                  policy_dtype=np.float32, rng: np.random.Generator) -> ModelSet:
-    """Instantiate the component models a variant needs; ``policy_dtype`` is
-    the compute dtype of the recurrent policy.
+    """Instantiate the components that ``VARIANTS`` lists for a variant;
+    ``policy_dtype`` is the compute dtype of the recurrent policy.
 
     Each component draws its initialization from its own fixed rng slot, so a
     component shared by two variants starts from identical parameters when the
     root seed matches.
     """
     if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    slots = rng.spawn(6)
-    ms = ModelSet(variant=variant, obs_dim=obs_dim, act_dim=act_dim, norm=norm)
-    if variant in ("iris", "iris_no_goal_vae", "iris_no_q"):
-        ms.policy = PolicyRNN(obs_dim, act_dim, norm, hidden_dim=hidden_dim,
-                              enc_dim=enc_dim, goal_conditioned=True,
-                              dtype=policy_dtype, rng=slots[0])
-    elif variant == "bc_rnn":
-        ms.policy = PolicyRNN(obs_dim, act_dim, norm, hidden_dim=hidden_dim,
-                              enc_dim=enc_dim, goal_conditioned=False,
-                              dtype=policy_dtype, rng=slots[0])
-    if variant in ("iris", "iris_no_q"):
-        ms.goal_cvae = GoalCVAE(obs_dim, norm, latent_dim=goal_latent, beta=beta_g,
-                                hidden_dim=hidden_dim, rng=slots[1])
-    if variant in ("iris", "bcq"):
-        ms.action_cvae = ActionCVAE(obs_dim, act_dim, norm, latent_dim=action_latent,
-                                    beta=beta_a, hidden_dim=hidden_dim, rng=slots[2])
-        ms.qnet = QNet(obs_dim, act_dim, norm, hidden_dim=hidden_dim, rng=slots[3])
-    if variant == "iris_no_goal_vae":
-        ms.goal_regressor = Regressor("reg", obs_dim, norm, norm.state_mean,
-                                      norm.state_std, hidden_dim=hidden_dim,
-                                      rng=slots[4])
-    if variant == "bc":
-        ms.bc_net = Regressor("bc", obs_dim, norm, norm.action_mean, norm.action_std,
-                              hidden_dim=hidden_dim, rng=slots[5])
-    return ms
+        raise ValueError(f"unknown variant {variant!r}; expected one of "
+                         f"{tuple(VARIANTS)}")
+    parts = VARIANTS[variant]
+    make = {
+        "policy": lambda r: PolicyRNN(
+            obs_dim, act_dim, norm, hidden_dim=hidden_dim, enc_dim=enc_dim,
+            goal_conditioned="goal_cvae" in parts or "goal_reg" in parts,
+            dtype=policy_dtype, rng=r),
+        "goal_cvae": lambda r: GoalCVAE(obs_dim, norm, latent_dim=goal_latent,
+                                        beta=beta_g, hidden_dim=hidden_dim, rng=r),
+        "action_cvae": lambda r: ActionCVAE(obs_dim, act_dim, norm,
+                                            latent_dim=action_latent, beta=beta_a,
+                                            hidden_dim=hidden_dim, rng=r),
+        "qnet": lambda r: QNet(obs_dim, act_dim, norm, hidden_dim=hidden_dim, rng=r),
+        "goal_reg": lambda r: Regressor("reg", obs_dim, norm, norm.state_mean,
+                                        norm.state_std, hidden_dim=hidden_dim, rng=r),
+        "bc": lambda r: Regressor("bc", obs_dim, norm, norm.action_mean,
+                                  norm.action_std, hidden_dim=hidden_dim, rng=r),
+    }
+    slots = rng.spawn(len(COMPONENTS))
+    return ModelSet((name, make[name](slot)) for name, slot in zip(COMPONENTS, slots)
+                    if name in parts)

@@ -8,8 +8,9 @@ its last state as goal, (2) goal VAE on the (first state, last state) pair,
 (3) action VAE on the window's final transition, (4) Q regression toward
 ``r + gamma * max_i Q'(s_next, a_i)`` over action-VAE proposals, with the
 absorbing-goal value ``r / (1 - gamma)`` when the window ends a trajectory.
-Ablation variants simply skip updates; per-component noise comes from fixed
-rng slots so a disabled component never perturbs the others' draws.
+A variant updates only its components (``models.VARIANTS``); per-component
+noise comes from fixed rng slots so an absent component never perturbs the
+others' draws.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ class TrainConfig:
 
     @property
     def sample_t(self) -> int:
-        """Window length actually sampled: single transitions for bc/bcq."""
-        return 1 if self.variant in ("bc", "bcq") else self.t_window
+        """Window length actually sampled: 1 for variants without a policy."""
+        return self.t_window if "policy" in VARIANTS[self.variant] else 1
 
 
 def q_target(qnet: QNet, action_cvae: ConditionalVAE, s_next, r: float,
@@ -141,48 +142,48 @@ def train_step(models: ModelSet, dataset: TrajectoryDataset, cfg: TrainConfig,
     goal_rng, action_rng, proposal_rng = rng.spawn(3)
     losses: dict[str, float] = {}
 
-    if models.policy is not None:
-        goal = batch.states[:, -1] if models.policy.goal_conditioned else None
-        losses["policy"] = models.policy.loss_and_grad(
+    if "policy" in models:
+        goal = batch.states[:, -1] if models["policy"].goal_conditioned else None
+        losses["policy"] = models["policy"].loss_and_grad(
             batch.states[:, :-1], batch.actions, goal)
         if update:
-            adam_step(models.policy.store, cfg.lr)
-    if models.bc_net is not None:
-        losses["policy"] = models.bc_net.loss_and_grad(
-            batch.states[:, 0], batch.actions[:, 0])
+            adam_step(models["policy"].store, cfg.lr)
+    if "bc" in models:
+        losses["policy"] = models["bc"].loss_and_grad(batch.states[:, 0],
+                                                      batch.actions[:, 0])
         if update:
-            adam_step(models.bc_net.store, cfg.lr)
+            adam_step(models["bc"].store, cfg.lr)
 
-    if models.goal_cvae is not None:
-        _, parts = models.goal_cvae.loss_and_grad(
+    if "goal_cvae" in models:
+        _, parts = models["goal_cvae"].loss_and_grad(
             batch.states[:, -1], batch.states[:, 0], rng=goal_rng)
         losses["goal_recon"] = parts["recon"]
         losses["goal_kl"] = parts["kl"]
         if update:
-            adam_step(models.goal_cvae.store, cfg.lr)
-    elif models.goal_regressor is not None:
-        losses["goal_recon"] = models.goal_regressor.loss_and_grad(
+            adam_step(models["goal_cvae"].store, cfg.lr)
+    if "goal_reg" in models:
+        losses["goal_recon"] = models["goal_reg"].loss_and_grad(
             batch.states[:, 0], batch.states[:, -1])
         if update:
-            adam_step(models.goal_regressor.store, cfg.lr)
+            adam_step(models["goal_reg"].store, cfg.lr)
 
-    if models.action_cvae is not None:
-        _, parts = models.action_cvae.loss_and_grad(
+    # The Q targets sample from the action cVAE after its update.
+    if "action_cvae" in models:
+        _, parts = models["action_cvae"].loss_and_grad(
             batch.actions[:, -1], batch.states[:, -2], rng=action_rng)
         losses["action_recon"] = parts["recon"]
         losses["action_kl"] = parts["kl"]
         if update:
-            adam_step(models.action_cvae.store, cfg.lr)
+            adam_step(models["action_cvae"].store, cfg.lr)
 
-    if models.qnet is not None:
+    if "qnet" in models:
         s, a, r, s_next, terminal = _q_transitions(batch, cfg)
-        targets = q_targets_batch(models.qnet, models.action_cvae, s_next, r,
-                                  terminal, cfg.gamma, cfg.m_proposals,
-                                  proposal_rng)
-        losses["q"], losses["q_mean"] = models.qnet.loss_and_grad(s, a, targets)
+        targets = q_targets_batch(models["qnet"], models["action_cvae"], s_next, r,
+                                  terminal, cfg.gamma, cfg.m_proposals, proposal_rng)
+        losses["q"], losses["q_mean"] = models["qnet"].loss_and_grad(s, a, targets)
         if update:
-            adam_step(models.qnet.store, cfg.lr)
-            polyak_update(models.qnet, cfg.tau)
+            adam_step(models["qnet"].store, cfg.lr)
+            polyak_update(models["qnet"], cfg.tau)
     return losses
 
 
@@ -373,17 +374,17 @@ def standard_grad_check_suite(n_instances: int = 20, rel_tol: float = 1e-4,
         eps_a = rng.standard_normal((batch, 2))
         targets = rng.normal(0, 1.0, batch)
         checks = {
-            "policy": (models.policy.store,
-                       lambda: models.policy.loss_and_grad(
+            "policy": (models["policy"].store,
+                       lambda: models["policy"].loss_and_grad(
                            states[:, :-1], actions, states[:, -1])),
-            "goal_cvae": (models.goal_cvae.store,
-                          lambda: models.goal_cvae.loss_and_grad(
+            "goal_cvae": (models["goal_cvae"].store,
+                          lambda: models["goal_cvae"].loss_and_grad(
                               states[:, -1], states[:, 0], eps=eps_g)[0]),
-            "action_cvae": (models.action_cvae.store,
-                            lambda: models.action_cvae.loss_and_grad(
+            "action_cvae": (models["action_cvae"].store,
+                            lambda: models["action_cvae"].loss_and_grad(
                                 actions[:, -1], states[:, -2], eps=eps_a)[0]),
-            "q": (models.qnet.store,
-                  lambda: models.qnet.loss_and_grad(
+            "q": (models["qnet"].store,
+                  lambda: models["qnet"].loss_and_grad(
                       states[:, -2], actions[:, -1], targets)[0]),
         }
         for name, (store, loss_fn) in checks.items():

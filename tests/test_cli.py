@@ -87,7 +87,7 @@ class TestTrainEval:
         assert 0.0 <= report["best"]["success_rate"]["mean"] <= 1.0
 
     def test_failed_report_write_keeps_old_report(self, tiny_setup, tmp_path,
-                                                  monkeypatch):
+                                                  monkeypatch, capsys):
         root, data_path, run_dir = tiny_setup
         report_path = tmp_path / "report.json"
         argv = ["eval", "--run", str(run_dir), "--dataset", str(data_path),
@@ -99,8 +99,8 @@ class TestTrainEval:
             raise OSError("disk full")
 
         monkeypatch.setattr(binfile.os, "replace", fail_replace)
-        with pytest.raises(OSError, match="disk full"):
-            main(argv)
+        assert main(argv) == 1
+        assert "error: disk full" in capsys.readouterr().err
         assert report_path.read_text() == "old report\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 

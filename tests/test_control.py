@@ -13,7 +13,7 @@ from goalsel.control import (
 from goalsel.data import NormStats
 from goalsel.envs import make_env
 from goalsel.evaluation import rollout
-from goalsel.models import GoalCVAE
+from goalsel.models import VARIANTS, GoalCVAE, build_models
 from goalsel.nn import adam_step
 from conftest import bc_net, goal_regressor
 
@@ -72,7 +72,7 @@ class TestSelectGoal:
     def test_single_proposal_ignores_q(self, rng):
         proposals = rng.normal(0, 1, (1, 2))
         ctrl = HierarchicalController(
-            StubPolicy(), 5, "value", goal_cvae=StubGoalCVAE(proposals),
+            StubPolicy(), 5, goal_cvae=StubGoalCVAE(proposals),
             action_cvae=StubActionCVAE(), qnet=StubQ(lambda s: -123.0), n_goals=1)
         goal, score = ctrl.select_goal(np.zeros(2), rng)
         assert np.array_equal(goal, proposals[0])
@@ -83,7 +83,7 @@ class TestSelectGoal:
         target = np.array([0.9, 0.1])
         q = StubQ(lambda s: -float(np.linalg.norm(s - target)))
         ctrl = HierarchicalController(
-            StubPolicy(), 5, "value", goal_cvae=StubGoalCVAE(proposals),
+            StubPolicy(), 5, goal_cvae=StubGoalCVAE(proposals),
             action_cvae=StubActionCVAE(), qnet=q, n_goals=5)
         goal, score = ctrl.select_goal(np.zeros(2), rng)
         scores = [-float(np.linalg.norm(p - target)) for p in proposals]
@@ -94,10 +94,10 @@ class TestSelectGoal:
         proposals = rng.normal(0, 1, (6, 2))
         base = lambda s: float(np.sin(s[0]) + 0.5 * s[1])
         ctrl_a = HierarchicalController(
-            StubPolicy(), 5, "value", goal_cvae=StubGoalCVAE(proposals),
+            StubPolicy(), 5, goal_cvae=StubGoalCVAE(proposals),
             action_cvae=StubActionCVAE(), qnet=StubQ(base), n_goals=6)
         ctrl_b = HierarchicalController(
-            StubPolicy(), 5, "value", goal_cvae=StubGoalCVAE(proposals),
+            StubPolicy(), 5, goal_cvae=StubGoalCVAE(proposals),
             action_cvae=StubActionCVAE(),
             qnet=StubQ(lambda s: math.exp(2.0 * base(s)) + 3.0), n_goals=6)
         goal_a, _ = ctrl_a.select_goal(np.zeros(2), np.random.default_rng(0))
@@ -107,7 +107,7 @@ class TestSelectGoal:
     def test_tie_break_lowest_index(self, rng):
         proposals = rng.normal(0, 1, (4, 2))
         ctrl = HierarchicalController(
-            StubPolicy(), 5, "value", goal_cvae=StubGoalCVAE(proposals),
+            StubPolicy(), 5, goal_cvae=StubGoalCVAE(proposals),
             action_cvae=StubActionCVAE(), qnet=StubQ(lambda s: 1.0), n_goals=4)
         goal, _ = ctrl.select_goal(np.zeros(2), rng)
         assert np.array_equal(goal, proposals[0])
@@ -116,7 +116,7 @@ class TestSelectGoal:
 class TestActCadence:
     def test_t_one_selects_every_step(self, rng):
         ctrl = HierarchicalController(
-            StubPolicy(), 1, "sample",
+            StubPolicy(), 1,
             goal_cvae=StubGoalCVAE(rng.normal(0, 1, (1, 2))))
         for _ in range(7):
             ctrl.act(np.zeros(2), rng)
@@ -124,7 +124,7 @@ class TestActCadence:
 
     def test_goal_held_for_t_steps_then_reselected(self, rng):
         ctrl = HierarchicalController(
-            StubPolicy(), 4, "sample",
+            StubPolicy(), 4,
             goal_cvae=StubGoalCVAE(rng.normal(0, 1, (1, 2))))
         for _ in range(9):
             ctrl.act(np.zeros(2), rng)
@@ -134,7 +134,7 @@ class TestActCadence:
         # ceil(H / T) goals for an H-step rollout
         for horizon, t_segment in [(20, 4), (21, 4), (7, 10)]:
             ctrl = HierarchicalController(
-                StubPolicy(), t_segment, "sample",
+                StubPolicy(), t_segment,
                 goal_cvae=StubGoalCVAE(rng.normal(0, 1, (1, 2))))
             for _ in range(horizon):
                 ctrl.act(np.zeros(2), rng)
@@ -142,7 +142,7 @@ class TestActCadence:
 
     def test_reset_clears_state(self, rng):
         ctrl = HierarchicalController(
-            StubPolicy(), 3, "sample",
+            StubPolicy(), 3,
             goal_cvae=StubGoalCVAE(rng.normal(0, 1, (1, 2))))
         for _ in range(5):
             ctrl.act(np.zeros(2), rng)
@@ -177,11 +177,11 @@ class TestTrainedControllerRollouts:
         env = make_env(dataset.env_id)
         models = result.models
         const_q = HierarchicalController(
-            models.policy, 10, "value", goal_cvae=models.goal_cvae,
-            action_cvae=models.action_cvae, qnet=StubQ(lambda s: 0.0),
+            models["policy"], 10, goal_cvae=models["goal_cvae"],
+            action_cvae=models["action_cvae"], qnet=StubQ(lambda s: 0.0),
             n_goals=16, m_actions=4)
-        sampled = HierarchicalController(models.policy, 10, "sample",
-                                         goal_cvae=models.goal_cvae)
+        sampled = HierarchicalController(models["policy"], 10,
+                                         goal_cvae=models["goal_cvae"])
         rec_a = rollout(env, const_q, 150, np.random.default_rng(12))
         rec_b = rollout(env, sampled, 150, np.random.default_rng(12))
         assert rec_a.length == rec_b.length
@@ -195,16 +195,14 @@ class TestGoalRegressorMode:
         reg = goal_regressor(norm, hidden_dim=6, rng=rng)
         for _, t in reg.store:
             t.value[...] = 0.0
-        ctrl = HierarchicalController(StubPolicy(), 5, "regressor",
-                                      goal_regressor=reg)
+        ctrl = HierarchicalController(StubPolicy(), 5, goal_regressor=reg)
         ctrl.act(np.array([0.5, 0.9]), rng)
         assert np.allclose(ctrl.goal_log[0].goal, norm.state_mean)
 
     def test_goal_is_exact_regressor_output(self, small_demo_set, rng):
         dataset, _ = small_demo_set
         reg = goal_regressor(dataset.norm_stats, hidden_dim=6, rng=rng)
-        ctrl = HierarchicalController(StubPolicy(), 5, "regressor",
-                                      goal_regressor=reg)
+        ctrl = HierarchicalController(StubPolicy(), 5, goal_regressor=reg)
         s = np.array([0.4, 0.7])
         goal, score = ctrl.select_goal(s, rng)
         assert np.array_equal(goal, reg.predict(s))
@@ -284,23 +282,46 @@ class TestBaselines:
         acts_free = [free.act(s) for _ in range(8)]
         assert not np.allclose(acts_free[0], acts_free[4])
 
-    def test_make_policy_variant_dispatch(self, trained_iris_run, trained_bcq_run):
-        iris_result, _ = trained_iris_run
-        bcq_result, _ = trained_bcq_run
-        assert isinstance(make_policy(iris_result.models), HierarchicalController)
-        assert isinstance(make_policy(bcq_result.models), BCQController)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_make_policy_variant_dispatch(self, variant):
+        models = build_models(variant, 2, 2, flat_norm(), hidden_dim=6, enc_dim=6,
+                              rng=np.random.default_rng(0))
+        policy = make_policy(models)
+        expected = {"iris": HierarchicalController, "iris_no_q": HierarchicalController,
+                    "iris_no_goal_vae": HierarchicalController, "bc": BCController,
+                    "bc_rnn": BCRNNController, "bcq": BCQController}[variant]
+        assert type(policy) is expected
+        if expected is HierarchicalController:
+            assert policy.policy is models["policy"]
+            assert policy.goal_cvae is models.get("goal_cvae")
+            assert policy.goal_regressor is models.get("goal_reg")
+            assert policy.qnet is models.get("qnet")
+            assert policy.action_cvae is models.get("action_cvae")
 
 
 class TestValidation:
     def test_value_mode_requires_models(self):
         with pytest.raises(ValueError, match="value mode"):
-            HierarchicalController(StubPolicy(), 5, "value")
+            HierarchicalController(StubPolicy(), 5, qnet=StubQ(lambda s: 0.0),
+                                   goal_cvae=StubGoalCVAE(np.zeros((1, 2))))
 
-    def test_unknown_goal_mode(self):
-        with pytest.raises(ValueError, match="goal_mode"):
-            HierarchicalController(StubPolicy(), 5, "weird")
+    @pytest.mark.parametrize("sources,match", [
+        pytest.param((), "one goal source", id="none"),
+        pytest.param(("qnet",), "one goal source", id="q_only"),
+        pytest.param(("goal_cvae", "goal_regressor"), "one goal source", id="two"),
+        pytest.param(("goal_cvae", "action_cvae", "qnet", "goal_regressor"),
+                     "one goal source", id="two_with_q"),
+        pytest.param(("goal_regressor", "action_cvae", "qnet"), "value mode",
+                     id="q_with_regressor"),
+    ])
+    def test_rejected_goal_sources(self, sources, match):
+        stubs = {"goal_cvae": StubGoalCVAE(np.zeros((1, 2))),
+                 "action_cvae": StubActionCVAE(), "qnet": StubQ(lambda s: 0.0),
+                 "goal_regressor": StubGoalCVAE(np.zeros((1, 2)))}
+        with pytest.raises(ValueError, match=match):
+            HierarchicalController(StubPolicy(), 5, **{k: stubs[k] for k in sources})
 
     def test_bad_t_segment(self):
         with pytest.raises(ValueError, match="t_segment"):
-            HierarchicalController(StubPolicy(), 0, "sample",
+            HierarchicalController(StubPolicy(), 0,
                                    goal_cvae=StubGoalCVAE(np.zeros((1, 2))))

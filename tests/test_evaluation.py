@@ -200,8 +200,8 @@ class TestCheckpointEval:
         cfg = small_train_config("bc_rnn", n_iter=30, hidden_dim=8, enc_dim=8)
         result = train(dataset, cfg, tmp_path / "r")
         loaded = load_models(result.checkpoints[-1], dataset, cfg)
-        for name, t in result.models.policy.store:
-            assert np.array_equal(loaded.policy.store.params[name].value, t.value)
+        for name, t in result.models["policy"].store:
+            assert np.array_equal(loaded["policy"].store.params[name].value, t.value)
         env = make_env(dataset.env_id)
         episodes = [rollout(env, make_policy(models, t_segment=cfg.t_window), 60,
                             np.random.default_rng(3))

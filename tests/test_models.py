@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from goalsel.data import NormStats
 from goalsel.models import (
+    VARIANTS,
     ActionCVAE,
     GoalCVAE,
     PolicyRNN,
@@ -55,7 +56,8 @@ class TestPolicyRNN:
 
     def test_matches_manual_unroll(self, rng):
         norm = random_norm(rng)
-        policy = PolicyRNN(2, 2, norm, hidden_dim=4, enc_dim=3, rng=rng)
+        policy = PolicyRNN(2, 2, norm, hidden_dim=4, enc_dim=3, dtype=np.float64,
+                           rng=rng)
         states = rng.normal(0, 1, (3, 2))
         goal = rng.normal(0, 1, 2)
         out = policy.rollout_train(states, goal)
@@ -69,7 +71,7 @@ class TestPolicyRNN:
             h, _ = policy.cell.forward(h, e[None])
             a_n = h[0] @ policy.head.W.value + policy.head.b.value
             expected.append(norm.denorm_action(a_n))
-        assert np.allclose(out, np.stack(expected), atol=1e-12)
+        assert np.allclose(out, np.stack(expected), rtol=0, atol=1e-12)
 
     def test_step_matches_unroll(self, rng):
         policy = PolicyRNN(2, 2, flat_norm(), hidden_dim=6, enc_dim=6, rng=rng)
@@ -339,10 +341,9 @@ class TestModelSet:
                          rng=np.random.default_rng(5))
         b = build_models("iris_no_q", 2, 2, norm, hidden_dim=8,
                          rng=np.random.default_rng(5))
-        for name, t in a.policy.store:
-            assert np.array_equal(t.value, b.policy.store.params[name].value)
-        for name, t in a.goal_cvae.store:
-            assert np.array_equal(t.value, b.goal_cvae.store.params[name].value)
+        for part in ("policy", "goal_cvae"):
+            for name, t in a[part].store:
+                assert np.array_equal(t.value, b[part].store.params[name].value)
 
     def test_state_dict_roundtrip_with_prefixes(self, rng):
         models = build_models("iris", 2, 2, flat_norm(), hidden_dim=6, rng=rng)
@@ -361,17 +362,15 @@ class TestModelSet:
 
     def test_variant_component_presence(self, rng):
         cases = {
-            "iris": ("policy", "goal_cvae", "action_cvae", "qnet"),
-            "iris_no_q": ("policy", "goal_cvae"),
-            "iris_no_goal_vae": ("policy", "goal_regressor"),
-            "bc": ("bc_net",),
-            "bc_rnn": ("policy",),
-            "bcq": ("action_cvae", "qnet"),
+            "iris": ["policy", "goal_cvae", "action_cvae", "qnet", "qnet_target"],
+            "iris_no_goal_vae": ["policy", "goal_reg"],
+            "iris_no_q": ["policy", "goal_cvae"],
+            "bc": ["bc"],
+            "bc_rnn": ["policy"],
+            "bcq": ["action_cvae", "qnet", "qnet_target"],
         }
-        all_slots = ("policy", "goal_cvae", "action_cvae", "qnet",
-                     "goal_regressor", "bc_net")
-        for variant, present in cases.items():
+        assert list(cases) == list(VARIANTS)
+        for variant, prefixes in cases.items():
             models = build_models(variant, 2, 2, flat_norm(),
                                   rng=np.random.default_rng(0))
-            for slot in all_slots:
-                assert (getattr(models, slot) is not None) == (slot in present)
+            assert list(models.stores()) == prefixes

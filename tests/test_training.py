@@ -126,6 +126,8 @@ class TestTrainConfig:
         assert TrainConfig(variant="bc").sample_t == 1
         assert TrainConfig(variant="bcq").sample_t == 1
         assert TrainConfig(variant="iris", t_window=8).sample_t == 8
+        assert TrainConfig(variant="bc_rnn", t_window=8).sample_t == 8
+        assert TrainConfig(variant="iris_no_goal_vae", t_window=8).sample_t == 8
 
 
 class TestTrainStep:
@@ -176,10 +178,9 @@ class TestTrainStep:
 
         full = grads("iris", cfg_full)
         ablated = grads("iris_no_q", cfg_ablated)
-        for name, t in full.policy.store:
-            assert np.array_equal(t.grad, ablated.policy.store.params[name].grad)
-        for name, t in full.goal_cvae.store:
-            assert np.array_equal(t.grad, ablated.goal_cvae.store.params[name].grad)
+        for part in ("policy", "goal_cvae"):
+            for name, t in full[part].store:
+                assert np.array_equal(t.grad, ablated[part].store.params[name].grad)
 
     def test_q_all_transitions_flag(self, small_demo_set):
         dataset, _ = small_demo_set
@@ -244,7 +245,7 @@ class TestTrainLoop:
             calls.append(1)
             losses = real_step(models, *args, **kwargs)
             if len(calls) == 3:
-                models.bc_net.store.params["bc.l0.W"].value[0, 0] = np.nan
+                models["bc"].store.params["bc.l0.W"].value[0, 0] = np.nan
             return losses
 
         monkeypatch.setattr(training_module, "train_step", corrupting_step)
@@ -319,7 +320,7 @@ class TestSampleActionsOnTrainedModel:
         actions near the conditioning state stays below the dataset's own
         action dispersion there."""
         result, dataset = trained_bcq_run
-        cvae = result.models.action_cvae
+        cvae = result.models["action_cvae"]
         rng = np.random.default_rng(5)
         traj = dataset.trajectories[0]
         t = traj.length // 2
