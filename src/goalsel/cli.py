@@ -20,15 +20,14 @@ from .data import filter_best_fraction, load, save
 from .envs import DemoGenConfig, generate_dataset, make_env
 from .evaluation import (
     EvalConfig,
+    evaluate_checkpoint,
     evaluate_run,
+    export_trajectories,
     list_checkpoints,
-    load_models,
     load_run_config,
-    rollout,
 )
 from .models import VARIANTS
 from .training import TrainConfig, standard_grad_check_suite, train
-from .control import make_policy
 
 
 def _load_config(cls, path, sets, extra_overrides=None):
@@ -90,24 +89,22 @@ def cmd_eval(args) -> int:
 
 
 def cmd_viz(args) -> int:
-    from .evaluation import export_trajectories
-
+    """Roll out each run's last checkpoint. A run is labelled with its variant,
+    and also with its directory when an earlier run has that variant."""
     dataset = load(args.dataset)
     env = make_env(dataset.env_id)
+    eval_cfg = EvalConfig(n_episodes=args.episodes, seeds=(args.seed,))
     records = {}
     for run in args.run:
-        run_dir = Path(run)
-        train_cfg = load_run_config(run_dir)
-        ckpts = list_checkpoints(run_dir)
+        train_cfg = load_run_config(run)
+        ckpts = list_checkpoints(run)
         if not ckpts:
-            raise FileNotFoundError(f"no checkpoints found in {run_dir}")
-        models = load_models(ckpts[-1], dataset, train_cfg)
-        policy = make_policy(models, t_segment=train_cfg.t_window)
-        episodes = []
-        for ep in range(args.episodes):
-            rng = np.random.default_rng(np.random.SeedSequence([args.seed, ep]))
-            episodes.append(rollout(env, policy, env.h_max, rng))
-        records[train_cfg.variant] = episodes
+            raise FileNotFoundError(f"no checkpoints found in {run}")
+        report = evaluate_checkpoint(ckpts[-1], dataset, train_cfg, eval_cfg, env)
+        label = train_cfg.variant
+        if label in records:
+            label = f"{label} ({run})"
+        records[label] = report.per_seed[0].episodes
     svg_path, csv_path = export_trajectories(records, dataset, args.out)
     print(f"wrote {svg_path} and {csv_path}")
     return 0

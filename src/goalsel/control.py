@@ -8,7 +8,8 @@ low-level steps and resets the policy hidden state at each refresh. Goal
 refreshes spawn two child rngs (proposals, scoring) in a fixed order, so
 variants that skip scoring still draw identical proposals under a shared seed.
 Controllers are stateful per-rollout objects; the underlying frozen models can
-be shared read-only.
+be shared read-only. They act on one state at a time, so they add the batch
+axis that the models take and drop it from what the models return.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class HierarchicalController:
         proposal_rng, score_rng = rng.spawn(2)
         s = np.asarray(s, dtype=np.float64)
         if self.goal_regressor is not None:
-            return self.goal_regressor.predict(s), None
+            return self.goal_regressor.predict(s[None])[0], None
         if self.qnet is None:
             return self.goal_cvae.sample(s, 1, proposal_rng)[0], None
         goals = self.goal_cvae.sample(s, self.n_goals, proposal_rng)
@@ -83,9 +84,10 @@ class HierarchicalController:
             self._goal = goal
             self._hidden = self.policy.init_hidden()
             self.goal_log.append(GoalLogEntry(self._steps, goal.copy(), score))
-        action, self._hidden = self.policy.step(self._hidden, s, self._goal)
+        action, self._hidden = self.policy.step(
+            self._hidden, np.asarray(s)[None], self._goal[None])
         self._steps += 1
-        return action
+        return action[0]
 
 
 class BCController:
@@ -98,7 +100,7 @@ class BCController:
         pass
 
     def act(self, s, rng=None) -> np.ndarray:
-        return self.bc_net.predict(np.asarray(s, dtype=np.float64))
+        return self.bc_net.predict(np.asarray(s)[None])[0]
 
 
 class BCRNNController:
@@ -118,9 +120,9 @@ class BCRNNController:
     def act(self, s, rng=None) -> np.ndarray:
         if self.windowed_reset and self._steps % self.t_segment == 0:
             self._hidden = self.policy.init_hidden()
-        action, self._hidden = self.policy.step(self._hidden, s, None)
+        action, self._hidden = self.policy.step(self._hidden, np.asarray(s)[None])
         self._steps += 1
-        return action
+        return action[0]
 
 
 class BCQController:

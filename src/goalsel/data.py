@@ -89,9 +89,6 @@ class NormStats:
     def norm_state(self, s):
         return (np.asarray(s, dtype=np.float64) - self.state_mean) / self.state_std
 
-    def denorm_state(self, s):
-        return np.asarray(s, dtype=np.float64) * self.state_std + self.state_mean
-
     def norm_action(self, a):
         return (np.asarray(a, dtype=np.float64) - self.action_mean) / self.action_std
 

@@ -48,10 +48,6 @@ class GraphReachEnv:
     def env_id(self) -> str:
         return f"graph-reach-n{self.grid_n}-v1"
 
-    @property
-    def position(self) -> np.ndarray:
-        return self._pos.copy()
-
     def clip_action(self, a) -> np.ndarray:
         return np.clip(np.asarray(a, dtype=np.float64), -self.a_max, self.a_max)
 

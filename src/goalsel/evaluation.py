@@ -11,7 +11,6 @@ episode of L steps.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -158,9 +157,6 @@ class EvalReport:
             },
             "checkpoint_hash": self.checkpoint_hash,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def evaluate(policy, env, cfg: EvalConfig,

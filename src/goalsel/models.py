@@ -6,6 +6,12 @@ and the BCQ value of a state over action proposals, and a regression net.
 checkpoints and the test-time controller follow from the components in the
 :class:`ModelSet` that :func:`build_models` returns, never from variant names.
 
+Every model method takes ``(B, ...)`` arrays, one row per batch element, and
+returns ``(B, ...)`` arrays; the recurrent policy's training unroll takes
+``(B, T, ...)`` windows. A caller with one row adds and drops the batch axis
+itself. The one exception is :meth:`ConditionalVAE.sample`, which draws ``n``
+samples for a single condition.
+
 All models normalize their inputs with dataset statistics and denormalize
 predictions at the interface, so losses are computed in normalized space and
 the VAE KL weights stay scale-free. Each model owns a disjoint
@@ -49,13 +55,6 @@ VARIANTS = {
 }
 
 
-def _as_batch(x) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
-
-
 class PolicyRNN:
     """Recurrent imitation policy, optionally conditioned on a goal state.
 
@@ -93,6 +92,16 @@ class PolicyRNN:
             return np.concatenate([s_n, g_n], axis=-1)
         return s_n
 
+    def _step(self, h: np.ndarray, s_n: np.ndarray, g_n: np.ndarray | None):
+        """One recurrent step on normalized (B, obs) rows: returns the
+        normalized (B, act) actions, the new hidden state and the cache that
+        the backward pass of :meth:`loss_and_grad` reads."""
+        e_pre, e_cache = self.enc.forward(self._inputs(s_n, g_n))
+        e, e_mask = relu(e_pre)
+        h, c_cache = self.cell.forward(h, e)
+        a_n, h_cache = self.head.forward(h)
+        return a_n, h, (e_cache, e_mask, c_cache, h_cache)
+
     def _unroll(self, states_n: np.ndarray, goal_n: np.ndarray | None):
         """states_n: (B, T, obs) -> normalized actions (B, T, act) plus caches."""
         batch, t_window, _ = states_n.shape
@@ -100,31 +109,9 @@ class PolicyRNN:
         acts = np.empty((batch, t_window, self.act_dim), dtype=self.store.dtype)
         caches = []
         for t in range(t_window):
-            x = self._inputs(states_n[:, t], goal_n)
-            e_pre, e_cache = self.enc.forward(x)
-            e, e_mask = relu(e_pre)
-            h, c_cache = self.cell.forward(h, e)
-            a, h_cache = self.head.forward(h)
-            acts[:, t] = a
-            caches.append((e_cache, e_mask, c_cache, h_cache))
+            acts[:, t], h, cache = self._step(h, states_n[:, t], goal_n)
+            caches.append(cache)
         return acts, caches
-
-    def rollout_train(self, states, goal=None) -> np.ndarray:
-        """Predict the window's action sequence from a zero hidden state.
-
-        Accepts a single (T, obs) window or a batch (B, T, obs); returns
-        denormalized actions of matching leading shape.
-        """
-        states = np.asarray(states, dtype=np.float64)
-        single = states.ndim == 2
-        if single:
-            states = states[None]
-            goal = None if goal is None else np.asarray(goal)[None]
-        states_n = self._norm_state(states)
-        goal_n = None if goal is None else self._norm_state(goal)
-        acts_n, _ = self._unroll(states_n, goal_n)
-        acts = self.norm.denorm_action(acts_n)
-        return acts[0] if single else acts
 
     def loss_and_grad(self, states, actions, goal=None) -> float:
         """Imitation loss: per-window sum of squared normalized-action errors,
@@ -147,15 +134,11 @@ class PolicyRNN:
         return loss
 
     def step(self, hidden: np.ndarray, s, goal=None) -> tuple[np.ndarray, np.ndarray]:
-        """One closed-loop step; returns (denormalized action, new hidden)."""
-        s_n = self._norm_state(s)[None, :]
-        g_n = None if goal is None else self._norm_state(goal)[None, :]
-        x = self._inputs(s_n, g_n)
-        e_pre, _ = self.enc.forward(x)
-        e, _ = relu(e_pre)
-        h_new, _ = self.cell.forward(hidden, e)
-        a_n, _ = self.head.forward(h_new)
-        return self.norm.denorm_action(a_n)[0], h_new
+        """One closed-loop step of (B, obs) states and goals from a (B, H)
+        hidden state; returns ((B, act) denormalized actions, new hidden)."""
+        g_n = None if goal is None else self._norm_state(goal)
+        a_n, h, _ = self._step(hidden, self._norm_state(s), g_n)
+        return self.norm.denorm_action(a_n), h
 
 
 class ConditionalVAE:
@@ -201,16 +184,6 @@ class ConditionalVAE:
     def decode_normalized(self, z: np.ndarray, cond_n: np.ndarray):
         return self.decoder.forward(np.concatenate([z, cond_n], axis=-1))
 
-    def decode_raw(self, z, cond) -> np.ndarray:
-        """Decoder output for raw conditions, denormalized (no cache kept)."""
-        z, single = _as_batch(z)
-        cond_n, _ = _as_batch(self._norm_cond(cond))
-        if cond_n.shape[0] == 1 and z.shape[0] > 1:
-            cond_n = np.broadcast_to(cond_n, (z.shape[0], cond_n.shape[1]))
-        out_n, _ = self.decode_normalized(z, cond_n)
-        out = self._denorm_target(out_n)
-        return out[0] if single else out
-
     def loss_and_grad(self, target, cond, rng: np.random.Generator | None = None,
                       eps: np.ndarray | None = None) -> tuple[float, dict[str, float]]:
         """Reconstruction (squared error, normalized space) + beta * closed-form KL.
@@ -218,8 +191,8 @@ class ConditionalVAE:
         Noise is drawn from ``rng`` unless ``eps`` is injected (frozen-noise
         gradient checks). Accumulates gradients.
         """
-        target_n, single = _as_batch(self._norm_target(target))
-        cond_n, _ = _as_batch(self._norm_cond(cond))
+        target_n = self._norm_target(target)
+        cond_n = self._norm_cond(cond)
         if target_n.shape[0] != cond_n.shape[0]:
             raise ValueError("target/condition batch mismatch")
         batch = target_n.shape[0]
@@ -246,16 +219,12 @@ class ConditionalVAE:
         self.encoder.backward(enc_cache, np.concatenate([dmu, dls], axis=-1))
         return loss, {"recon": recon, "kl": kl}
 
-    def sample(self, cond, n: int, rng: np.random.Generator | None = None,
-               z: np.ndarray | None = None) -> np.ndarray:
-        """n decoder outputs from i.i.d. standard-normal latents, denormalized."""
+    def sample(self, cond, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n decoder outputs for one (cond_dim,) condition from i.i.d.
+        standard-normal latents, denormalized; returns (n, target_dim)."""
         if n < 1:
             raise ValueError("need at least one sample")
-        if z is None:
-            if rng is None:
-                raise ValueError("need either an rng or injected latents")
-            z = rng.standard_normal((n, self.latent_dim))
-        z = np.asarray(z, dtype=np.float64).reshape(n, self.latent_dim)
+        z = rng.standard_normal((n, self.latent_dim))
         cond = np.asarray(cond, dtype=np.float64)
         if cond.ndim != 1:
             raise ValueError("sample() takes a single condition; see sample_each()")
@@ -267,7 +236,7 @@ class ConditionalVAE:
         """n samples for each of a batch of conditions; returns (n, B, target_dim)."""
         if n < 1:
             raise ValueError("need at least one sample")
-        cond_n, _ = _as_batch(self._norm_cond(cond))
+        cond_n = self._norm_cond(cond)
         batch = cond_n.shape[0]
         z = rng.standard_normal((n, batch, self.latent_dim))
         out = np.empty((n, batch, self.target_dim))
@@ -315,22 +284,20 @@ class QNet:
         self.target_mlp = MLP(self.target_store, "q", sizes, rng)
         polyak_update(self, 1.0)
 
-    def _inputs(self, s, a) -> tuple[np.ndarray, bool]:
-        s_n, single = _as_batch(self.norm.norm_state(s))
-        a_n, _ = _as_batch(self.norm.norm_action(a))
-        return np.concatenate([s_n, a_n], axis=-1), single
+    def _inputs(self, s, a) -> np.ndarray:
+        return np.concatenate([self.norm.norm_state(s), self.norm.norm_action(a)],
+                              axis=-1)
 
-    def value(self, s, a, use_target: bool = False):
-        """Scalar value(s) from the online or target parameters."""
-        x, single = self._inputs(s, a)
+    def value(self, s, a, use_target: bool = False) -> np.ndarray:
+        """(B,) values of (B, obs) states and (B, act) actions from the online
+        or target parameters."""
         net = self.target_mlp if use_target else self.mlp
-        q, _ = net.forward(x)
-        q = q[:, 0]
-        return float(q[0]) if single else q
+        q, _ = net.forward(self._inputs(s, a))
+        return q[:, 0]
 
     def loss_and_grad(self, s, a, targets) -> tuple[float, float]:
         """Mean squared TD error against fixed targets; returns (loss, mean Q)."""
-        x, _ = self._inputs(s, a)
+        x = self._inputs(s, a)
         targets = np.asarray(targets, dtype=np.float64)
         q, cache = self.mlp.forward(x)
         q = q[:, 0]
@@ -382,15 +349,12 @@ class Regressor:
                        [obs_dim, hidden_dim, hidden_dim, len(self.target_mean)], rng)
 
     def predict(self, s) -> np.ndarray:
-        s_n, single = _as_batch(self.norm.norm_state(s))
-        out_n, _ = self.mlp.forward(s_n)
-        out = out_n * self.target_std + self.target_mean
-        return out[0] if single else out
+        out_n, _ = self.mlp.forward(self.norm.norm_state(s))
+        return out_n * self.target_std + self.target_mean
 
     def loss_and_grad(self, s, target) -> float:
-        s_n, _ = _as_batch(self.norm.norm_state(s))
-        t_n, _ = _as_batch((np.asarray(target, dtype=np.float64) - self.target_mean)
-                           / self.target_std)
+        s_n = self.norm.norm_state(s)
+        t_n = (np.asarray(target, dtype=np.float64) - self.target_mean) / self.target_std
         out_n, cache = self.mlp.forward(s_n)
         diff = out_n - t_n
         loss = float((diff ** 2).sum(axis=-1).mean())
@@ -419,7 +383,14 @@ class ModelSet(dict):
         return flat
 
     def load_state_dict(self, flat: dict[str, np.ndarray]) -> None:
-        for prefix, store in self.stores().items():
+        """Load prefixed tensors; tensors of a component this set lacks are an
+        error, not ignored."""
+        stores = self.stores()
+        unexpected = sorted({name.split("/", 1)[0] for name in flat} - set(stores))
+        if unexpected:
+            raise ValueError(f"tensors of components this model set lacks: "
+                             f"{unexpected}")
+        for prefix, store in stores.items():
             sub = {name[len(prefix) + 1:]: value for name, value in flat.items()
                    if name.startswith(prefix + "/")}
             store.load_state_dict(sub)

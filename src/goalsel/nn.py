@@ -74,9 +74,6 @@ class ParamStore:
         for t in self.params.values():
             t.grad.fill(0.0)
 
-    def n_parameters(self) -> int:
-        return sum(t.value.size for t in self.params.values())
-
     def assert_finite(self) -> None:
         for name, t in self.params.items():
             if not np.all(np.isfinite(t.value)):
@@ -166,14 +163,6 @@ class MLP:
                 dout = relu_backward(mask, dout)
             dout = layer.backward(lin_cache, dout)
         return dout
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            y, _ = self.forward(x[None, :])
-            return y[0]
-        y, _ = self.forward(x)
-        return y
 
 
 class GRUCell:

@@ -43,9 +43,6 @@ from .nn import adam_step, grad_check, save_checkpoint
 
 METRIC_COLUMNS = ("iter", "loss_policy", "loss_goal_recon", "loss_goal_kl",
                   "loss_action_recon", "loss_action_kl", "loss_q", "q_mean")
-_COLUMN_KEYS = {"loss_policy": "policy", "loss_goal_recon": "goal_recon",
-                "loss_goal_kl": "goal_kl", "loss_action_recon": "action_recon",
-                "loss_action_kl": "action_kl", "loss_q": "q", "q_mean": "q_mean"}
 
 
 @dataclass(frozen=True)
@@ -109,9 +106,10 @@ def q_target(qnet: QNet, action_cvae: ConditionalVAE, s_next, r: float,
         raise ValueError("need at least one action proposal")
     if is_terminal:
         return float(r) / (1.0 - gamma)
-    proposals = action_cvae.sample(np.asarray(s_next, dtype=np.float64),
-                                   n_proposals, rng)
-    best = max(qnet.value(s_next, a, use_target=True) for a in proposals)
+    s_next = np.asarray(s_next, dtype=np.float64)
+    proposals = action_cvae.sample(s_next, n_proposals, rng)
+    best = max(float(qnet.value(s_next[None], a[None], use_target=True)[0])
+               for a in proposals)
     return float(r) + gamma * best
 
 
@@ -135,8 +133,9 @@ def train_step(models: ModelSet, dataset: TrajectoryDataset, cfg: TrainConfig,
                rng: np.random.Generator, update: bool = True) -> dict[str, float]:
     """One batch through every enabled component, in the fixed update order.
 
-    With ``update=False`` the losses and gradients are computed but no
-    parameters move (used by gradient and orthogonality tests).
+    Returns the losses under their ``METRIC_COLUMNS`` names. With
+    ``update=False`` the losses and gradients are computed but no parameters
+    move (used by gradient and orthogonality tests).
     """
     batch = dataset.sample_window_batch(cfg.sample_t, cfg.batch_size, rng)
     goal_rng, action_rng, proposal_rng = rng.spawn(3)
@@ -144,25 +143,25 @@ def train_step(models: ModelSet, dataset: TrajectoryDataset, cfg: TrainConfig,
 
     if "policy" in models:
         goal = batch.states[:, -1] if models["policy"].goal_conditioned else None
-        losses["policy"] = models["policy"].loss_and_grad(
+        losses["loss_policy"] = models["policy"].loss_and_grad(
             batch.states[:, :-1], batch.actions, goal)
         if update:
             adam_step(models["policy"].store, cfg.lr)
     if "bc" in models:
-        losses["policy"] = models["bc"].loss_and_grad(batch.states[:, 0],
-                                                      batch.actions[:, 0])
+        losses["loss_policy"] = models["bc"].loss_and_grad(batch.states[:, 0],
+                                                           batch.actions[:, 0])
         if update:
             adam_step(models["bc"].store, cfg.lr)
 
     if "goal_cvae" in models:
         _, parts = models["goal_cvae"].loss_and_grad(
             batch.states[:, -1], batch.states[:, 0], rng=goal_rng)
-        losses["goal_recon"] = parts["recon"]
-        losses["goal_kl"] = parts["kl"]
+        losses["loss_goal_recon"] = parts["recon"]
+        losses["loss_goal_kl"] = parts["kl"]
         if update:
             adam_step(models["goal_cvae"].store, cfg.lr)
     if "goal_reg" in models:
-        losses["goal_recon"] = models["goal_reg"].loss_and_grad(
+        losses["loss_goal_recon"] = models["goal_reg"].loss_and_grad(
             batch.states[:, 0], batch.states[:, -1])
         if update:
             adam_step(models["goal_reg"].store, cfg.lr)
@@ -171,8 +170,8 @@ def train_step(models: ModelSet, dataset: TrajectoryDataset, cfg: TrainConfig,
     if "action_cvae" in models:
         _, parts = models["action_cvae"].loss_and_grad(
             batch.actions[:, -1], batch.states[:, -2], rng=action_rng)
-        losses["action_recon"] = parts["recon"]
-        losses["action_kl"] = parts["kl"]
+        losses["loss_action_recon"] = parts["recon"]
+        losses["loss_action_kl"] = parts["kl"]
         if update:
             adam_step(models["action_cvae"].store, cfg.lr)
 
@@ -180,7 +179,7 @@ def train_step(models: ModelSet, dataset: TrajectoryDataset, cfg: TrainConfig,
         s, a, r, s_next, terminal = _q_transitions(batch, cfg)
         targets = q_targets_batch(models["qnet"], models["action_cvae"], s_next, r,
                                   terminal, cfg.gamma, cfg.m_proposals, proposal_rng)
-        losses["q"], losses["q_mean"] = models["qnet"].loss_and_grad(s, a, targets)
+        losses["loss_q"], losses["q_mean"] = models["qnet"].loss_and_grad(s, a, targets)
         if update:
             adam_step(models["qnet"].store, cfg.lr)
             polyak_update(models["qnet"], cfg.tau)
@@ -214,7 +213,7 @@ class TrainState:
         self.iteration += 1
         for key, value in losses.items():
             if not np.isfinite(value):
-                raise FloatingPointError(f"non-finite {key} loss at iteration "
+                raise FloatingPointError(f"non-finite {key} at iteration "
                                          f"{self.iteration}: {value}")
             self._sums[key] = self._sums.get(key, 0.0) + value
             self._counts[key] = self._counts.get(key, 0) + 1
@@ -309,10 +308,8 @@ def train(dataset: TrajectoryDataset, cfg: TrainConfig, out_dir) -> TrainResult:
             state.update(losses)
             if i % cfg.log_every == 0 or i == cfg.n_iter:
                 means = state.flush()
-                writer.writerow([i] + [
-                    repr(means[_COLUMN_KEYS[col]]) if _COLUMN_KEYS[col] in means
-                    else "" for col in METRIC_COLUMNS[1:]
-                ])
+                writer.writerow([i] + [repr(means[col]) if col in means else ""
+                                       for col in METRIC_COLUMNS[1:]])
                 fh.flush()
             if i % cfg.ckpt_every == 0 or i == cfg.n_iter:
                 path = _checkpoint(models, out_dir, i, digest)

@@ -165,6 +165,24 @@ class TestViz:
         assert (out / "trajectories.svg").exists()
         assert (out / "rollout_states.csv").exists()
 
+    def test_two_runs_of_one_variant_both_drawn(self, tiny_setup, tmp_path):
+        _, data_path, run_dir = tiny_setup
+        second = tmp_path / "run2"
+        rc = main(["train", "--dataset", str(data_path), "--out", str(second),
+                   "--variant", "bcq", "--seed", "2", "--set", "n_iter=10",
+                   "--set", "hidden_dim=8", "--set", "batch_size=16"])
+        assert rc == 0
+        out = tmp_path / "viz"
+        rc = main(["viz", "--dataset", str(data_path), "--run", str(run_dir),
+                   "--run", str(second), "--out", str(out), "--episodes", "2"])
+        assert rc == 0
+        rows = (out / "rollout_states.csv").read_text().splitlines()[1:]
+        episodes = {tuple(row.split(",")[:2]) for row in rows}
+        assert episodes == {(label, ep) for label in ("bcq", f"bcq ({second})")
+                            for ep in ("0", "1")}
+        svg = (out / "trajectories.svg").read_text()
+        assert f">bcq ({second})</text>" in svg
+
 
 class TestGradCheckCommand:
     def test_exit_zero_on_pass(self, capsys):

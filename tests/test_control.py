@@ -33,7 +33,7 @@ class StubPolicy:
         return np.zeros((batch, 1))
 
     def step(self, hidden, s, goal=None):
-        return self.action.copy(), hidden
+        return self.action[None].copy(), hidden
 
 
 class StubGoalCVAE:
@@ -205,7 +205,7 @@ class TestGoalRegressorMode:
         ctrl = HierarchicalController(StubPolicy(), 5, goal_regressor=reg)
         s = np.array([0.4, 0.7])
         goal, score = ctrl.select_goal(s, rng)
-        assert np.array_equal(goal, reg.predict(s))
+        assert np.array_equal(goal, reg.predict(s[None])[0])
         assert score is None
 
     def test_beats_single_cvae_sample_on_unimodal_data(self, rng):

@@ -104,7 +104,7 @@ class TestNormStats:
         ds = make_dataset(rng)
         stats = ds.norm_stats
         x = rng.normal(0, 3, (7, 2))
-        assert np.allclose(stats.denorm_state(stats.norm_state(x)), x)
+        assert np.allclose(stats.norm_state(x) * stats.state_std + stats.state_mean, x)
         assert np.allclose(stats.denorm_action(stats.norm_action(x)), x)
 
 

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -106,7 +104,7 @@ class TestEvaluate:
         report = evaluate(ZeroPolicy(), env,
                           EvalConfig(n_episodes=2, h_max=10, seeds=(0, 1)))
         assert report.mean_success_length is None
-        assert json.loads(report.to_json())["rollout_length"] is None
+        assert report.to_dict()["rollout_length"] is None
 
     def test_multi_seed_std_matches_recomputation(self, small_demo_set):
         dataset, _ = small_demo_set
@@ -123,8 +121,8 @@ class TestEvaluate:
         dataset, _ = small_demo_set
         env = make_env(dataset.env_id)
         cfg = EvalConfig(n_episodes=3, seeds=(0, 1))
-        a = evaluate(ReplayPolicy(dataset), env, cfg).to_json()
-        b = evaluate(ReplayPolicy(dataset), env, cfg).to_json()
+        a = evaluate(ReplayPolicy(dataset), env, cfg).to_dict()
+        b = evaluate(ReplayPolicy(dataset), env, cfg).to_dict()
         assert a == b
 
     def test_success_rate_is_exact_fraction(self, small_demo_set):

@@ -36,59 +36,88 @@ def zero_store(store):
         t.value[...] = 0.0
 
 
+def unroll_actions(policy, states, goal=None):
+    """Denormalized (B, T, act) actions of the training unroll of (B, T, obs)
+    windows from a zero hidden state."""
+    goal_n = None if goal is None else policy._norm_state(goal)
+    acts_n, _ = policy._unroll(policy._norm_state(states), goal_n)
+    return policy.norm.denorm_action(acts_n)
+
+
+def decode(cvae, z, cond):
+    """Denormalized decoder output for (B, latent) latents and (B, cond_dim)
+    raw conditions."""
+    cond_n = (cond - cvae.cond_mean) / cvae.cond_std
+    out_n, _ = cvae.decoder.forward(np.concatenate([z, cond_n], axis=-1))
+    return out_n * cvae.target_std + cvae.target_mean
+
+
 class TestPolicyRNN:
     def test_zero_weights_predict_mean_action(self, rng):
         norm = random_norm(rng)
         policy = PolicyRNN(2, 2, norm, hidden_dim=8, enc_dim=8, rng=rng)
         zero_store(policy.store)
-        states = rng.normal(0, 1, (4, 2))
-        acts = policy.rollout_train(states, goal=rng.normal(0, 1, 2))
-        assert np.allclose(acts, np.tile(norm.action_mean, (4, 1)))
+        states = rng.normal(0, 1, (1, 4, 2))
+        acts = unroll_actions(policy, states, goal=rng.normal(0, 1, (1, 2)))
+        assert np.allclose(acts, np.tile(norm.action_mean, (1, 4, 1)))
 
     def test_batch_permutation_independence(self, rng):
         policy = PolicyRNN(2, 2, flat_norm(), hidden_dim=8, enc_dim=8, rng=rng)
         states = rng.normal(0, 1, (3, 5, 2))
         goals = rng.normal(0, 1, (3, 2))
-        out = policy.rollout_train(states, goals)
+        out = unroll_actions(policy, states, goals)
         perm = [2, 0, 1]
-        out_perm = policy.rollout_train(states[perm], goals[perm])
+        out_perm = unroll_actions(policy, states[perm], goals[perm])
         assert np.allclose(out[perm], out_perm)
 
     def test_matches_manual_unroll(self, rng):
         norm = random_norm(rng)
         policy = PolicyRNN(2, 2, norm, hidden_dim=4, enc_dim=3, dtype=np.float64,
                            rng=rng)
-        states = rng.normal(0, 1, (3, 2))
-        goal = rng.normal(0, 1, 2)
-        out = policy.rollout_train(states, goal)
+        states = rng.normal(0, 1, (1, 3, 2))
+        goal = rng.normal(0, 1, (1, 2))
+        out = unroll_actions(policy, states, goal)
         # manual unroll with the public primitives
         h = np.zeros((1, 4))
         g_n = norm.norm_state(goal)
         expected = []
         for t in range(3):
-            x = np.concatenate([norm.norm_state(states[t]), g_n])
+            x = np.concatenate([norm.norm_state(states[:, t]), g_n], axis=1)
             e = np.maximum(x @ policy.enc.W.value + policy.enc.b.value, 0.0)
-            h, _ = policy.cell.forward(h, e[None])
-            a_n = h[0] @ policy.head.W.value + policy.head.b.value
+            h, _ = policy.cell.forward(h, e)
+            a_n = h @ policy.head.W.value + policy.head.b.value
             expected.append(norm.denorm_action(a_n))
-        assert np.allclose(out, np.stack(expected), rtol=0, atol=1e-12)
+        assert np.allclose(out, np.stack(expected, axis=1), rtol=0, atol=1e-12)
 
     def test_step_matches_unroll(self, rng):
         policy = PolicyRNN(2, 2, flat_norm(), hidden_dim=6, enc_dim=6, rng=rng)
-        states = rng.normal(0, 1, (4, 2))
-        goal = rng.normal(0, 1, 2)
-        unrolled = policy.rollout_train(states, goal)
+        states = rng.normal(0, 1, (1, 4, 2))
+        goal = rng.normal(0, 1, (1, 2))
+        unrolled = unroll_actions(policy, states, goal)
         h = policy.init_hidden()
         stepped = []
         for t in range(4):
-            a, h = policy.step(h, states[t], goal)
+            a, h = policy.step(h, states[:, t], goal)
             stepped.append(a)
-        assert np.allclose(unrolled, np.stack(stepped))
+        assert np.allclose(unrolled, np.stack(stepped, axis=1))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batched_step_reproduces_unroll_exactly(self, rng, dtype):
+        policy = PolicyRNN(2, 2, random_norm(rng), hidden_dim=6, enc_dim=5,
+                           dtype=dtype, rng=rng)
+        states = rng.normal(0, 1, (5, 4, 2))
+        goal = rng.normal(0, 1, (5, 2))
+        unrolled = unroll_actions(policy, states, goal)
+        h = policy.init_hidden(5)
+        for t in range(4):
+            a, h = policy.step(h, states[:, t], goal)
+            assert a.shape == (5, 2)
+            assert np.array_equal(a, unrolled[:, t]), t
 
     def test_goal_required_when_conditioned(self, rng):
         policy = PolicyRNN(2, 2, flat_norm(), hidden_dim=4, enc_dim=4, rng=rng)
         with pytest.raises(ValueError, match="goal"):
-            policy.rollout_train(rng.normal(0, 1, (3, 2)))
+            policy.step(policy.init_hidden(), rng.normal(0, 1, (1, 2)))
 
     def test_loss_gradient_check(self, rng):
         policy = PolicyRNN(2, 2, random_norm(rng), hidden_dim=5, enc_dim=4,
@@ -143,8 +172,8 @@ class TestPolicyRNN:
             assert t.value.dtype == t.grad.dtype == np.float32, name
             assert policy.store.moment1[name].dtype == np.float32, name
             assert policy.store.moment2[name].dtype == np.float32, name
-        _, hidden = policy.step(policy.init_hidden(), states[0, 0],
-                                None if goal is None else goal[0])
+        _, hidden = policy.step(policy.init_hidden(), states[:1, 0],
+                                None if goal is None else goal[:1])
         assert hidden.dtype == np.float32
 
 
@@ -154,8 +183,9 @@ class TestConditionalVAE:
         cvae = GoalCVAE(2, norm, latent_dim=1, beta=0.0, hidden_dim=4, rng=rng)
         zero_store(cvae.store)
         # zero decoder output denormalizes to the mean, so the mean is exact
-        loss, parts = cvae.loss_and_grad(norm.state_mean, rng.normal(0, 1, 2),
-                                         eps=np.zeros(1))
+        loss, parts = cvae.loss_and_grad(norm.state_mean[None],
+                                         rng.normal(0, 1, (1, 2)),
+                                         eps=np.zeros((1, 1)))
         assert loss == 0.0 and parts["recon"] == 0.0
 
     def test_beta_weighted_kl_example(self, rng):
@@ -164,7 +194,8 @@ class TestConditionalVAE:
         zero_store(cvae.store)
         # encoder bias fixes mu=1, log_sigma=0; zero decoder reconstructs the mean
         cvae.store.params["enc.l2.b"].value[...] = np.array([1.0, 0.0])
-        loss, parts = cvae.loss_and_grad(np.zeros(2), np.zeros(2), eps=np.zeros(1))
+        loss, parts = cvae.loss_and_grad(np.zeros((1, 2)), np.zeros((1, 2)),
+                                         eps=np.zeros((1, 1)))
         assert np.isclose(parts["kl"], 0.5)
         assert np.isclose(loss, 1.0)
 
@@ -178,10 +209,10 @@ class TestConditionalVAE:
         # independent recomposition
         t_n = (target - norm.action_mean) / norm.action_std
         c_n = (cond - norm.state_mean) / norm.state_std
-        raw = cvae.encoder(np.concatenate([t_n, c_n], axis=1))
+        raw, _ = cvae.encoder.forward(np.concatenate([t_n, c_n], axis=1))
         head = GaussianHead.from_raw(raw)
         z = head.mu + head.sigma * eps
-        out = cvae.decoder(np.concatenate([z, c_n], axis=1))
+        out, _ = cvae.decoder.forward(np.concatenate([z, c_n], axis=1))
         recon = ((out - t_n) ** 2).sum(axis=1).mean()
         kl = kl_to_standard_normal(head).mean()
         assert np.isclose(loss, recon + 0.07 * kl, atol=1e-12)
@@ -201,12 +232,13 @@ class TestConditionalVAE:
 
 class TestSampling:
     def test_single_sample_frozen_zero_latent(self, rng):
+        # the latent is frozen by seeding: the same seed rebuilds it here
         norm = random_norm(rng)
         cvae = GoalCVAE(2, norm, latent_dim=3, hidden_dim=6, rng=rng)
         s = rng.normal(0, 1, 2)
-        out = cvae.sample(s, 1, z=np.zeros((1, 3)))
-        expected = cvae.decode_raw(np.zeros(3), s)
-        assert np.allclose(out[0], expected)
+        out = cvae.sample(s, 1, np.random.default_rng(5))
+        z = np.random.default_rng(5).standard_normal((1, 3))
+        assert np.allclose(out, decode(cvae, z, s[None]))
 
     def test_seeded_determinism(self, rng):
         cvae = ActionCVAE(2, 2, flat_norm(), latent_dim=2, hidden_dim=6, rng=rng)
@@ -233,29 +265,30 @@ class TestSampling:
         assert out.shape == (4, 3, 2)
         z = np.random.default_rng(0).standard_normal((4, 3, 2))
         for j in range(4):
-            assert np.allclose(out[j], cvae.decode_raw(z[j], conds))
+            assert np.allclose(out[j], decode(cvae, z[j], conds))
 
 
 class TestQNet:
     def test_zero_weights_zero_value(self, rng):
         q = QNet(2, 2, flat_norm(), hidden_dim=4, rng=rng)
         zero_store(q.store)
-        assert q.value(rng.normal(0, 1, 2), rng.normal(0, 1, 2)) == 0.0
+        value = q.value(rng.normal(0, 1, (1, 2)), rng.normal(0, 1, (1, 2)))
+        assert np.array_equal(value, [0.0])
 
     def test_target_equals_online_after_full_polyak(self, rng):
         q = QNet(2, 2, flat_norm(), hidden_dim=4, rng=rng)
         for _, t in q.store:
             t.value += rng.normal(0, 0.1, t.value.shape)
         polyak_update(q, 1.0)
-        s, a = rng.normal(0, 1, 2), rng.normal(0, 1, 2)
-        assert q.value(s, a, use_target=True) == q.value(s, a)
+        s, a = rng.normal(0, 1, (1, 2)), rng.normal(0, 1, (1, 2))
+        assert np.array_equal(q.value(s, a, use_target=True), q.value(s, a))
 
     def test_value_matches_mlp_on_concat(self, rng):
         norm = random_norm(rng)
         q = QNet(2, 2, norm, hidden_dim=5, rng=rng)
-        s, a = rng.normal(0, 1, 2), rng.normal(0, 1, 2)
-        x = np.concatenate([norm.norm_state(s), norm.norm_action(a)])
-        assert np.isclose(q.value(s, a), q.mlp(x)[0])
+        s, a = rng.normal(0, 1, (1, 2)), rng.normal(0, 1, (1, 2))
+        x = np.concatenate([norm.norm_state(s), norm.norm_action(a)], axis=1)
+        assert np.allclose(q.value(s, a), q.mlp.forward(x)[0][:, 0])
 
     def test_loss_gradient_check(self, rng):
         q = QNet(2, 2, random_norm(rng), hidden_dim=5, rng=rng)
@@ -325,13 +358,13 @@ class TestAuxiliaryNets:
         norm = random_norm(rng)
         net = bc_net(norm, hidden_dim=4, rng=rng)
         zero_store(net.store)
-        assert np.allclose(net.predict(rng.normal(0, 1, 2)), norm.action_mean)
+        assert np.allclose(net.predict(rng.normal(0, 1, (1, 2))), norm.action_mean)
 
     def test_zero_regressor_outputs_mean_state(self, rng):
         norm = random_norm(rng)
         reg = goal_regressor(norm, hidden_dim=4, rng=rng)
         zero_store(reg.store)
-        assert np.allclose(reg.predict(rng.normal(0, 1, 2)), norm.state_mean)
+        assert np.allclose(reg.predict(rng.normal(0, 1, (1, 2))), norm.state_mean)
 
 
 class TestModelSet:
@@ -355,6 +388,14 @@ class TestModelSet:
         fresh.load_state_dict(state)
         for k, v in fresh.state_dict().items():
             assert np.array_equal(v, state[k])
+
+    def test_tensors_of_missing_components_rejected(self, rng):
+        state = build_models("iris", 2, 2, flat_norm(), hidden_dim=6,
+                             rng=rng).state_dict()
+        bcq = build_models("bcq", 2, 2, flat_norm(), hidden_dim=6,
+                           rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"\['goal_cvae', 'policy'\]"):
+            bcq.load_state_dict(state)
 
     def test_unknown_variant_rejected(self, rng):
         with pytest.raises(ValueError, match="unknown variant"):

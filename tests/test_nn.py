@@ -58,15 +58,16 @@ class TestMLP:
         mlp = MLP(store, "m", [3, 4, 2], rng)
         for _, t in store:
             t.value[...] = 0.0
-        assert np.array_equal(mlp(rng.normal(size=3)), np.zeros(2))
+        out, _ = mlp.forward(rng.normal(size=(1, 3)))
+        assert np.array_equal(out, np.zeros((1, 2)))
 
     def test_identity_single_layer(self, rng):
         store = ParamStore()
         mlp = MLP(store, "m", [3, 3], rng)
         store.params["m.l0.W"].value[...] = np.eye(3)
         store.params["m.l0.b"].value[...] = 0.0
-        x = rng.normal(size=3)
-        assert np.allclose(mlp(x), x)
+        x = rng.normal(size=(1, 3))
+        assert np.allclose(mlp.forward(x)[0], x)
 
     def test_matches_hand_matrix_arithmetic(self, rng):
         # 2x2 two-layer net checked against explicit by-hand products
@@ -81,13 +82,13 @@ class TestMLP:
         x = rng.normal(size=2)
         hidden = [max(x[0] * w0[0, j] + x[1] * w0[1, j] + b0[j], 0.0) for j in range(2)]
         expected = [hidden[0] * w1[0, j] + hidden[1] * w1[1, j] + b1[j] for j in range(2)]
-        assert np.allclose(mlp(x), expected, atol=1e-12)
+        assert np.allclose(mlp.forward(x[None])[0], [expected], atol=1e-12)
 
     def test_shape_mismatch_raises(self, rng):
         store = ParamStore()
         mlp = MLP(store, "m", [3, 2], rng)
         with pytest.raises(ValueError):
-            mlp(np.zeros(5))
+            mlp.forward(np.zeros((1, 5)))
 
 
 def _scalar_gru_reference(cell, h, x):

@@ -66,7 +66,7 @@ class TestQTarget:
         value = q_target(q, cvae, s, 0.0, False, 0.95, 1,
                          np.random.default_rng(3))
         proposal = cvae.sample(s, 1, np.random.default_rng(3))[0]
-        assert value == 0.95 * q.value(s, proposal, use_target=True)
+        assert value == 0.95 * q.value(s[None], proposal[None], use_target=True)[0]
 
     def test_matches_enumeration_oracle_exactly(self, rng):
         q = QNet(2, 2, flat_norm(), hidden_dim=5, rng=rng)
@@ -77,7 +77,7 @@ class TestQTarget:
             value = q_target(q, cvae, s, r, False, 0.97, 6,
                              np.random.default_rng(i))
             proposals = cvae.sample(s, 6, np.random.default_rng(i))
-            expected = r + 0.97 * max(q.value(s, a, use_target=True)
+            expected = r + 0.97 * max(q.value(s[None], a[None], use_target=True)[0]
                                       for a in proposals)
             assert value == expected  # bit-exact: same floating-point path
 
@@ -134,13 +134,13 @@ class TestTrainStep:
     def test_losses_present_per_variant(self, small_demo_set):
         dataset, _ = small_demo_set
         expected = {
-            "iris": {"policy", "goal_recon", "goal_kl", "action_recon",
-                     "action_kl", "q", "q_mean"},
-            "iris_no_q": {"policy", "goal_recon", "goal_kl"},
-            "iris_no_goal_vae": {"policy", "goal_recon"},
-            "bc": {"policy"},
-            "bc_rnn": {"policy"},
-            "bcq": {"action_recon", "action_kl", "q", "q_mean"},
+            "iris": {"loss_policy", "loss_goal_recon", "loss_goal_kl",
+                     "loss_action_recon", "loss_action_kl", "loss_q", "q_mean"},
+            "iris_no_q": {"loss_policy", "loss_goal_recon", "loss_goal_kl"},
+            "iris_no_goal_vae": {"loss_policy", "loss_goal_recon"},
+            "bc": {"loss_policy"},
+            "bc_rnn": {"loss_policy"},
+            "bcq": {"loss_action_recon", "loss_action_kl", "loss_q", "q_mean"},
         }
         for variant, keys in expected.items():
             cfg = small_train_config(variant, n_iter=1)
@@ -188,7 +188,7 @@ class TestTrainStep:
         models = build_models("iris", 2, 2, dataset.norm_stats, hidden_dim=8,
                               enc_dim=8, rng=np.random.default_rng(0))
         losses = train_step(models, dataset, cfg, np.random.default_rng(1))
-        assert np.isfinite(losses["q"])
+        assert np.isfinite(losses["loss_q"])
 
 
 class TestTrainLoop:
@@ -264,7 +264,7 @@ class TestTrainLoop:
         def failing_step(*args, **kwargs):
             calls.append(1)
             losses = real_step(*args, **kwargs)
-            return {"policy": np.nan} if len(calls) == 5 else losses
+            return {"loss_policy": np.nan} if len(calls) == 5 else losses
 
         monkeypatch.setattr(training_module, "train_step", failing_step)
         cfg = small_train_config("bc", n_iter=10, log_every=2)
