@@ -42,7 +42,8 @@ def cmd_gen_data(args) -> int:
     cfg = _load_config(DemoGenConfig, args.config, args.set)
     dataset, decisions = generate_dataset(cfg)
     if args.filter_best is not None:
-        dataset = filter_best_fraction(dataset, args.filter_best)
+        dataset, kept = filter_best_fraction(dataset, args.filter_best)
+        decisions = [decisions[i] for i in kept]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save(dataset, out)

@@ -238,8 +238,11 @@ class TrajectoryDataset:
                            traj_index=traj_index, start=start)
 
 
-def filter_best_fraction(dataset: TrajectoryDataset, frac: float) -> TrajectoryDataset:
-    """Keep the ceil(frac * N) shortest trajectories, ties by insertion order."""
+def filter_best_fraction(dataset: TrajectoryDataset,
+                         frac: float) -> tuple[TrajectoryDataset, list[int]]:
+    """Keep the ceil(frac * N) shortest trajectories, ties by insertion order;
+    returns the filtered dataset and the kept indices, ascending, so that
+    per-trajectory records can be filtered alongside."""
     if not 0.0 < frac <= 1.0:
         raise ValueError(f"fraction must lie in (0, 1], got {frac}")
     if len(dataset) == 0:
@@ -247,12 +250,13 @@ def filter_best_fraction(dataset: TrajectoryDataset, frac: float) -> TrajectoryD
     keep = math.ceil(frac * len(dataset))
     order = np.argsort(dataset.lengths, kind="stable")[:keep]
     chosen = sorted(int(i) for i in order)
-    return TrajectoryDataset(
+    kept = TrajectoryDataset(
         dataset.obs_dim,
         dataset.act_dim,
         env_id=dataset.env_id,
         trajectories=[dataset.trajectories[i] for i in chosen],
     )
+    return kept, chosen
 
 
 def save(dataset: TrajectoryDataset, path) -> None:

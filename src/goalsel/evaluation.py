@@ -227,10 +227,13 @@ def file_sha256(path) -> str:
 
 def load_models(ckpt_path, dataset: TrajectoryDataset,
                 train_cfg: TrainConfig) -> ModelSet:
-    """Rebuild a variant's models from a checkpoint and the dataset stats."""
+    """Rebuild a variant's models from a checkpoint and the dataset stats.
+    The checkpoint must carry the digest of ``train_cfg``."""
     tensors, stored_hash = load_checkpoint(ckpt_path)
+    if not stored_hash:
+        raise ValueError(f"checkpoint {ckpt_path} stores no config hash")
     expected = config_digest(train_cfg)
-    if stored_hash and stored_hash != expected:
+    if stored_hash != expected:
         raise ValueError(
             f"checkpoint {ckpt_path} was written under a different config "
             f"(hash {stored_hash[:12]}... != {expected[:12]}...)")

@@ -16,7 +16,11 @@ All models normalize their inputs with dataset statistics and denormalize
 predictions at the interface, so losses are computed in normalized space and
 the VAE KL weights stay scale-free. Each model owns a disjoint
 :class:`~goalsel.nn.ParamStore`; ``loss_and_grad`` methods return the scalar
-loss and accumulate parameter gradients as a side effect.
+loss and accumulate parameter gradients as a side effect. Training runs
+:meth:`~goalsel.nn.MLP.forward`, which keeps the caches its backward pass
+reads; the inference methods (``ConditionalVAE.sample`` and ``sample_each``,
+``QNet.value``, ``Regressor.predict``) run the cache-free
+:meth:`~goalsel.nn.MLP.predict`, which gives the same bits in less time.
 
 The recurrent policy computes in float32 by default, which nearly halves the
 cost of its unroll; the VAEs, the Q-network and the regressor compute in
@@ -181,9 +185,6 @@ class ConditionalVAE:
         raw, cache = self.encoder.forward(np.concatenate([target_n, cond_n], axis=-1))
         return GaussianHead.from_raw(raw), cache
 
-    def decode_normalized(self, z: np.ndarray, cond_n: np.ndarray):
-        return self.decoder.forward(np.concatenate([z, cond_n], axis=-1))
-
     def loss_and_grad(self, target, cond, rng: np.random.Generator | None = None,
                       eps: np.ndarray | None = None) -> tuple[float, dict[str, float]]:
         """Reconstruction (squared error, normalized space) + beta * closed-form KL.
@@ -204,7 +205,7 @@ class ConditionalVAE:
         eps = np.asarray(eps, dtype=np.float64).reshape(head.mu.shape)
         sigma = head.sigma
         z = head.mu + sigma * eps
-        out_n, dec_cache = self.decode_normalized(z, cond_n)
+        out_n, dec_cache = self.decoder.forward(np.concatenate([z, cond_n], axis=-1))
         diff = out_n - target_n
         recon = float((diff ** 2).sum(axis=-1).mean())
         kl = float(np.mean(kl_to_standard_normal(head)))
@@ -229,7 +230,7 @@ class ConditionalVAE:
         if cond.ndim != 1:
             raise ValueError("sample() takes a single condition; see sample_each()")
         cond_n = np.broadcast_to(self._norm_cond(cond)[None, :], (n, self.cond_dim))
-        out_n, _ = self.decode_normalized(z, cond_n)
+        out_n = self.decoder.predict(np.concatenate([z, cond_n], axis=-1))
         return self._denorm_target(out_n)
 
     def sample_each(self, cond, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -239,11 +240,15 @@ class ConditionalVAE:
         cond_n = self._norm_cond(cond)
         batch = cond_n.shape[0]
         z = rng.standard_normal((n, batch, self.latent_dim))
-        out = np.empty((n, batch, self.target_dim))
+        # one decoder input: the condition columns are written once, the
+        # latent columns once per proposal
+        dec_in = np.empty((batch, self.latent_dim + self.cond_dim))
+        dec_in[:, self.latent_dim:] = cond_n
+        out_n = np.empty((n, batch, self.target_dim))
         for j in range(n):
-            out_n, _ = self.decode_normalized(z[j], cond_n)
-            out[j] = self._denorm_target(out_n)
-        return out
+            dec_in[:, :self.latent_dim] = z[j]
+            out_n[j] = self.decoder.predict(dec_in)
+        return self._denorm_target(out_n)
 
 
 class GoalCVAE(ConditionalVAE):
@@ -292,8 +297,7 @@ class QNet:
         """(B,) values of (B, obs) states and (B, act) actions from the online
         or target parameters."""
         net = self.target_mlp if use_target else self.mlp
-        q, _ = net.forward(self._inputs(s, a))
-        return q[:, 0]
+        return net.predict(self._inputs(s, a))[:, 0]
 
     def loss_and_grad(self, s, a, targets) -> tuple[float, float]:
         """Mean squared TD error against fixed targets; returns (loss, mean Q)."""
@@ -349,7 +353,7 @@ class Regressor:
                        [obs_dim, hidden_dim, hidden_dim, len(self.target_mean)], rng)
 
     def predict(self, s) -> np.ndarray:
-        out_n, _ = self.mlp.forward(self.norm.norm_state(s))
+        out_n = self.mlp.predict(self.norm.norm_state(s))
         return out_n * self.target_std + self.target_mean
 
     def loss_and_grad(self, s, target) -> float:

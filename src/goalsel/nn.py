@@ -10,6 +10,8 @@ Layers follow a ``forward(...) -> (output, cache)`` /
 ``backward(cache, dout) -> din`` convention; parameter gradients accumulate
 into the owning :class:`Tensor` until the next :func:`adam_step`, so a
 recurrent cell can be unrolled and backpropagated one cached step at a time.
+:meth:`MLP.predict` is the inference pass: it returns the output of
+:meth:`MLP.forward` bit for bit but keeps no caches.
 """
 
 from __future__ import annotations
@@ -135,7 +137,11 @@ def relu_backward(mask: np.ndarray, dout: np.ndarray) -> np.ndarray:
 
 
 class MLP:
-    """Affine stack with ReLU hidden activations and a linear output layer."""
+    """Affine stack with ReLU hidden activations and a linear output layer.
+
+    ``forward`` keeps each layer's input and ReLU mask for ``backward``;
+    ``predict`` keeps nothing and is what inference calls.
+    """
 
     def __init__(self, store: ParamStore, name: str, sizes, rng: np.random.Generator):
         if len(sizes) < 2:
@@ -156,6 +162,21 @@ class MLP:
                 mask = None
             caches.append((lin_cache, mask))
         return x, caches
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """``forward(x)[0]`` without caches, computed in place per layer.
+
+        ReLU here gives +0.0 where ``forward`` gives -0.0 (a negative input
+        times a false mask); the next layer's bias add maps both to the same
+        value, so the outputs are bit-identical for finite inputs and parameters.
+        """
+        last = len(self.layers) - 1
+        for i, layer in enumerate(self.layers):
+            x = x @ layer.W.value
+            x += layer.b.value
+            if i < last:
+                np.maximum(x, 0.0, out=x)
+        return x
 
     def backward(self, caches, dout: np.ndarray) -> np.ndarray:
         for layer, (lin_cache, mask) in zip(reversed(self.layers), reversed(caches)):
@@ -345,8 +366,9 @@ def grad_check(loss_fn, store: ParamStore, rng: np.random.Generator,
     return GradCheckReport(entries=tuple(entries), rel_tol=rel_tol)
 
 
-def save_checkpoint(path, tensors: dict[str, np.ndarray], config_hash: str = "") -> None:
-    """Write a named-tensor container (name, shape, f32 payload)."""
+def save_checkpoint(path, tensors: dict[str, np.ndarray], config_hash: str) -> None:
+    """Write a named-tensor container (name, shape, f32 payload) stamped with
+    the digest of the config that produced it."""
     w = Writer(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     w.text(config_hash)
     w.u32(len(tensors))

@@ -53,6 +53,20 @@ class TestGenData:
         assert rc == 0
         assert len(load(out)) == 5
 
+    def test_filter_best_keeps_each_demos_decisions(self, tmp_path):
+        sets = ["--set", "n_demos=10", "--set", "seed=2"]
+        full_path, best_path = tmp_path / "full.bin", tmp_path / "best.bin"
+        assert main(["gen-data", "--out", str(full_path), *sets]) == 0
+        assert main(["gen-data", "--out", str(best_path), "--filter-best", "0.5",
+                     *sets]) == 0
+        full, best = load(full_path), load(best_path)
+        full_decisions = json.loads(full_path.with_suffix(".json").read_text())["decisions"]
+        sidecar = json.loads(best_path.with_suffix(".json").read_text())
+        assert len(sidecar["decisions"]) == sidecar["n_trajectories"] == len(best) == 5
+        for traj, decisions in zip(best, sidecar["decisions"]):
+            i = next(i for i, t in enumerate(full) if np.array_equal(t.states, traj.states))
+            assert decisions == full_decisions[i]
+
     def test_unknown_config_key_fails(self, tmp_path):
         rc = main(["gen-data", "--out", str(tmp_path / "d.bin"),
                    "--set", "bogus_key=1"])

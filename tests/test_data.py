@@ -170,20 +170,20 @@ class TestSampleWindow:
 class TestFilterBestFraction:
     def test_identity_at_one(self, rng):
         ds = make_dataset(rng, n_traj=5)
-        out = filter_best_fraction(ds, 1.0)
+        out, _ = filter_best_fraction(ds, 1.0)
         assert [t.length for t in out] == [t.length for t in ds]
 
     def test_ceiling_arithmetic(self, rng):
         ds = make_dataset(rng, lengths=[10, 20, 30])
         # enumeration oracle: 0.34 * 3 = 1.02, so ceil keeps 2 trajectories
         assert math.ceil(0.34 * 3) == 2
-        out = filter_best_fraction(ds, 0.34)
+        out, _ = filter_best_fraction(ds, 0.34)
         assert sorted(t.length for t in out) == [10, 20]
 
     def test_tie_break_insertion_order(self, rng):
         ds = make_dataset(rng, lengths=[5, 5, 5])
-        out = filter_best_fraction(ds, 0.4)
-        assert len(out) == 2
+        out, kept = filter_best_fraction(ds, 0.4)
+        assert len(out) == 2 and kept == [0, 1]
         for kept, orig in zip(out.trajectories, ds.trajectories[:2]):
             assert np.array_equal(kept.states, orig.states)
 
@@ -200,8 +200,8 @@ class TestFilterBestFraction:
         rng = np.random.default_rng(0)
         ds = make_dataset(rng, lengths=lengths)
         lo, hi = min(f1, f2), max(f1, f2)
-        small = {id(t) for t in filter_best_fraction(ds, lo).trajectories}
-        big = {id(t) for t in filter_best_fraction(ds, hi).trajectories}
+        small = {id(t) for t in filter_best_fraction(ds, lo)[0].trajectories}
+        big = {id(t) for t in filter_best_fraction(ds, hi)[0].trajectories}
         assert small <= big
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from goalsel.evaluation import (
     SVG_MARGIN,
     SVG_SIZE,
 )
+from goalsel.nn import load_checkpoint, save_checkpoint
 from goalsel.training import train
 from conftest import small_train_config
 
@@ -181,6 +184,14 @@ class TestCheckpointEval:
         wrong = replace(result.config, lr=0.123)
         with pytest.raises(ValueError, match="different config"):
             load_models(result.checkpoints[-1], dataset, wrong)
+
+    def test_checkpoint_without_config_hash_rejected(self, trained_iris_run, tmp_path):
+        result, dataset = trained_iris_run
+        tensors, _ = load_checkpoint(result.checkpoints[-1])
+        path = tmp_path / "no_hash.bin"
+        save_checkpoint(path, tensors, config_hash="")
+        with pytest.raises(ValueError, match=re.escape(f"{path} stores no config hash")):
+            load_models(path, dataset, result.config)
 
     def test_evaluate_run_picks_best(self, trained_iris_run):
         result, dataset = trained_iris_run

@@ -12,6 +12,7 @@ from goalsel.models import (
     QNet,
     build_models,
     polyak_update,
+    proposal_value,
 )
 from goalsel.nn import GaussianHead, adam_step, grad_check, kl_to_standard_normal
 from goalsel.training import jitter_params
@@ -297,6 +298,31 @@ class TestQNet:
         targets = rng.normal(0, 1, 4)
         report = grad_check(lambda: q.loss_and_grad(s, a, targets)[0], q.store, rng)
         assert report.passed, report.failures
+
+
+class TestProposalValue:
+    @pytest.mark.parametrize("batch, use_target", [(100, False), (128, True)])
+    def test_matches_forward_reference_bit_for_bit(self, rng, batch, use_target):
+        norm = random_norm(rng)
+        q = QNet(2, 2, norm, rng=rng)
+        cvae = ActionCVAE(2, 2, norm, rng=rng)
+        for store in (q.store, q.target_store, cvae.store):
+            for _, t in store:
+                t.value += rng.normal(0, 0.3, t.shape)
+        s = rng.normal(0, 1, (batch, 2))
+        m = 10
+        got = proposal_value(q, cvae, s, m, np.random.default_rng(7), use_target)
+        # reference: the training forward pass, one proposal index at a time
+        z = np.random.default_rng(7).standard_normal((m, batch, cvae.latent_dim))
+        net = q.target_mlp if use_target else q.mlp
+        s_n = (s - norm.state_mean) / norm.state_std
+        best = np.full(batch, -np.inf)
+        for j in range(m):
+            a = decode(cvae, z[j], s)
+            a_n = (a - norm.action_mean) / norm.action_std
+            value, _ = net.forward(np.concatenate([s_n, a_n], axis=1))
+            best = np.maximum(best, value[:, 0])
+        assert got.tobytes() == best.tobytes()
 
 
 class TestPolyak:

@@ -84,6 +84,26 @@ class TestMLP:
         expected = [hidden[0] * w1[0, j] + hidden[1] * w1[1, j] + b1[j] for j in range(2)]
         assert np.allclose(mlp.forward(x[None])[0], [expected], atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_predict_is_forward_bit_for_bit(self, rng, dtype):
+        store = ParamStore(dtype)
+        mlp = MLP(store, "m", [3, 16, 16, 2], rng)
+        for _, t in store:
+            t.value += rng.normal(0, 0.5, t.shape)
+        # row 0 is zero, so every first-layer unit sits at its negative bias
+        b0 = store.params["m.l0.b"].value
+        b0[...] = -np.abs(b0) - 0.1
+        x = rng.normal(0, 3, (9, 3)).astype(dtype)
+        x[0] = 0.0
+        x_before = x.copy()
+        out, caches = mlp.forward(x)
+        masks = caches[0][1]
+        assert not masks[0].any() and masks[1:].any()
+        got = mlp.predict(x)
+        assert got.dtype == out.dtype
+        assert np.array_equal(got, out) and got.tobytes() == out.tobytes()
+        assert np.array_equal(x, x_before)
+
     def test_shape_mismatch_raises(self, rng):
         store = ParamStore()
         mlp = MLP(store, "m", [3, 2], rng)
@@ -312,7 +332,7 @@ class TestCheckpoint:
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "c.bin"
-        save_checkpoint(path, {"a": np.zeros(2, dtype=np.float32)})
+        save_checkpoint(path, {"a": np.zeros(2, dtype=np.float32)}, config_hash="h")
         blob = bytearray(path.read_bytes())
         blob[:4] = b"XXXX"
         path.write_bytes(bytes(blob))
@@ -321,7 +341,7 @@ class TestCheckpoint:
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "c.bin"
-        save_checkpoint(path, {"a": np.zeros(8, dtype=np.float32)})
+        save_checkpoint(path, {"a": np.zeros(8, dtype=np.float32)}, config_hash="h")
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(FormatError, match="truncated"):
