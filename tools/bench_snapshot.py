@@ -11,7 +11,7 @@ workload, the median and quartiles of every end-to-end metric over the seeds
 per-seed checkpoint digests; plus the commit, CPU, CPU count and
 Python/numpy/scipy versions that the runs recorded. Run it from a clean
 checkout of the commit it describes: ``bench/run.py`` records ``HEAD``, not
-uncommitted edits. Three seeds take about six minutes on two cores.
+uncommitted edits. Three seeds took 4.6 minutes on two cores.
 """
 
 from __future__ import annotations
