@@ -1,7 +1,6 @@
-"""Snapshot of the benchmark: every workload of ``BENCHMARK.json`` at seeds 1..k.
+"""Snapshot of the benchmark: every ``BENCHMARK.json`` workload at seeds 1, 2, 3.
 
     python3 tools/bench_snapshot.py 6              # writes BENCH_6.json
-    python3 tools/bench_snapshot.py 6 --seeds 5
 
 Runs ``bench/run.py --trace 0`` once per workload and seed, for the run length
 that ``BENCHMARK.json`` fixes, and reads each run's result file from
@@ -11,7 +10,9 @@ workload, the median and quartiles of every end-to-end metric over the seeds
 per-seed checkpoint digests; plus the commit, CPU, CPU count and
 Python/numpy/scipy versions that the runs recorded. Run it from a clean
 checkout of the commit it describes: ``bench/run.py`` records ``HEAD``, not
-uncommitted edits. Three seeds took 4.6 minutes on two cores.
+uncommitted edits. The seeds are fixed so that snapshots compare with each
+other: the median and quartiles always summarize the same three runs. A
+snapshot took 4.6 minutes on two cores.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import argparse
 import json
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -28,16 +28,17 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 HOST_KEYS = ("git_commit", "cpu_model", "nproc", "cpu_affinity", "python", "numpy",
              "scipy", "blas_pin")
+SEEDS = (1, 2, 3)
 
 
 def run_one(workload: str, seed: int, seconds: int) -> dict:
     """Run one untraced benchmark and return its result record."""
     result = ROOT / "bench" / "out" / f"result_{workload}_seed{seed}_trace0.json"
-    started = time.time()
+    result.unlink(missing_ok=True)
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds),
                            "--trace", "0"], cwd=ROOT, capture_output=True, text=True)
-    if not result.exists() or result.stat().st_mtime < started:
+    if not result.exists():
         raise RuntimeError(f"bench/run.py wrote no result for {workload} seed {seed} "
                            f"(exit {proc.returncode}):\n{proc.stderr}")
     return json.loads(result.read_text())
@@ -79,19 +80,18 @@ def summarize(records: dict[str, list[dict]], units: dict[str, str]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("n", type=int, help="snapshot number: writes BENCH_<n>.json")
-    parser.add_argument("--seeds", type=int, default=3, help="run seeds 1..SEEDS")
     args = parser.parse_args(argv)
-    if args.n < 1 or args.seeds < 1:
-        parser.error("n and --seeds must be >= 1")
+    if args.n < 1:
+        parser.error("n must be >= 1")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
     records = {}
     for workload in (w["name"] for w in spec["workloads"]):
         records[workload] = []
-        for seed in range(1, args.seeds + 1):
+        for seed in SEEDS:
             print(f"{workload} seed {seed}", file=sys.stderr, flush=True)
             records[workload].append(run_one(workload, seed, spec["run_seconds"]))
-    snapshot = {"command": f"python3 tools/bench_snapshot.py {args.n} --seeds {args.seeds}",
+    snapshot = {"command": f"python3 tools/bench_snapshot.py {args.n}",
                 **summarize(records, units)}
     out = ROOT / f"BENCH_{args.n}.json"
     out.write_text(json.dumps(snapshot, indent=1) + "\n")
