@@ -3,22 +3,33 @@
 Every subcommand reads an optional flat JSON config plus repeatable
 ``--set KEY=VALUE`` overrides; a few common keys also have dedicated flags.
 Errors exit nonzero without writing partial outputs.
+
+BLAS is pinned to one thread unless the environment says otherwise: the
+models' products are too small to gain from a thread pool, and a
+single-threaded process lets training run the goal-selection updates in a
+forked worker beside the policy update (see :mod:`goalsel.training`).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from pathlib import Path
+import os
 
-import numpy as np
+# Before numpy is first imported, which starts the BLAS thread pool.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from .binfile import write_atomic
-from .config import from_flat, load_flat, parse_overrides, to_flat
-from .data import filter_best_fraction, load, save
-from .envs import DemoGenConfig, generate_dataset, make_env
-from .evaluation import (
+import argparse  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from .binfile import write_atomic  # noqa: E402
+from .config import from_flat, load_flat, parse_overrides, to_flat  # noqa: E402
+from .data import filter_best_fraction, load, save  # noqa: E402
+from .envs import DemoGenConfig, generate_dataset, make_env  # noqa: E402
+from .evaluation import (  # noqa: E402
     EvalConfig,
     evaluate_checkpoint,
     evaluate_run,
@@ -26,8 +37,8 @@ from .evaluation import (
     list_checkpoints,
     load_run_config,
 )
-from .models import VARIANTS
-from .training import TrainConfig, standard_grad_check_suite, train
+from .models import VARIANTS  # noqa: E402
+from .training import TrainConfig, standard_grad_check_suite, train  # noqa: E402
 
 
 def _load_config(cls, path, sets, extra_overrides=None):

@@ -135,6 +135,7 @@ class TrajectoryDataset:
         self._norm: NormStats | None = None
         self._window_index: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._stacked_states: np.ndarray | None = None
+        self._flat: tuple[np.ndarray, ...] | None = None
         for traj in trajectories:
             self.append(traj)
 
@@ -157,6 +158,7 @@ class TrajectoryDataset:
         self._norm = None
         self._window_index.clear()
         self._stacked_states = None
+        self._flat = None
         return self
 
     @property
@@ -192,6 +194,18 @@ class TrajectoryDataset:
             ).astype(np.float64)
         return self._stacked_states
 
+    def _flat_transitions(self) -> tuple[np.ndarray, ...]:
+        """All actions as one (n_transitions, act_dim) float64 array, all
+        rewards as one float64 vector, and each trajectory's first row in
+        :meth:`stacked_states` and in those two."""
+        if self._flat is None:
+            actions = np.concatenate([t.actions for t in self.trajectories])
+            rewards = np.concatenate([t.rewards for t in self.trajectories])
+            action_start = np.concatenate(([0], np.cumsum(self.lengths)[:-1]))
+            self._flat = (actions.astype(np.float64), rewards.astype(np.float64),
+                          action_start + np.arange(len(self)), action_start)
+        return self._flat
+
     def _windows(self, t_window: int) -> tuple[np.ndarray, np.ndarray]:
         """(eligible trajectory indices, offsets) for length T, where
         ``offsets[j]`` counts the windows of the eligible trajectories before
@@ -224,16 +238,13 @@ class TrajectoryDataset:
         j = np.searchsorted(offsets, flats, side="right") - 1
         traj_index = idx[j]
         start = flats - offsets[j]
-        states = np.empty((batch_size, t_window + 1, self.obs_dim), dtype=np.float64)
-        actions = np.empty((batch_size, t_window, self.act_dim), dtype=np.float64)
-        rewards = np.empty((batch_size, t_window), dtype=np.float64)
-        for b, (ti, s0) in enumerate(zip(traj_index.tolist(), start.tolist())):
-            traj = self.trajectories[ti]
-            states[b] = traj.states[s0:s0 + t_window + 1]
-            actions[b] = traj.actions[s0:s0 + t_window]
-            rewards[b] = traj.rewards[s0:s0 + t_window]
+        actions, rewards, state_start, action_start = self._flat_transitions()
+        steps = np.arange(t_window + 1)
+        state_rows = (state_start[traj_index] + start)[:, None] + steps
+        action_rows = (action_start[traj_index] + start)[:, None] + steps[:-1]
         # a window is terminal iff it is the last one of its trajectory
-        return WindowBatch(states=states, actions=actions, rewards=rewards,
+        return WindowBatch(states=self.stacked_states()[state_rows],
+                           actions=actions[action_rows], rewards=rewards[action_rows],
                            is_terminal=flats + 1 == offsets[j + 1],
                            traj_index=traj_index, start=start)
 

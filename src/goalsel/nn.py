@@ -16,6 +16,7 @@ recurrent cell can be unrolled and backpropagated one cached step at a time.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,34 @@ class ParamStore:
 
     def __len__(self):
         return len(self.params)
+
+    def share(self) -> "ParamStore":
+        """Move values, gradients and both Adam moments into one anonymous
+        shared memory mapping, so that a process forked afterwards reads and
+        writes the same memory as this one.
+
+        Each ``Tensor.value``/``grad`` and each moment entry is rebound to a
+        view of the mapping holding a copy of its current contents; code that
+        reaches parameters through the store or its tensors sees no other
+        change. Arrays captured before the call keep the old private memory.
+        ``step_count`` stays a private counter of each process.
+        """
+        names = list(self.params)
+        arrays = [a for n in names for a in (self.params[n].value, self.params[n].grad,
+                                             self.moment1[n], self.moment2[n])]
+        # each array starts on a 64-byte (cache-line) boundary
+        starts = np.cumsum([0] + [-(-a.nbytes // 64) * 64 for a in arrays])
+        shared = mmap.mmap(-1, max(int(starts[-1]), 1))  # views keep it alive
+        views = []
+        for a, start in zip(arrays, starts):
+            view = np.frombuffer(shared, self.dtype, a.size, int(start))
+            view = view.reshape(a.shape)
+            view[...] = a
+            views.append(view)
+        for i, n in enumerate(names):
+            t = self.params[n]
+            t.value, t.grad, self.moment1[n], self.moment2[n] = views[4 * i:4 * i + 4]
+        return self
 
     def zero_grad(self) -> None:
         for t in self.params.values():

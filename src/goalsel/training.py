@@ -11,14 +11,34 @@ absorbing-goal value ``r / (1 - gamma)`` when the window ends a trajectory.
 A variant updates only its components (``models.VARIANTS``); per-component
 noise comes from fixed rng slots so an absent component never perturbs the
 others' draws.
+
+The policy shares no parameters and no rng draws with the goal-selection
+components, so :func:`train` runs the two halves side by side when it can:
+the process keeps the policy update, and one forked worker process runs every
+other component. The worker starts after the initial checkpoint and is
+stopped when training ends or fails. It is used only when the model set has a
+policy and another component, the process may run on two or more CPUs, and
+the process has exactly one OS thread (a BLAS thread pool in each process
+would fight over the cores, and only a single-threaded process is safe to
+fork); otherwise every update runs here, in order. Both processes run the
+same update body (``_update``), so the split is bit-exact: the worker's
+stores live in shared memory (:meth:`~goalsel.nn.ParamStore.share`), and the
+worker draws each step's batch and rng children from its fork-time copies of
+the dataset and the step rng, the same draws the parent makes. Checkpoints,
+``metrics.csv`` and the returned models are byte-identical to a serial run.
+Per-component step times go to ``timings.csv`` beside ``metrics.csv``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import multiprocessing
+import os
 import platform
 import time
+import traceback
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -43,6 +63,11 @@ from .nn import adam_step, grad_check, save_checkpoint
 
 METRIC_COLUMNS = ("iter", "loss_policy", "loss_goal_recon", "loss_goal_kl",
                   "loss_action_recon", "loss_action_kl", "loss_q", "q_mean")
+# Mean ms per step: window sampling, each component's update (``q`` is the
+# targets plus the Q update), and the parent's wait for the worker.
+TIMING_COLUMNS = ("iter", "sample", "policy", "goal_cvae", "goal_reg", "action_cvae",
+                  "q", "wait")
+WORKER_STOP_TIMEOUT_S = 10.0
 
 
 @dataclass(frozen=True)
@@ -92,31 +117,17 @@ class TrainConfig:
         return self.t_window if "policy" in VARIANTS[self.variant] else 1
 
 
-def q_target(qnet: QNet, action_cvae: ConditionalVAE, s_next, r: float,
-             is_terminal: bool, gamma: float, n_proposals: int,
-             rng: np.random.Generator) -> float:
-    """Bootstrap target for one transition.
-
-    Non-terminal: ``r + gamma * max_i Q'(s_next, a_i)`` over action-VAE
-    proposals at ``s_next``. Terminal: the absorbing-goal value
-    ``r / (1 - gamma)``. The enumeration here is the reference floating-point
-    path; the batched training helper is cross-checked against it.
-    """
-    if n_proposals < 1:
-        raise ValueError("need at least one action proposal")
-    if is_terminal:
-        return float(r) / (1.0 - gamma)
-    s_next = np.asarray(s_next, dtype=np.float64)
-    proposals = action_cvae.sample(s_next, n_proposals, rng)
-    best = max(float(qnet.value(s_next[None], a[None], use_target=True)[0])
-               for a in proposals)
-    return float(r) + gamma * best
-
-
 def q_targets_batch(qnet: QNet, action_cvae: ConditionalVAE, s_next, r,
                     is_terminal, gamma: float, n_proposals: int,
                     rng: np.random.Generator) -> np.ndarray:
-    """Vectorized :func:`q_target` over a batch of transitions."""
+    """Bootstrap targets for a batch of transitions.
+
+    Non-terminal: ``r + gamma * max_i Q'(s_next, a_i)`` over ``n_proposals``
+    action-VAE proposals at each ``s_next``, scored by the target Q-network.
+    Terminal: the absorbing-goal value ``r / (1 - gamma)``. The tests check
+    it against a scalar oracle that enumerates the proposals one transition
+    at a time.
+    """
     if n_proposals < 1:
         raise ValueError("need at least one action proposal")
     s_next = np.asarray(s_next, dtype=np.float64)
@@ -129,61 +140,204 @@ def q_targets_batch(qnet: QNet, action_cvae: ConditionalVAE, s_next, r,
     return out
 
 
+@contextlib.contextmanager
+def _timed(timings: dict[str, float], key: str):
+    """Add the seconds the block takes to ``timings[key]``."""
+    started = time.perf_counter()
+    yield
+    timings[key] = timings.get(key, 0.0) + time.perf_counter() - started
+
+
+def _draw(dataset: TrajectoryDataset, cfg: TrainConfig, rng: np.random.Generator):
+    """One step's window batch and its (goal, action, proposal) rng children."""
+    batch = dataset.sample_window_batch(cfg.sample_t, cfg.batch_size, rng)
+    return batch, rng.spawn(3)
+
+
+def _update(models: ModelSet, names, batch: WindowBatch, rngs, cfg: TrainConfig,
+            update: bool, timings: dict[str, float]) -> dict[str, float]:
+    """The updates of the components in ``names``, in the fixed order policy,
+    bc, goal_cvae, goal_reg, action_cvae, qnet. Returns their losses and adds
+    each one's seconds to ``timings``."""
+    goal_rng, action_rng, proposal_rng = rngs
+    losses: dict[str, float] = {}
+
+    if "policy" in names:
+        with _timed(timings, "policy"):
+            goal = batch.states[:, -1] if models["policy"].goal_conditioned else None
+            losses["loss_policy"] = models["policy"].loss_and_grad(
+                batch.states[:, :-1], batch.actions, goal)
+            if update:
+                adam_step(models["policy"].store, cfg.lr)
+    if "bc" in names:
+        with _timed(timings, "policy"):
+            losses["loss_policy"] = models["bc"].loss_and_grad(batch.states[:, 0],
+                                                               batch.actions[:, 0])
+            if update:
+                adam_step(models["bc"].store, cfg.lr)
+
+    if "goal_cvae" in names:
+        with _timed(timings, "goal_cvae"):
+            _, parts = models["goal_cvae"].loss_and_grad(
+                batch.states[:, -1], batch.states[:, 0], rng=goal_rng)
+            losses["loss_goal_recon"] = parts["recon"]
+            losses["loss_goal_kl"] = parts["kl"]
+            if update:
+                adam_step(models["goal_cvae"].store, cfg.lr)
+    if "goal_reg" in names:
+        with _timed(timings, "goal_reg"):
+            losses["loss_goal_recon"] = models["goal_reg"].loss_and_grad(
+                batch.states[:, 0], batch.states[:, -1])
+            if update:
+                adam_step(models["goal_reg"].store, cfg.lr)
+
+    # The Q targets sample from the action cVAE after its update.
+    if "action_cvae" in names:
+        with _timed(timings, "action_cvae"):
+            _, parts = models["action_cvae"].loss_and_grad(
+                batch.actions[:, -1], batch.states[:, -2], rng=action_rng)
+            losses["loss_action_recon"] = parts["recon"]
+            losses["loss_action_kl"] = parts["kl"]
+            if update:
+                adam_step(models["action_cvae"].store, cfg.lr)
+
+    if "qnet" in names:
+        with _timed(timings, "q"):
+            s, a, r, s_next, terminal = _q_transitions(batch, cfg)
+            targets = q_targets_batch(models["qnet"], models["action_cvae"], s_next, r,
+                                      terminal, cfg.gamma, cfg.m_proposals,
+                                      proposal_rng)
+            losses["loss_q"], losses["q_mean"] = models["qnet"].loss_and_grad(
+                s, a, targets)
+            if update:
+                adam_step(models["qnet"].store, cfg.lr)
+                polyak_update(models["qnet"], cfg.tau)
+    return losses
+
+
 def train_step(models: ModelSet, dataset: TrajectoryDataset, cfg: TrainConfig,
-               rng: np.random.Generator, update: bool = True) -> dict[str, float]:
+               rng: np.random.Generator, update: bool = True,
+               worker: "_Worker | None" = None,
+               timings: dict[str, float] | None = None) -> dict[str, float]:
     """One batch through every enabled component, in the fixed update order.
 
     Returns the losses under their ``METRIC_COLUMNS`` names. With
     ``update=False`` the losses and gradients are computed but no parameters
-    move (used by gradient and orthogonality tests).
+    move (used by gradient and orthogonality tests). With a ``worker`` (which
+    :func:`train` forks), the worker updates every component but the policy
+    while this process updates the policy; ``rng`` must then be the rng the
+    worker was forked with, since the worker mirrors its draws. The seconds
+    of each phase (``TIMING_COLUMNS``) are added to ``timings`` if given.
     """
-    batch = dataset.sample_window_batch(cfg.sample_t, cfg.batch_size, rng)
-    goal_rng, action_rng, proposal_rng = rng.spawn(3)
-    losses: dict[str, float] = {}
-
-    if "policy" in models:
-        goal = batch.states[:, -1] if models["policy"].goal_conditioned else None
-        losses["loss_policy"] = models["policy"].loss_and_grad(
-            batch.states[:, :-1], batch.actions, goal)
-        if update:
-            adam_step(models["policy"].store, cfg.lr)
-    if "bc" in models:
-        losses["loss_policy"] = models["bc"].loss_and_grad(batch.states[:, 0],
-                                                           batch.actions[:, 0])
-        if update:
-            adam_step(models["bc"].store, cfg.lr)
-
-    if "goal_cvae" in models:
-        _, parts = models["goal_cvae"].loss_and_grad(
-            batch.states[:, -1], batch.states[:, 0], rng=goal_rng)
-        losses["loss_goal_recon"] = parts["recon"]
-        losses["loss_goal_kl"] = parts["kl"]
-        if update:
-            adam_step(models["goal_cvae"].store, cfg.lr)
-    if "goal_reg" in models:
-        losses["loss_goal_recon"] = models["goal_reg"].loss_and_grad(
-            batch.states[:, 0], batch.states[:, -1])
-        if update:
-            adam_step(models["goal_reg"].store, cfg.lr)
-
-    # The Q targets sample from the action cVAE after its update.
-    if "action_cvae" in models:
-        _, parts = models["action_cvae"].loss_and_grad(
-            batch.actions[:, -1], batch.states[:, -2], rng=action_rng)
-        losses["loss_action_recon"] = parts["recon"]
-        losses["loss_action_kl"] = parts["kl"]
-        if update:
-            adam_step(models["action_cvae"].store, cfg.lr)
-
-    if "qnet" in models:
-        s, a, r, s_next, terminal = _q_transitions(batch, cfg)
-        targets = q_targets_batch(models["qnet"], models["action_cvae"], s_next, r,
-                                  terminal, cfg.gamma, cfg.m_proposals, proposal_rng)
-        losses["loss_q"], losses["q_mean"] = models["qnet"].loss_and_grad(s, a, targets)
-        if update:
-            adam_step(models["qnet"].store, cfg.lr)
-            polyak_update(models["qnet"], cfg.tau)
+    timings = {} if timings is None else timings
+    names = tuple(models)
+    if worker is not None:
+        if rng is not worker.rng:
+            raise ValueError("a training worker mirrors the draws of the rng it "
+                             "was forked with; train_step got another rng")
+        worker.start_step(update)
+        names = ("policy",)
+    with _timed(timings, "sample"):
+        batch, rngs = _draw(dataset, cfg, rng)
+    losses = _update(models, names, batch, rngs, cfg, update, timings)
+    if worker is not None:
+        with _timed(timings, "wait"):
+            worker_losses, worker_timings = worker.finish_step()
+        losses.update(worker_losses)  # the policy comes first in the fixed order
+        for key, seconds in worker_timings.items():
+            timings[key] = timings.get(key, 0.0) + seconds
     return losses
+
+
+def _can_fork(models: ModelSet) -> bool:
+    """Whether :func:`train` runs the non-policy components in a forked
+    worker: the model set has a policy and another component, the process may
+    run on two or more CPUs, and it has exactly one OS thread."""
+    if "policy" not in models or len(models) < 2:
+        return False
+    try:
+        return (len(os.sched_getaffinity(0)) >= 2
+                and len(os.listdir("/proc/self/task")) == 1)
+    except (AttributeError, OSError):  # no affinity call or no /proc: serial
+        return False
+
+
+def _serve(conn, models: ModelSet, names, dataset: TrajectoryDataset,
+           cfg: TrainConfig, rng: np.random.Generator) -> None:
+    """The worker's loop: one step of the ``names`` components per ``update``
+    flag received, on the batch and rng children that the parent draws from
+    its own copy of ``rng``; ``None`` stops it, replying with the step counts
+    of its stores. An exception is sent back as its traceback text."""
+    try:
+        while (update := conn.recv()) is not None:
+            timings: dict[str, float] = {}
+            losses = _update(models, names, *_draw(dataset, cfg, rng), cfg, update,
+                             timings)
+            conn.send(("ok", losses, timings))
+        conn.send(("stopped", {prefix: store.step_count
+                               for prefix, store in _worker_stores(models).items()}))
+    except EOFError:  # the parent has gone
+        pass
+    except Exception:  # the worker's boundary: report to the parent, then exit
+        with contextlib.suppress(OSError):
+            conn.send(("error", traceback.format_exc()))
+
+
+def _worker_stores(models: ModelSet) -> dict:
+    return {prefix: store for prefix, store in models.stores().items()
+            if prefix != "policy"}
+
+
+class _Worker:
+    """The forked process that updates every component but the policy, one
+    step per :meth:`start_step`/:meth:`finish_step` pair of ``train_step``."""
+
+    def __init__(self, models: ModelSet, dataset: TrajectoryDataset,
+                 cfg: TrainConfig, rng: np.random.Generator):
+        self.rng = rng
+        self.stores = _worker_stores(models)
+        for store in self.stores.values():
+            store.share()
+        names = tuple(name for name in models if name != "policy")
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child_conn = ctx.Pipe()
+        self.process = ctx.Process(target=_serve, name="goalsel-train-worker",
+                                   args=(child_conn, models, names, dataset, cfg, rng),
+                                   daemon=True)
+        self.process.start()
+        child_conn.close()
+
+    def start_step(self, update: bool) -> None:
+        self.conn.send(update)
+
+    def finish_step(self) -> tuple[dict[str, float], dict[str, float]]:
+        """The worker's losses and component seconds for the current step."""
+        try:
+            kind, *payload = self.conn.recv()
+        except EOFError:
+            raise RuntimeError("training worker exited") from None
+        if kind == "error":
+            raise RuntimeError(f"training worker failed:\n{payload[0]}")
+        return payload[0], payload[1]
+
+    def stop(self) -> None:
+        """Stop the worker, whatever state it is in, and take over its stores'
+        step counts if it replies in time."""
+        try:
+            self.conn.send(None)
+            while self.conn.poll(WORKER_STOP_TIMEOUT_S):
+                kind, *payload = self.conn.recv()
+                if kind == "stopped":
+                    for prefix, count in payload[0].items():
+                        self.stores[prefix].step_count = count
+                    break
+        except (OSError, EOFError):  # the worker has already exited
+            pass
+        self.process.join(WORKER_STOP_TIMEOUT_S)
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join()
+        self.conn.close()
 
 
 def _q_transitions(batch: WindowBatch, cfg: TrainConfig):
@@ -272,8 +426,11 @@ def train(dataset: TrajectoryDataset, cfg: TrainConfig, out_dir) -> TrainResult:
 
     Fully offline and deterministic given (config, seed): the initial
     checkpoint is always written, then one every ``ckpt_every`` iterations and
-    at the end. Each metrics row reaches the file as it is produced, and
-    ``manifest.json`` gains its end time when the run finishes. A run
+    at the end. Each ``metrics.csv`` row and the ``timings.csv`` row of the
+    same ``log_every`` window reach their files as they are produced, and
+    ``manifest.json`` gains its end time when the run finishes. The
+    goal-selection components train in a forked worker when the module's
+    conditions for it hold, with identical results. A run
     directory that already holds checkpoints is refused, since an earlier
     run's later checkpoints would survive beside the new ones.
     """
@@ -297,24 +454,42 @@ def train(dataset: TrajectoryDataset, cfg: TrainConfig, out_dir) -> TrainResult:
     _write_manifest(out_dir, digest, models, start_time)
 
     checkpoints = [_checkpoint(models, out_dir, 0, digest)]
+    worker = _Worker(models, dataset, cfg, step_rng) if _can_fork(models) else None
     state = TrainState()
     metrics_path = out_dir / "metrics.csv"
-    with open(metrics_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRIC_COLUMNS)
-        fh.flush()
-        for i in range(1, cfg.n_iter + 1):
-            losses = train_step(models, dataset, cfg, step_rng)
-            state.update(losses)
-            if i % cfg.log_every == 0 or i == cfg.n_iter:
-                means = state.flush()
-                writer.writerow([i] + [repr(means[col]) if col in means else ""
-                                       for col in METRIC_COLUMNS[1:]])
-                fh.flush()
-            if i % cfg.ckpt_every == 0 or i == cfg.n_iter:
-                path = _checkpoint(models, out_dir, i, digest)
-                if path != checkpoints[-1]:
-                    checkpoints.append(path)
+    try:
+        with open(metrics_path, "w", newline="") as fh, \
+                open(out_dir / "timings.csv", "w", newline="") as timings_fh:
+            writer = csv.writer(fh)
+            writer.writerow(METRIC_COLUMNS)
+            fh.flush()
+            timings_writer = csv.writer(timings_fh)
+            timings_writer.writerow(TIMING_COLUMNS)
+            timings_fh.flush()
+            timings: dict[str, float] = {}
+            logged = 0
+            for i in range(1, cfg.n_iter + 1):
+                losses = train_step(models, dataset, cfg, step_rng, worker=worker,
+                                    timings=timings)
+                state.update(losses)
+                if i % cfg.log_every == 0 or i == cfg.n_iter:
+                    means = state.flush()
+                    writer.writerow([i] + [repr(means[col]) if col in means else ""
+                                           for col in METRIC_COLUMNS[1:]])
+                    fh.flush()
+                    timings_writer.writerow(
+                        [i] + [f"{1e3 * timings[col] / (i - logged):.4f}"
+                               if col in timings else "" for col in TIMING_COLUMNS[1:]])
+                    timings_fh.flush()
+                    timings.clear()
+                    logged = i
+                if i % cfg.ckpt_every == 0 or i == cfg.n_iter:
+                    path = _checkpoint(models, out_dir, i, digest)
+                    if path != checkpoints[-1]:
+                        checkpoints.append(path)
+    finally:
+        if worker is not None:
+            worker.stop()
     _write_manifest(out_dir, digest, models, start_time, _utc_now())
     return TrainResult(out_dir=out_dir, checkpoints=checkpoints,
                        metrics_path=metrics_path, config=cfg, models=models,

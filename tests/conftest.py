@@ -1,10 +1,17 @@
-import numpy as np
-import pytest
+import os
 
-from goalsel.data import Trajectory, TrajectoryDataset
-from goalsel.envs import DemoGenConfig, generate_dataset
-from goalsel.models import Regressor
-from goalsel.training import TrainConfig, train
+# One BLAS thread, as the CLI and the benchmark run: the test process then has
+# a single OS thread, which is when training forks its goal-selection worker.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from goalsel.data import Trajectory, TrajectoryDataset  # noqa: E402
+from goalsel.envs import DemoGenConfig, generate_dataset  # noqa: E402
+from goalsel.models import Regressor  # noqa: E402
+from goalsel.training import TrainConfig, train  # noqa: E402
 
 
 def make_traj(rng, length=8, obs_dim=2, act_dim=2, scale=1.0):

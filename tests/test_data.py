@@ -143,6 +143,25 @@ class TestSampleWindow:
             assert w.is_terminal[b] == (start + 4 == traj.length)
             assert np.array_equal(w.states[b, -1], traj.states[start + 4])
 
+    @pytest.mark.parametrize("t_window", [1, 10])
+    def test_gather_matches_per_row_slices(self, rng, t_window):
+        ds = make_dataset(rng, lengths=[10, 13, 11, 25])
+        for _ in range(2):  # the second pass reads the caches rebuilt by append
+            w = ds.sample_window_batch(t_window, 64, rng)
+            assert w.is_terminal.any()
+            rows = [(ds.trajectories[i], s) for i, s in zip(w.traj_index, w.start)]
+            expected = {
+                "states": [t.states[s:s + t_window + 1] for t, s in rows],
+                "actions": [t.actions[s:s + t_window] for t, s in rows],
+                "rewards": [t.rewards[s:s + t_window] for t, s in rows],
+            }
+            for field, slices in expected.items():
+                want = np.stack(slices).astype(np.float64)
+                got = getattr(w, field)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), field
+            ds.append(make_traj(rng, 12))
+
     def test_seeded_determinism(self, rng):
         ds = make_dataset(rng, n_traj=6)
         a = ds.sample_window_batch(4, 20, np.random.default_rng(9))

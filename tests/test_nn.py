@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -50,6 +51,38 @@ class TestParamStore:
         t.value[0] = np.inf
         with pytest.raises(FloatingPointError):
             store.assert_finite()
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_share_keeps_contents_and_crosses_fork(self, rng, dtype):
+        store = ParamStore(dtype)
+        store.add("a", rng.normal(size=(3, 2)))
+        store.add("b", rng.normal(size=5))
+        store.params["a"].grad[...] = 1.0
+        adam_step(store)
+        store.params["b"].grad[...] = 2.0
+        before = [(n, t.value.copy(), t.grad.copy(), store.moment1[n].copy(),
+                   store.moment2[n].copy()) for n, t in store]
+        assert store.share() is store
+        for name, value, grad, m1, m2 in before:
+            t = store.params[name]
+            for got, want in ((t.value, value), (t.grad, grad),
+                              (store.moment1[name], m1), (store.moment2[name], m2)):
+                assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+        def child():
+            store.params["a"].value[...] = 7.0
+            store.moment2["b"][...] = 3.0
+            store.params["b"].grad[...] = 0.0
+
+        process = multiprocessing.get_context("fork").Process(target=child)
+        process.start()
+        process.join(10)
+        assert process.exitcode == 0
+        assert np.all(store.params["a"].value == 7.0)
+        assert np.all(store.moment2["b"] == 3.0)
+        assert not store.params["b"].grad.any()
+        assert store.step_count == 1
 
 
 class TestMLP:

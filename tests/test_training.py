@@ -1,7 +1,11 @@
+import csv
 import inspect
 import json
+import multiprocessing
+import os
 import platform
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -11,17 +15,35 @@ import goalsel
 from goalsel import training as training_module
 from goalsel.config import config_digest
 from goalsel.data import NormStats
-from goalsel.models import ActionCVAE, QNet, build_models
+from goalsel.models import ActionCVAE, PolicyRNN, QNet, build_models
 from goalsel.training import (
     METRIC_COLUMNS,
+    TIMING_COLUMNS,
     TrainConfig,
-    q_target,
     q_targets_batch,
     read_metrics,
     train,
     train_step,
 )
 from conftest import small_train_config
+
+
+def q_target(qnet, action_cvae, s_next, r, is_terminal, gamma, n_proposals, rng):
+    """Scalar oracle of ``q_targets_batch``: the bootstrap target of one
+    transition, enumerating its action proposals one by one.
+
+    Non-terminal: ``r + gamma * max_i Q'(s_next, a_i)``; terminal: the
+    absorbing-goal value ``r / (1 - gamma)``.
+    """
+    if n_proposals < 1:
+        raise ValueError("need at least one action proposal")
+    if is_terminal:
+        return float(r) / (1.0 - gamma)
+    s_next = np.asarray(s_next, dtype=np.float64)
+    proposals = action_cvae.sample(s_next, n_proposals, rng)
+    best = max(float(qnet.value(s_next[None], a[None], use_target=True)[0])
+               for a in proposals)
+    return float(r) + gamma * best
 
 
 def flat_norm(obs_dim=2, act_dim=2):
@@ -304,6 +326,143 @@ class TestTrainLoop:
         metrics = read_metrics(result.metrics_path)
         assert np.all(np.isfinite(metrics["loss_policy"]))
         assert np.all(np.isfinite(metrics["q_mean"]))
+
+
+def tiny_config(variant, **overrides):
+    """A few steps at the smallest sizes, for the worker tests."""
+    base = dict(hidden_dim=8, enc_dim=8, batch_size=16, n_iter=6, ckpt_every=3,
+                log_every=2)
+    base.update(overrides)
+    return small_train_config(variant, **base)
+
+
+def gate(monkeypatch, is_open):
+    monkeypatch.setattr(training_module, "_can_fork", lambda models: is_open)
+
+
+def read_timings(run_dir):
+    with open(run_dir / "timings.csv", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+class TestSplitWorker:
+    @pytest.mark.parametrize("variant", ["iris", "iris_no_q"])
+    def test_split_matches_serial(self, small_demo_set, tmp_path, monkeypatch,
+                                  variant):
+        dataset, _ = small_demo_set
+        cfg = tiny_config(variant)
+        results = {}
+        for mode in ("split", "serial"):
+            gate(monkeypatch, mode == "split")
+            results[mode] = train(dataset, cfg, tmp_path / mode)
+        split, serial = results["split"], results["serial"]
+        assert [p.name for p in split.checkpoints] == [p.name for p in serial.checkpoints]
+        for a, b in zip(split.checkpoints, serial.checkpoints):
+            assert a.read_bytes() == b.read_bytes()
+        assert split.metrics_path.read_bytes() == serial.metrics_path.read_bytes()
+        serial_stores = serial.models.stores()
+        for prefix, store in split.models.stores().items():
+            other = serial_stores[prefix]
+            assert store.step_count == other.step_count == (
+                0 if prefix == "qnet_target" else cfg.n_iter)
+            for name, tensor in store:
+                assert tensor.value.tobytes() == other.params[name].value.tobytes()
+                assert store.moment1[name].tobytes() == other.moment1[name].tobytes()
+                assert store.moment2[name].tobytes() == other.moment2[name].tobytes()
+        # one timings row per metrics row; only the split run waits on a worker
+        for mode, result in results.items():
+            header, *rows = read_timings(result.out_dir)
+            assert tuple(header) == TIMING_COLUMNS
+            assert [r[0] for r in rows] == ["2", "4", "6"]
+            filled = {col for r in rows for col, cell in zip(header, r) if cell}
+            expected = {"iter", "sample", "policy", "goal_cvae"}
+            if variant == "iris":
+                expected |= {"action_cvae", "q"}
+            if mode == "split":
+                expected.add("wait")
+            assert filled == expected
+        assert multiprocessing.active_children() == []
+
+    def test_worker_failure_raised_in_parent(self, small_demo_set, tmp_path,
+                                             monkeypatch):
+        dataset, _ = small_demo_set
+
+        def failing_q(self, *args, **kwargs):
+            raise ArithmeticError("q update exploded")
+
+        monkeypatch.setattr(QNet, "loss_and_grad", failing_q)
+        gate(monkeypatch, True)
+        with pytest.raises(RuntimeError, match="q update exploded"):
+            train(dataset, tiny_config("iris"), tmp_path / "r")
+        assert multiprocessing.active_children() == []
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        assert manifest["end_time"] is None
+
+    @pytest.mark.parametrize("where", ["train_step", "policy"])
+    def test_parent_failure_stops_worker(self, small_demo_set, tmp_path,
+                                         monkeypatch, where):
+        # a failing policy update leaves the worker in the middle of its step
+        dataset, _ = small_demo_set
+        owner, name = ((training_module, "train_step") if where == "train_step"
+                       else (PolicyRNN, "loss_and_grad"))
+        real = getattr(owner, name)
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise FloatingPointError("step failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, failing)
+        gate(monkeypatch, True)
+        with pytest.raises(FloatingPointError, match="step failed"):
+            train(dataset, tiny_config("iris"), tmp_path / "r")
+        assert multiprocessing.active_children() == []
+
+    def test_worker_with_foreign_rng_rejected(self, small_demo_set):
+        dataset, _ = small_demo_set
+        cfg = tiny_config("iris")
+        models = build_models("iris", 2, 2, dataset.norm_stats, hidden_dim=8,
+                              enc_dim=8, rng=np.random.default_rng(0))
+        worker = training_module._Worker(models, dataset, cfg,
+                                         np.random.default_rng(1))
+        try:
+            with pytest.raises(ValueError, match="rng"):
+                train_step(models, dataset, cfg, np.random.default_rng(1),
+                           worker=worker)
+            losses = train_step(models, dataset, cfg, worker.rng, worker=worker)
+            assert set(losses) >= {"loss_policy", "loss_q"}
+        finally:
+            worker.stop()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("variant", ["bcq", "bc", "bc_rnn"])
+    def test_gate_shut_without_policy_and_partner(self, small_demo_set, variant):
+        dataset, _ = small_demo_set
+        models = build_models(variant, 2, 2, dataset.norm_stats, hidden_dim=8,
+                              rng=np.random.default_rng(0))
+        assert not training_module._can_fork(models)
+
+    def test_gate_shut_on_one_cpu_or_second_thread(self, small_demo_set,
+                                                   monkeypatch):
+        # the test process runs with BLAS pinned to one thread (conftest.py)
+        dataset, _ = small_demo_set
+        models = build_models("iris", 2, 2, dataset.norm_stats, hidden_dim=8,
+                              rng=np.random.default_rng(0))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert training_module._can_fork(models)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert not training_module._can_fork(models)
+        finally:
+            release.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert not training_module._can_fork(models)
 
 
 class TestOfflinePurity:

@@ -3,9 +3,9 @@
 Runs gen-data, then training of each variant (and of ``iris`` with
 ``q_all_transitions=true``), then eval of each run and viz of one run per
 variant, all at tiny sizes in a temporary directory and with relative paths.
-Prints ``sha256  path`` for every file written except ``manifest.json``, which
-records wall-clock times. Two source trees produce the same outputs when their
-digests match:
+Prints ``sha256  path`` for every file written except ``manifest.json`` and
+``timings.csv``, which record wall-clock times. Two source trees produce the
+same outputs when their digests match:
 
     PYTHONPATH=<tree>/src python3 tools/output_digest.py > <tree>.digest
     diff a.digest b.digest
@@ -31,6 +31,7 @@ EVAL_SETTINGS = ("n_episodes=2", "h_max=150", "n_goals=10", "m_actions=4")
 # run directory -> (variant, extra training settings)
 RUNS = {f"runs/{v}": (v, ()) for v in VARIANTS}
 RUNS["runs/iris_q_all"] = ("iris", ("q_all_transitions=true",))
+WALL_CLOCK_FILES = {"manifest.json", "timings.csv"}
 
 
 def _sets(settings) -> list[str]:
@@ -62,7 +63,7 @@ def digests(root: Path) -> list[str]:
     return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
             f"{path.relative_to(root).as_posix()}"
             for path in sorted(root.rglob("*"))
-            if path.is_file() and path.name != "manifest.json"]
+            if path.is_file() and path.name not in WALL_CLOCK_FILES]
 
 
 if __name__ == "__main__":
