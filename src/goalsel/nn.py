@@ -48,15 +48,24 @@ class Tensor:
 
 
 class ParamStore:
-    """Named parameter tensors plus Adam moment buffers and a step counter,
-    all held in the store's ``dtype``."""
+    """Named parameter tensors plus Adam moment buffers, all held in the
+    store's ``dtype``, and Adam's step counter."""
 
     def __init__(self, dtype=np.float64):
         self.dtype = np.dtype(dtype)
         self.params: dict[str, Tensor] = {}
         self.moment1: dict[str, np.ndarray] = {}
         self.moment2: dict[str, np.ndarray] = {}
-        self.step_count = 0
+        self._step = np.zeros(1, np.int64)
+
+    @property
+    def step_count(self) -> int:
+        """Adam steps taken so far."""
+        return int(self._step[0])
+
+    @step_count.setter
+    def step_count(self, value: int) -> None:
+        self._step[0] = value
 
     def add(self, name: str, value) -> Tensor:
         if name in self.params:
@@ -74,31 +83,33 @@ class ParamStore:
         return len(self.params)
 
     def share(self) -> "ParamStore":
-        """Move values, gradients and both Adam moments into one anonymous
-        shared memory mapping, so that a process forked afterwards reads and
-        writes the same memory as this one.
+        """Move values, gradients, both Adam moments and the step counter
+        into one anonymous shared memory mapping, so that a process forked
+        afterwards reads and writes the same memory as this one, and either
+        process can take the store's next Adam step.
 
         Each ``Tensor.value``/``grad`` and each moment entry is rebound to a
         view of the mapping holding a copy of its current contents; code that
         reaches parameters through the store or its tensors sees no other
         change. Arrays captured before the call keep the old private memory.
-        ``step_count`` stays a private counter of each process.
         """
         names = list(self.params)
         arrays = [a for n in names for a in (self.params[n].value, self.params[n].grad,
                                              self.moment1[n], self.moment2[n])]
+        arrays.append(self._step)
         # each array starts on a 64-byte (cache-line) boundary
         starts = np.cumsum([0] + [-(-a.nbytes // 64) * 64 for a in arrays])
         shared = mmap.mmap(-1, max(int(starts[-1]), 1))  # views keep it alive
         views = []
         for a, start in zip(arrays, starts):
-            view = np.frombuffer(shared, self.dtype, a.size, int(start))
+            view = np.frombuffer(shared, a.dtype, a.size, int(start))
             view = view.reshape(a.shape)
             view[...] = a
             views.append(view)
         for i, n in enumerate(names):
             t = self.params[n]
             t.value, t.grad, self.moment1[n], self.moment2[n] = views[4 * i:4 * i + 4]
+        self._step = views[-1]
         return self
 
     def zero_grad(self) -> None:

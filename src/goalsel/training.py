@@ -14,18 +14,23 @@ others' draws.
 
 The policy shares no parameters and no rng draws with the goal-selection
 components, so :func:`train` runs the two halves side by side when it can:
-the process keeps the policy update, and one forked worker process runs every
-other component. The worker starts after the initial checkpoint and is
-stopped when training ends or fails. It is used only when the model set has a
-policy and another component, the process may run on two or more CPUs, and
-the process has exactly one OS thread (a BLAS thread pool in each process
-would fight over the cores, and only a single-threaded process is safe to
-fork); otherwise every update runs here, in order. Both processes run the
-same update body (``_update``), so the split is bit-exact: the worker's
-stores live in shared memory (:meth:`~goalsel.nn.ParamStore.share`), and the
-worker draws each step's batch and rng children from its fork-time copies of
-the dataset and the step rng, the same draws the parent makes. Checkpoints,
-``metrics.csv`` and the returned models are byte-identical to a serial run.
+the process keeps the policy update, and one forked worker process runs the
+other components. Each process claims a component before it updates it, so
+when the policy update is done the process takes over whatever the worker
+has not started; a worker that the machine keeps waiting for a CPU then
+delays a step by at most the component it is in. The worker starts after the
+initial checkpoint and is stopped when training ends or fails. It is used
+only when the model set has a policy and another component, the process may
+run on two or more CPUs, and the process has exactly one OS thread (a BLAS
+thread pool in each process would fight over the cores, and only a
+single-threaded process is safe to fork); otherwise every update runs here,
+in order. Both processes run the same update body (``_update``), so the split
+is bit-exact whichever process runs a component: the stores of every
+component but the policy live in shared memory, Adam step counters included
+(:meth:`~goalsel.nn.ParamStore.share`), and the worker draws each step's
+batch and rng children from its fork-time copies of the dataset and the step
+rng, the same draws the parent makes. Checkpoints, ``metrics.csv`` and the
+returned models are byte-identical to a serial run.
 Per-component step times go to ``timings.csv`` beside ``metrics.csv``.
 """
 
@@ -34,6 +39,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import mmap
 import multiprocessing
 import os
 import platform
@@ -224,10 +230,11 @@ def train_step(models: ModelSet, dataset: TrajectoryDataset, cfg: TrainConfig,
     Returns the losses under their ``METRIC_COLUMNS`` names. With
     ``update=False`` the losses and gradients are computed but no parameters
     move (used by gradient and orthogonality tests). With a ``worker`` (which
-    :func:`train` forks), the worker updates every component but the policy
-    while this process updates the policy; ``rng`` must then be the rng the
-    worker was forked with, since the worker mirrors its draws. The seconds
-    of each phase (``TIMING_COLUMNS``) are added to ``timings`` if given.
+    :func:`train` forks), this process updates the policy while the worker
+    updates the other components, and this process then takes over every
+    component the worker has not started; ``rng`` must be the rng the worker
+    was forked with, since the worker mirrors its draws. The seconds of each
+    phase (``TIMING_COLUMNS``) are added to ``timings`` if given.
     """
     timings = {} if timings is None else timings
     names = tuple(models)
@@ -235,17 +242,21 @@ def train_step(models: ModelSet, dataset: TrajectoryDataset, cfg: TrainConfig,
         if rng is not worker.rng:
             raise ValueError("a training worker mirrors the draws of the rng it "
                              "was forked with; train_step got another rng")
-        worker.start_step(update)
+        step = worker.start_step(update)
         names = ("policy",)
     with _timed(timings, "sample"):
         batch, rngs = _draw(dataset, cfg, rng)
     losses = _update(models, names, batch, rngs, cfg, update, timings)
     if worker is not None:
+        taken, ran_all = _run_claims(worker.board, step, models, batch, rngs, cfg,
+                                     update, timings)
+        losses.update(taken)
         with _timed(timings, "wait"):
-            worker_losses, worker_timings = worker.finish_step()
-        losses.update(worker_losses)  # the policy comes first in the fixed order
+            worker_losses, worker_timings = worker.finish_step(step, wait=not ran_all)
+        losses.update(worker_losses)
         for key, seconds in worker_timings.items():
             timings[key] = timings.get(key, 0.0) + seconds
+        losses = {key: losses[key] for key in METRIC_COLUMNS if key in losses}
     return losses
 
 
@@ -262,20 +273,75 @@ def _can_fork(models: ModelSet) -> bool:
         return False
 
 
-def _serve(conn, models: ModelSet, names, dataset: TrajectoryDataset,
+# The worker claims components in this order: the action cVAE first, since the
+# Q update samples from it after its update, and last the independent goal
+# model, which the parent is then most likely to take over.
+CLAIM_ORDER = ("action_cvae", "qnet", "goal_cvae", "goal_reg")
+
+
+class _Board:
+    """Which components of the current step have been claimed and finished,
+    in shared memory under one lock, so that the parent and the worker each
+    run a component of a step exactly once. A component can be claimed once
+    per step, and ``qnet`` only after the step's ``action_cvae`` update is
+    finished."""
+
+    def __init__(self, names, ctx):
+        self.names = tuple(name for name in CLAIM_ORDER if name in names)
+        n = len(self.names)
+        shared = mmap.mmap(-1, 16 * n)  # views keep it alive
+        # the last step for which each component was claimed, and finished
+        self.claimed = np.frombuffer(shared, np.int64, n, 0)
+        self.finished = np.frombuffer(shared, np.int64, n, 8 * n)
+        self.lock = ctx.Lock()
+
+    def claim(self, step: int) -> str | None:
+        """Claim the first component in ``CLAIM_ORDER`` that can run now in
+        ``step``, or return None if there is none."""
+        with self.lock:
+            for i, name in enumerate(self.names):
+                if self.claimed[i] < step and (
+                        name != "qnet"
+                        or self.finished[self.names.index("action_cvae")] == step):
+                    self.claimed[i] = step
+                    return name
+        return None
+
+    def finish(self, name: str, step: int) -> None:
+        with self.lock:
+            self.finished[self.names.index(name)] = step
+
+
+def _run_claims(board: _Board, step: int, models: ModelSet,
+                batch: WindowBatch, rngs, cfg: TrainConfig, update: bool,
+                timings: dict[str, float]) -> tuple[dict[str, float], bool]:
+    """Claim and update components of ``step`` until none is left that can
+    run now. Returns their losses and whether they were all of the board's
+    components."""
+    losses: dict[str, float] = {}
+    count = 0
+    while (name := board.claim(step)) is not None:
+        losses.update(_update(models, (name,), batch, rngs, cfg, update, timings))
+        board.finish(name, step)
+        count += 1
+    return losses, count == len(board.names)
+
+
+def _serve(conn, board: _Board, models: ModelSet, dataset: TrajectoryDataset,
            cfg: TrainConfig, rng: np.random.Generator) -> None:
-    """The worker's loop: one step of the ``names`` components per ``update``
-    flag received, on the batch and rng children that the parent draws from
-    its own copy of ``rng``; ``None`` stops it, replying with the step counts
-    of its stores. An exception is sent back as its traceback text."""
+    """The worker's loop: per ``(step, update)`` message received, draw the
+    batch and rng children that the parent draws from its own copy of ``rng``,
+    run the components it can claim, and reply with the step, their losses and
+    their seconds; ``None`` stops it. An exception is sent back as its
+    traceback text."""
     try:
-        while (update := conn.recv()) is not None:
+        while (message := conn.recv()) is not None:
+            step, update = message
             timings: dict[str, float] = {}
-            losses = _update(models, names, *_draw(dataset, cfg, rng), cfg, update,
-                             timings)
-            conn.send(("ok", losses, timings))
-        conn.send(("stopped", {prefix: store.step_count
-                               for prefix, store in _worker_stores(models).items()}))
+            batch, rngs = _draw(dataset, cfg, rng)
+            losses, _ = _run_claims(board, step, models, batch, rngs, cfg, update,
+                                    timings)
+            conn.send(("ok", step, losses, timings))
     except EOFError:  # the parent has gone
         pass
     except Exception:  # the worker's boundary: report to the parent, then exit
@@ -283,56 +349,64 @@ def _serve(conn, models: ModelSet, names, dataset: TrajectoryDataset,
             conn.send(("error", traceback.format_exc()))
 
 
-def _worker_stores(models: ModelSet) -> dict:
-    return {prefix: store for prefix, store in models.stores().items()
-            if prefix != "policy"}
-
-
 class _Worker:
-    """The forked process that updates every component but the policy, one
-    step per :meth:`start_step`/:meth:`finish_step` pair of ``train_step``."""
+    """The forked process that runs the components other than the policy,
+    one step per :meth:`start_step`/:meth:`finish_step` pair of
+    ``train_step``. The parent takes over any component of a step that the
+    worker has not claimed by the time the policy update is done, so a worker
+    that the machine leaves waiting for a CPU delays the step by at most the
+    component it is in, and a worker that falls behind catches up by drawing
+    the batches of the steps it missed."""
 
     def __init__(self, models: ModelSet, dataset: TrajectoryDataset,
                  cfg: TrainConfig, rng: np.random.Generator):
         self.rng = rng
-        self.stores = _worker_stores(models)
-        for store in self.stores.values():
-            store.share()
-        names = tuple(name for name in models if name != "policy")
+        self.step = 0
+        for prefix, store in models.stores().items():
+            if prefix != "policy":
+                store.share()
         ctx = multiprocessing.get_context("fork")
+        self.board = _Board(tuple(models), ctx)
         self.conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(target=_serve, name="goalsel-train-worker",
-                                   args=(child_conn, models, names, dataset, cfg, rng),
+                                   args=(child_conn, self.board, models, dataset, cfg,
+                                         rng),
                                    daemon=True)
         self.process.start()
         child_conn.close()
 
-    def start_step(self, update: bool) -> None:
-        self.conn.send(update)
+    def start_step(self, update: bool) -> int:
+        """Send the worker the next step; returns its number."""
+        self.step += 1
+        self.conn.send((self.step, update))
+        return self.step
 
-    def finish_step(self) -> tuple[dict[str, float], dict[str, float]]:
-        """The worker's losses and component seconds for the current step."""
+    def _receive(self):
         try:
             kind, *payload = self.conn.recv()
         except EOFError:
             raise RuntimeError("training worker exited") from None
         if kind == "error":
             raise RuntimeError(f"training worker failed:\n{payload[0]}")
-        return payload[0], payload[1]
+        return payload
+
+    def finish_step(self, step: int, wait: bool) -> tuple[dict[str, float],
+                                                          dict[str, float]]:
+        """The worker's losses and component seconds for ``step``, waiting for
+        its reply if ``wait``. Replies to earlier steps, for which the parent
+        ran every component and so did not wait, are read and dropped."""
+        while wait or self.conn.poll():
+            replied, losses, timings = self._receive()
+            if replied == step:
+                return losses, timings
+        return {}, {}
 
     def stop(self) -> None:
-        """Stop the worker, whatever state it is in, and take over its stores'
-        step counts if it replies in time."""
-        try:
+        """Stop the worker, whatever state it is in."""
+        with contextlib.suppress(OSError, EOFError):  # the worker may be gone
             self.conn.send(None)
             while self.conn.poll(WORKER_STOP_TIMEOUT_S):
-                kind, *payload = self.conn.recv()
-                if kind == "stopped":
-                    for prefix, count in payload[0].items():
-                        self.stores[prefix].step_count = count
-                    break
-        except (OSError, EOFError):  # the worker has already exited
-            pass
+                self.conn.recv()
         self.process.join(WORKER_STOP_TIMEOUT_S)
         if self.process.is_alive():
             self.process.terminate()

@@ -64,6 +64,7 @@ class TestParamStore:
         before = [(n, t.value.copy(), t.grad.copy(), store.moment1[n].copy(),
                    store.moment2[n].copy()) for n, t in store]
         assert store.share() is store
+        assert store.step_count == 1
         for name, value, grad, m1, m2 in before:
             t = store.params[name]
             for got, want in ((t.value, value), (t.grad, grad),
@@ -74,6 +75,7 @@ class TestParamStore:
             store.params["a"].value[...] = 7.0
             store.moment2["b"][...] = 3.0
             store.params["b"].grad[...] = 0.0
+            store.step_count = 4
 
         process = multiprocessing.get_context("fork").Process(target=child)
         process.start()
@@ -82,7 +84,7 @@ class TestParamStore:
         assert np.all(store.params["a"].value == 7.0)
         assert np.all(store.moment2["b"] == 3.0)
         assert not store.params["b"].grad.any()
-        assert store.step_count == 1
+        assert store.step_count == 4
 
 
 class TestMLP:

@@ -340,6 +340,21 @@ def gate(monkeypatch, is_open):
     monkeypatch.setattr(training_module, "_can_fork", lambda models: is_open)
 
 
+def claims_only(monkeypatch, side):
+    """Let only the ``side`` process ("parent" or "worker") claim the
+    goal-selection components, or at each step the one that "alternate"
+    picks (the worker at odd steps). Patched before the fork, so the worker
+    inherits it."""
+    parent = os.getpid()
+    real = training_module._Board.claim
+
+    def claim(self, step):
+        by_worker = side == "worker" or side == "alternate" and step % 2 == 1
+        return real(self, step) if (os.getpid() == parent) != by_worker else None
+
+    monkeypatch.setattr(training_module._Board, "claim", claim)
+
+
 def read_timings(run_dir):
     with open(run_dir / "timings.csv", newline="") as fh:
         return list(csv.reader(fh))
@@ -349,6 +364,20 @@ class TestSplitWorker:
     @pytest.mark.parametrize("variant", ["iris", "iris_no_q"])
     def test_split_matches_serial(self, small_demo_set, tmp_path, monkeypatch,
                                   variant):
+        self.check_split_matches_serial(small_demo_set, tmp_path, monkeypatch, variant)
+
+    @pytest.mark.parametrize("variant,side", [
+        ("iris", "worker"), ("iris", "parent"), ("iris", "alternate"),
+        ("iris_no_q", "alternate")])
+    def test_split_matches_serial_whoever_claims(self, small_demo_set, tmp_path,
+                                                 monkeypatch, variant, side):
+        # the parent waits for the worker, takes over every component, or both
+        # in turn
+        claims_only(monkeypatch, side)
+        self.check_split_matches_serial(small_demo_set, tmp_path, monkeypatch, variant)
+
+    @staticmethod
+    def check_split_matches_serial(small_demo_set, tmp_path, monkeypatch, variant):
         dataset, _ = small_demo_set
         cfg = tiny_config(variant)
         results = {}
@@ -391,6 +420,7 @@ class TestSplitWorker:
             raise ArithmeticError("q update exploded")
 
         monkeypatch.setattr(QNet, "loss_and_grad", failing_q)
+        claims_only(monkeypatch, "worker")
         gate(monkeypatch, True)
         with pytest.raises(RuntimeError, match="q update exploded"):
             train(dataset, tiny_config("iris"), tmp_path / "r")
@@ -398,13 +428,17 @@ class TestSplitWorker:
         manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
         assert manifest["end_time"] is None
 
-    @pytest.mark.parametrize("where", ["train_step", "policy"])
+    @pytest.mark.parametrize("where", ["train_step", "policy", "q"])
     def test_parent_failure_stops_worker(self, small_demo_set, tmp_path,
                                          monkeypatch, where):
-        # a failing policy update leaves the worker in the middle of its step
+        # a failing policy update leaves the worker in the middle of its step;
+        # a failing Q update is one the parent took over
         dataset, _ = small_demo_set
-        owner, name = ((training_module, "train_step") if where == "train_step"
-                       else (PolicyRNN, "loss_and_grad"))
+        owner, name = {"train_step": (training_module, "train_step"),
+                       "policy": (PolicyRNN, "loss_and_grad"),
+                       "q": (QNet, "loss_and_grad")}[where]
+        if where == "q":
+            claims_only(monkeypatch, "parent")
         real = getattr(owner, name)
         calls = []
 
@@ -436,6 +470,17 @@ class TestSplitWorker:
         finally:
             worker.stop()
         assert multiprocessing.active_children() == []
+
+    def test_board_claims_each_component_once_per_step(self):
+        board = training_module._Board(("policy", "goal_cvae", "action_cvae", "qnet"),
+                                       multiprocessing.get_context("fork"))
+        assert board.claim(1) == "action_cvae"
+        assert board.claim(1) == "goal_cvae"  # qnet waits for the action cVAE
+        assert board.claim(1) is None
+        board.finish("action_cvae", 1)
+        assert board.claim(1) == "qnet"
+        assert board.claim(1) is None
+        assert board.claim(2) == "action_cvae"
 
     @pytest.mark.parametrize("variant", ["bcq", "bc", "bc_rnn"])
     def test_gate_shut_without_policy_and_partner(self, small_demo_set, variant):
