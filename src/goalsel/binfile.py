@@ -12,6 +12,7 @@ failed write leaves any earlier file at the path untouched.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import struct
@@ -96,6 +97,10 @@ class Reader:
     def f32(self, shape: tuple[int, ...]) -> np.ndarray:
         """A read-only f32 array of the given shape."""
         return np.frombuffer(self._take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
+
+    def sha256(self) -> str:
+        """The hex sha256 digest of the file's bytes as read."""
+        return hashlib.sha256(self._blob).hexdigest()
 
     def finish(self) -> None:
         """Fail unless every byte of the file was read."""

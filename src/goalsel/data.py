@@ -121,7 +121,9 @@ class TrajectoryDataset:
     """A collection of goal-reaching trajectories with shared dimensions.
 
     Normalization statistics and window-sampling indices are computed lazily
-    and invalidated by ``append``.
+    and invalidated by ``append``. ``sha256`` is the digest of the file that
+    :func:`load` read the dataset from, and None for a dataset built in
+    memory or appended to since.
     """
 
     def __init__(self, obs_dim: int, act_dim: int, env_id: str = "",
@@ -131,6 +133,7 @@ class TrajectoryDataset:
         self.obs_dim = int(obs_dim)
         self.act_dim = int(act_dim)
         self.env_id = str(env_id)
+        self.sha256: str | None = None
         self.trajectories: list[Trajectory] = []
         self._norm: NormStats | None = None
         self._window_index: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -155,6 +158,7 @@ class TrajectoryDataset:
                 f"dataset is ({self.obs_dim}, {self.act_dim})"
             )
         self.trajectories.append(traj)
+        self.sha256 = None
         self._norm = None
         self._window_index.clear()
         self._stacked_states = None
@@ -286,7 +290,8 @@ def save(dataset: TrajectoryDataset, path) -> None:
 
 
 def load(path) -> TrajectoryDataset:
-    """Read a dataset written by :func:`save`, validating magic and payload."""
+    """Read a dataset written by :func:`save`, validating magic and payload;
+    the dataset keeps the sha256 digest of the file's bytes."""
     r = Reader(path, DATASET_MAGIC, DATASET_VERSION, "dataset")
     obs_dim = r.u32()
     act_dim = r.u32()
@@ -300,4 +305,5 @@ def load(path) -> TrajectoryDataset:
         rewards = r.f32((length,))
         dataset.append(Trajectory(states=states, actions=actions, rewards=rewards))
     r.finish()
+    dataset.sha256 = r.sha256()
     return dataset

@@ -59,6 +59,30 @@ VARIANTS = {
 }
 
 
+class _StepCaches:
+    """What the backward pass of a T-step unroll of B rows reads, one array
+    per value with the step first: the encoder inputs ``x``, the ReLU mask
+    and output, the hidden states ``h`` (``h[t]`` enters step t, so there are
+    T + 1), the GRU gates ``zr``, the reset-gated hidden states ``rh`` and
+    the candidates ``c``; plus the (B, T, act) normalized predictions. Step
+    t's arrays are contiguous (B, ...) rows, as freshly allocated ones would
+    be, so the products and ufuncs that read and write them give the same
+    bits."""
+
+    def __init__(self, t_window: int, batch: int, policy: "PolicyRNN"):
+        dtype = policy.store.dtype
+        steps = (t_window, batch)
+        hd = policy.hidden_dim
+        self.x = np.empty(steps + (policy.enc.W.shape[0],), dtype)
+        self.mask = np.empty(steps + (policy.enc.W.shape[1],), np.bool_)
+        self.e = np.empty(steps + (policy.enc.W.shape[1],), dtype)
+        self.h = np.empty((t_window + 1, batch, hd), dtype)
+        self.zr = np.empty(steps + (2 * hd,), dtype)
+        self.rh = np.empty(steps + (hd,), dtype)
+        self.c = np.empty(steps + (hd,), dtype)
+        self.acts = np.empty((batch, t_window, policy.act_dim), dtype)
+
+
 class PolicyRNN:
     """Recurrent imitation policy, optionally conditioned on a goal state.
 
@@ -66,6 +90,15 @@ class PolicyRNN:
     at test time the controller owns the hidden state and resets it whenever
     it refreshes the goal. Normalized inputs are cast once to ``dtype``, the
     dtype of the parameter store, so the encoder, cell and head compute in it.
+
+    Every step, of the training unroll and of :meth:`step` alike, writes the
+    values its backward pass would read into a :class:`_StepCaches` that the
+    policy allocates once per (T, B) shape and reuses on every later call of
+    that shape. A training step then allocates no memory that outlives one
+    recurrent step; before, the heap grew by the whole unroll's caches in the
+    forward pass and shrank back after the backward pass, so every step
+    faulted those pages in again. No array returned to a caller is part of
+    the kept caches.
     """
 
     def __init__(self, obs_dim: int, act_dim: int, norm: NormStats, *,
@@ -82,47 +115,53 @@ class PolicyRNN:
         self.enc = Linear(self.store, "enc", in_dim, enc_dim, rng)
         self.cell = GRUCell(self.store, "gru", enc_dim, hidden_dim, rng)
         self.head = Linear(self.store, "head", hidden_dim, act_dim, rng)
+        self._caches: dict[tuple[int, int], _StepCaches] = {}
 
     def init_hidden(self, batch: int = 1) -> np.ndarray:
         return np.zeros((batch, self.hidden_dim), dtype=self.store.dtype)
 
-    def _norm_state(self, s) -> np.ndarray:
-        return self.norm.norm_state(s).astype(self.store.dtype)
-
-    def _inputs(self, s_n: np.ndarray, g_n: np.ndarray | None) -> np.ndarray:
+    def _step_caches(self, t_window: int, s_n: np.ndarray,
+                     g_n: np.ndarray | None) -> _StepCaches:
+        """The kept caches of a ``t_window``-step unroll, with the encoder
+        inputs of (T, B, obs) normalized states ``s_n`` and (B, obs)
+        normalized goals ``g_n`` written in."""
+        batch = s_n.shape[1]
+        caches = self._caches.get((t_window, batch))
+        if caches is None:
+            caches = self._caches[t_window, batch] = _StepCaches(t_window, batch, self)
+        caches.x[..., :self.obs_dim] = s_n
         if self.goal_conditioned:
             if g_n is None:
                 raise ValueError("goal-conditioned policy needs a goal")
-            return np.concatenate([s_n, g_n], axis=-1)
-        return s_n
+            caches.x[..., self.obs_dim:] = g_n
+        return caches
 
-    def _step(self, h: np.ndarray, s_n: np.ndarray, g_n: np.ndarray | None):
-        """One recurrent step on normalized (B, obs) rows: returns the
-        normalized (B, act) actions, the new hidden state and the cache that
-        the backward pass of :meth:`loss_and_grad` reads."""
-        e_pre, e_cache = self.enc.forward(self._inputs(s_n, g_n))
-        e, e_mask = relu(e_pre)
-        h, c_cache = self.cell.forward(h, e)
-        a_n, h_cache = self.head.forward(h)
-        return a_n, h, (e_cache, e_mask, c_cache, h_cache)
+    def _step(self, caches: _StepCaches, t: int) -> np.ndarray:
+        """Step ``t`` of the unroll in ``caches``: reads the encoder input
+        ``x[t]`` and the hidden state ``h[t]``, writes the step's cached values
+        and ``h[t + 1]``, and returns the normalized (B, act) actions."""
+        e_pre, _ = self.enc.forward(caches.x[t])
+        e, _ = relu(e_pre, out=(caches.e[t], caches.mask[t]))
+        h, _ = self.cell.forward(caches.h[t], e, out=(caches.zr[t], caches.rh[t],
+                                                      caches.c[t], caches.h[t + 1]))
+        return self.head.forward(h)[0]
 
     def _unroll(self, states_n: np.ndarray, goal_n: np.ndarray | None):
-        """states_n: (B, T, obs) -> normalized actions (B, T, act) plus caches."""
-        batch, t_window, _ = states_n.shape
-        h = self.init_hidden(batch)
-        acts = np.empty((batch, t_window, self.act_dim), dtype=self.store.dtype)
-        caches = []
+        """(B, T, obs) normalized states from a zero hidden state -> a new
+        array of the normalized (B, T, act) actions, and the kept caches."""
+        t_window = states_n.shape[1]
+        caches = self._step_caches(t_window, states_n.swapaxes(0, 1), goal_n)
+        caches.h[0] = 0.0
         for t in range(t_window):
-            acts[:, t], h, cache = self._step(h, states_n[:, t], goal_n)
-            caches.append(cache)
-        return acts, caches
+            caches.acts[:, t] = self._step(caches, t)
+        return caches.acts.copy(), caches
 
     def loss_and_grad(self, states, actions, goal=None) -> float:
         """Imitation loss: per-window sum of squared normalized-action errors,
         averaged over the batch. Accumulates gradients."""
-        states_n = self._norm_state(states)
+        states_n = self.norm.norm_state(states)
         actions_n = self.norm.norm_action(actions).astype(self.store.dtype)
-        goal_n = None if goal is None else self._norm_state(goal)
+        goal_n = None if goal is None else self.norm.norm_state(goal)
         batch, t_window, _ = states_n.shape
         pred_n, caches = self._unroll(states_n, goal_n)
         err = pred_n - actions_n
@@ -130,19 +169,21 @@ class PolicyRNN:
         dpred = 2.0 * err / batch
         dh_next = self.init_hidden(batch)
         for t in range(t_window - 1, -1, -1):
-            e_cache, e_mask, c_cache, h_cache = caches[t]
-            dh = self.head.backward(h_cache, dpred[:, t]) + dh_next
-            dh_prev, de = self.cell.backward(c_cache, dh)
-            self.enc.backward(e_cache, relu_backward(e_mask, de))
+            dh = self.head.backward(caches.h[t + 1], dpred[:, t]) + dh_next
+            dh_prev, de = self.cell.backward(
+                (caches.e[t], caches.h[t], caches.zr[t], caches.rh[t], caches.c[t]), dh)
+            self.enc.backward_params(caches.x[t], relu_backward(caches.mask[t], de))
             dh_next = dh_prev
         return loss
 
     def step(self, hidden: np.ndarray, s, goal=None) -> tuple[np.ndarray, np.ndarray]:
         """One closed-loop step of (B, obs) states and goals from a (B, H)
         hidden state; returns ((B, act) denormalized actions, new hidden)."""
-        g_n = None if goal is None else self._norm_state(goal)
-        a_n, h, _ = self._step(hidden, self._norm_state(s), g_n)
-        return self.norm.denorm_action(a_n), h
+        g_n = None if goal is None else self.norm.norm_state(goal)
+        caches = self._step_caches(1, self.norm.norm_state(s)[None], g_n)
+        caches.h[0] = hidden
+        a_n = self._step(caches, 0)
+        return self.norm.denorm_action(a_n), caches.h[1].copy()
 
 
 class ConditionalVAE:

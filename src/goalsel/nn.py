@@ -155,9 +155,14 @@ class Linear:
     def forward(self, x: np.ndarray):
         return x @ self.W.value + self.b.value, x
 
-    def backward(self, cache: np.ndarray, dout: np.ndarray) -> np.ndarray:
+    def backward_params(self, cache: np.ndarray, dout: np.ndarray) -> None:
+        """The parameter gradients of :meth:`backward` without the input
+        gradient, for a layer whose input is data."""
         self.W.grad += cache.T @ dout
         self.b.grad += dout.sum(axis=0)
+
+    def backward(self, cache: np.ndarray, dout: np.ndarray) -> np.ndarray:
+        self.backward_params(cache, dout)
         return dout @ self.W.value.T
 
 
@@ -167,9 +172,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * np.tanh(0.5 * x) + 0.5
 
 
-def relu(x: np.ndarray):
-    mask = x > 0
-    return x * mask, mask
+def relu(x: np.ndarray, out=None):
+    """``(x * mask, mask)`` with ``mask = x > 0``, written into the arrays
+    ``out = (y, mask)`` if given."""
+    y, mask = (None, None) if out is None else out
+    mask = np.greater(x, 0, out=mask)
+    return np.multiply(x, mask, out=y), mask
 
 
 def relu_backward(mask: np.ndarray, dout: np.ndarray) -> np.ndarray:
@@ -245,22 +253,37 @@ class GRUCell:
         self.Uc = store.add(f"{name}.Uc", fan_in_uniform(rng, fan, (hidden_dim, hidden_dim)))
         self.b = store.add(f"{name}.b", np.zeros(3 * hidden_dim))
 
-    def forward(self, h: np.ndarray, x: np.ndarray):
+    def forward(self, h: np.ndarray, x: np.ndarray, out=None):
+        """One update of (B, H) hidden states on (B, in) inputs. Returns the
+        new hidden state and the cache ``(x, h, zr, rh, c)`` that
+        :meth:`backward` reads: ``zr`` holds the update and reset gates side
+        by side, ``rh`` the reset-gated hidden state and ``c`` the candidate.
+
+        ``out = (zr, rh, c, h_new)``, if given, are the arrays that receive
+        the gates, ``rh``, the candidate and the new state, so that a caller
+        that keeps them allocates nothing that outlives the call; otherwise
+        they are new arrays of the dtype of ``h``.
+        """
         hd = self.hidden_dim
+        if out is None:
+            out = (np.empty_like(h, shape=(h.shape[0], 2 * hd)), np.empty_like(h),
+                   np.empty_like(h), np.empty_like(h))
+        zr, rh, c, h_new = out
         xw = x @ self.W.value + self.b.value
         hu = h @ self.U.value
         # one sigmoid for both gates: on a batch-1 step its cost is per
         # ufunc call, not per element
-        zr = sigmoid(xw[:, :2 * hd] + hu)
+        zr[...] = sigmoid(xw[:, :2 * hd] + hu)
         z, r = zr[:, :hd], zr[:, hd:]
-        rh = r * h
-        c = np.tanh(xw[:, 2 * hd:] + rh @ self.Uc.value)
-        h_new = (1.0 - z) * h + z * c
-        return h_new, (x, h, z, r, c, rh)
+        np.multiply(r, h, out=rh)
+        np.tanh(xw[:, 2 * hd:] + rh @ self.Uc.value, out=c)
+        np.add((1.0 - z) * h, z * c, out=h_new)
+        return h_new, (x, h, zr, rh, c)
 
     def backward(self, cache, dh_new: np.ndarray):
-        x, h, z, r, c, rh = cache
+        x, h, zr, rh, c = cache
         hd = self.hidden_dim
+        z, r = zr[:, :hd], zr[:, hd:]
         dz = dh_new * (c - h)
         dc = dh_new * z
         dh = dh_new * (1.0 - z)

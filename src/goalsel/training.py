@@ -43,6 +43,7 @@ import mmap
 import multiprocessing
 import os
 import platform
+import resource
 import time
 import traceback
 from dataclasses import dataclass
@@ -70,9 +71,10 @@ from .nn import adam_step, grad_check, save_checkpoint
 METRIC_COLUMNS = ("iter", "loss_policy", "loss_goal_recon", "loss_goal_kl",
                   "loss_action_recon", "loss_action_kl", "loss_q", "q_mean")
 # Mean ms per step: window sampling, each component's update (``q`` is the
-# targets plus the Q update), and the parent's wait for the worker.
+# targets plus the Q update), and the parent's wait for the worker; then the
+# minor page faults per step of this process, within ``train_step``.
 TIMING_COLUMNS = ("iter", "sample", "policy", "goal_cvae", "goal_reg", "action_cvae",
-                  "q", "wait")
+                  "q", "wait", "faults")
 WORKER_STOP_TIMEOUT_S = 10.0
 
 
@@ -473,16 +475,24 @@ def _checkpoint(models: ModelSet, out_dir: Path, iteration: int,
     return path
 
 
+def _minor_faults() -> int:
+    """Minor page faults of this process so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="milliseconds")
 
 
-def _write_manifest(out_dir: Path, digest: str, models: ModelSet, start_time: str,
+def _write_manifest(out_dir: Path, digest: str, dataset: TrajectoryDataset,
+                    models: ModelSet, start_time: str,
                     end_time: str | None = None) -> None:
-    """Record what produced a run: config digest, library versions, the dtype
-    of each parameter store, and the start and (once finished) end time."""
+    """Record what produced a run: config digest, the sha256 of the dataset
+    file (None for a dataset built in memory), library versions, the dtype of
+    each parameter store, and the start and (once finished) end time."""
     manifest = {
         "config_digest": digest,
+        "dataset_sha256": dataset.sha256,
         "versions": {"goalsel": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__,
                      "python": platform.python_version()},
@@ -525,7 +535,7 @@ def train(dataset: TrajectoryDataset, cfg: TrainConfig, out_dir) -> TrainResult:
                           enc_dim=cfg.enc_dim, goal_latent=cfg.goal_latent,
                           action_latent=cfg.action_latent, beta_g=cfg.beta_g,
                           beta_a=cfg.beta_a, rng=init_rng)
-    _write_manifest(out_dir, digest, models, start_time)
+    _write_manifest(out_dir, digest, dataset, models, start_time)
 
     checkpoints = [_checkpoint(models, out_dir, 0, digest)]
     worker = _Worker(models, dataset, cfg, step_rng) if _can_fork(models) else None
@@ -541,21 +551,27 @@ def train(dataset: TrajectoryDataset, cfg: TrainConfig, out_dir) -> TrainResult:
             timings_writer.writerow(TIMING_COLUMNS)
             timings_fh.flush()
             timings: dict[str, float] = {}
+            faults = 0
             logged = 0
             for i in range(1, cfg.n_iter + 1):
+                faults -= _minor_faults()
                 losses = train_step(models, dataset, cfg, step_rng, worker=worker,
                                     timings=timings)
+                faults += _minor_faults()
                 state.update(losses)
                 if i % cfg.log_every == 0 or i == cfg.n_iter:
                     means = state.flush()
                     writer.writerow([i] + [repr(means[col]) if col in means else ""
                                            for col in METRIC_COLUMNS[1:]])
                     fh.flush()
+                    steps = i - logged
                     timings_writer.writerow(
-                        [i] + [f"{1e3 * timings[col] / (i - logged):.4f}"
-                               if col in timings else "" for col in TIMING_COLUMNS[1:]])
+                        [i] + [f"{1e3 * timings[col] / steps:.4f}"
+                               if col in timings else "" for col in TIMING_COLUMNS[1:-1]]
+                        + [f"{faults / steps:.2f}"])
                     timings_fh.flush()
                     timings.clear()
+                    faults = 0
                     logged = i
                 if i % cfg.ckpt_every == 0 or i == cfg.n_iter:
                     path = _checkpoint(models, out_dir, i, digest)
@@ -564,7 +580,7 @@ def train(dataset: TrajectoryDataset, cfg: TrainConfig, out_dir) -> TrainResult:
     finally:
         if worker is not None:
             worker.stop()
-    _write_manifest(out_dir, digest, models, start_time, _utc_now())
+    _write_manifest(out_dir, digest, dataset, models, start_time, _utc_now())
     return TrainResult(out_dir=out_dir, checkpoints=checkpoints,
                        metrics_path=metrics_path, config=cfg, models=models,
                        elapsed=time.perf_counter() - started)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -86,6 +87,21 @@ class TestTrainEval:
         names = sorted(p.name for p in run_dir.glob("ckpt_*.bin"))
         assert names == ["ckpt_0000000.bin", "ckpt_0000030.bin",
                          "ckpt_0000060.bin"]
+
+    def test_manifest_records_dataset_digest(self, tiny_setup):
+        _, data_path, run_dir = tiny_setup
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["dataset_sha256"] == hashlib.sha256(
+            data_path.read_bytes()).hexdigest()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_training_fails_cleanly(self, tiny_setup, tmp_path, capsys):
+        _, data_path, _ = tiny_setup
+        rc = main(["train", "--dataset", str(data_path), "--out", str(tmp_path / "r"),
+                   "--variant", "bc", "--set", "lr=1e300"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: non-finite loss_policy at iteration ")
 
     def test_eval_writes_report(self, tiny_setup):
         root, data_path, run_dir = tiny_setup

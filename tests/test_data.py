@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -237,6 +238,16 @@ class TestSerialization:
             assert a.states.dtype == np.float32
             assert np.array_equal(a.actions, b.actions)
             assert np.array_equal(a.rewards, b.rewards)
+
+    def test_loaded_dataset_keeps_file_digest(self, rng, tmp_path):
+        ds = make_dataset(rng, n_traj=3)
+        path = tmp_path / "digest.bin"
+        save(ds, path)
+        assert ds.sha256 is None
+        loaded = load(path)
+        assert loaded.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+        loaded.append(make_traj(rng))
+        assert loaded.sha256 is None
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)

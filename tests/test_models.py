@@ -40,9 +40,75 @@ def zero_store(store):
 def unroll_actions(policy, states, goal=None):
     """Denormalized (B, T, act) actions of the training unroll of (B, T, obs)
     windows from a zero hidden state."""
-    goal_n = None if goal is None else policy._norm_state(goal)
-    acts_n, _ = policy._unroll(policy._norm_state(states), goal_n)
+    goal_n = None if goal is None else policy.norm.norm_state(goal)
+    acts_n, _ = policy._unroll(policy.norm.norm_state(states), goal_n)
     return policy.norm.denorm_action(acts_n)
+
+
+def reference_loss_and_grad(policy, states, actions, goal=None) -> float:
+    """``PolicyRNN.loss_and_grad`` as it was computed before the policy kept
+    its step caches: new arrays at every step, a list of per-step cache
+    tuples, and the encoder's input gradient computed and dropped. The same
+    arithmetic in the same order, so it must give the same bits."""
+    dtype = policy.store.dtype
+    p = {name: t.value for name, t in policy.store}
+    grads = {name: t.grad for name, t in policy.store}
+    hd = policy.hidden_dim
+    states_n = policy.norm.norm_state(states).astype(dtype)
+    actions_n = policy.norm.norm_action(actions).astype(dtype)
+    goal_n = None if goal is None else policy.norm.norm_state(goal).astype(dtype)
+    batch, t_window, _ = states_n.shape
+    h = np.zeros((batch, hd), dtype)
+    pred_n = np.empty((batch, t_window, policy.act_dim), dtype)
+    caches = []
+    for t in range(t_window):
+        x = states_n[:, t]
+        if policy.goal_conditioned:
+            x = np.concatenate([x, goal_n], axis=-1)
+        e_pre = x @ p["enc.W"] + p["enc.b"]
+        mask = e_pre > 0
+        e = e_pre * mask
+        xw = e @ p["gru.W"] + p["gru.b"]
+        hu = h @ p["gru.U"]
+        zr = 0.5 * np.tanh(0.5 * (xw[:, :2 * hd] + hu)) + 0.5
+        z, r = zr[:, :hd], zr[:, hd:]
+        rh = r * h
+        c = np.tanh(xw[:, 2 * hd:] + rh @ p["gru.Uc"])
+        h_prev, h = h, (1.0 - z) * h + z * c
+        pred_n[:, t] = h @ p["head.W"] + p["head.b"]
+        caches.append((x, mask, e, h_prev, z, r, c, rh, h))
+    err = pred_n - actions_n
+    loss = float((err ** 2).sum(axis=(1, 2)).mean())
+    dpred = 2.0 * err / batch
+    dh_next = np.zeros((batch, hd), dtype)
+    for t in range(t_window - 1, -1, -1):
+        x, mask, e, h_prev, z, r, c, rh, h = caches[t]
+        dout = dpred[:, t]
+        grads["head.W"] += h.T @ dout
+        grads["head.b"] += dout.sum(axis=0)
+        dh_new = dout @ p["head.W"].T + dh_next
+        dz = dh_new * (c - h_prev)
+        dc = dh_new * z
+        dh = dh_new * (1.0 - z)
+        dc_pre = dc * (1.0 - c * c)
+        grads["gru.Uc"] += rh.T @ dc_pre
+        drh = dc_pre @ p["gru.Uc"].T
+        dr = drh * h_prev
+        dh += drh * r
+        dxw = np.empty_like(dh_new, shape=(batch, 3 * hd))
+        dxw[:, :hd] = dz * z * (1.0 - z)
+        dxw[:, hd:2 * hd] = dr * r * (1.0 - r)
+        dxw[:, 2 * hd:] = dc_pre
+        grads["gru.W"] += e.T @ dxw
+        grads["gru.b"] += dxw.sum(axis=0)
+        grads["gru.U"] += h_prev.T @ dxw[:, :2 * hd]
+        dh += dxw[:, :2 * hd] @ p["gru.U"].T
+        de = (dxw @ p["gru.W"].T) * mask
+        grads["enc.W"] += x.T @ de
+        grads["enc.b"] += de.sum(axis=0)
+        de @ p["enc.W"].T  # the input gradient that the old unroll dropped
+        dh_next = dh
+    return loss
 
 
 def decode(cvae, z, cond):
@@ -162,10 +228,10 @@ class TestPolicyRNN:
         states = rng.normal(0, 1, (3, 4, 2))
         goal = rng.normal(0, 1, (3, 2)) if goal_conditioned else None
         pred_n, caches = policy._unroll(
-            policy._norm_state(states),
-            None if goal is None else policy._norm_state(goal))
-        arrays = [pred_n] + [a for step in caches for part in step
-                             for a in (part if isinstance(part, tuple) else (part,))]
+            policy.norm.norm_state(states),
+            None if goal is None else policy.norm.norm_state(goal))
+        arrays = [pred_n, *vars(caches).values()]
+        assert len(arrays) == 9
         assert all(a.dtype in (np.float32, np.bool_) for a in arrays)
         policy.loss_and_grad(states, rng.normal(0, 1, (3, 4, 2)), goal)
         adam_step(policy.store)
@@ -176,6 +242,81 @@ class TestPolicyRNN:
         _, hidden = policy.step(policy.init_hidden(), states[:1, 0],
                                 None if goal is None else goal[:1])
         assert hidden.dtype == np.float32
+
+
+def policy_pair(dtype, goal_conditioned, seed=3):
+    """Two policies with the same parameters."""
+    norm = random_norm(np.random.default_rng(seed))
+    return [PolicyRNN(2, 2, norm, hidden_dim=16, enc_dim=12,
+                      goal_conditioned=goal_conditioned, dtype=dtype,
+                      rng=np.random.default_rng(seed + 1)) for _ in range(2)]
+
+
+def window_batch(rng, batch, t_window):
+    """(B, T, obs) states, (B, T, act) actions and (B, obs) goals."""
+    return (rng.normal(0, 1, (batch, t_window, 2)),
+            rng.normal(0, 1, (batch, t_window, 2)), rng.normal(0, 1, (batch, 2)))
+
+
+def grad_bytes(policy):
+    return {name: t.grad.tobytes() for name, t in policy.store}
+
+
+def kept_arrays(policy):
+    return [a for caches in policy._caches.values() for a in vars(caches).values()]
+
+
+class TestPolicyCaches:
+    """The training unroll against :func:`reference_loss_and_grad`, bit for
+    bit, and the life of the caches the policy keeps between calls."""
+
+    @pytest.mark.parametrize("goal_conditioned", [True, False])
+    @pytest.mark.parametrize("t_window", [2, 10])
+    @pytest.mark.parametrize("batch", [1, 5, 128])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_reference_over_adam_steps(self, dtype, batch, t_window,
+                                               goal_conditioned):
+        policy, reference = policy_pair(dtype, goal_conditioned)
+        rng = np.random.default_rng(batch * 100 + t_window)
+        for _ in range(3):
+            states, actions, goal = window_batch(rng, batch, t_window)
+            goal = goal if goal_conditioned else None
+            loss = policy.loss_and_grad(states, actions, goal)
+            expected = reference_loss_and_grad(reference, states, actions, goal)
+            assert np.float64(loss).tobytes() == np.float64(expected).tobytes()
+            assert grad_bytes(policy) == grad_bytes(reference)
+            adam_step(policy.store)
+            adam_step(reference.store)
+
+    def test_same_shape_reuses_caches(self, rng):
+        policy = PolicyRNN(2, 2, random_norm(rng), hidden_dim=6, enc_dim=5, rng=rng)
+        states, actions, goal = window_batch(rng, 4, 3)
+        policy.loss_and_grad(states, actions, goal)
+        kept = kept_arrays(policy)
+        policy.loss_and_grad(*window_batch(rng, 4, 3))
+        assert [id(a) for a in kept_arrays(policy)] == [id(a) for a in kept]
+        pred_n, _ = policy._unroll(policy.norm.norm_state(states),
+                                   policy.norm.norm_state(goal))
+        assert not any(np.shares_memory(pred_n, a) for a in kept)
+
+    def test_interleaved_step_leaves_training_unchanged(self, rng):
+        policy, reference = policy_pair(np.float32, True)
+        first, second = window_batch(rng, 8, 4), window_batch(rng, 8, 4)
+        for model in (policy, reference):
+            model.loss_and_grad(*first)
+            adam_step(model.store)
+        kept = [(id(a), a.copy()) for a in kept_arrays(policy)]
+        hidden = policy.init_hidden()
+        action, new_hidden = policy.step(hidden, rng.normal(0, 1, (1, 2)),
+                                         rng.normal(0, 1, (1, 2)))
+        after_step = kept_arrays(policy)
+        assert all(id(a) == i and np.array_equal(a, old) for (i, old), a
+                   in zip(kept, after_step))
+        assert not any(np.shares_memory(out, a) for out in (action, new_hidden)
+                       for a in kept_arrays(policy))
+        policy.loss_and_grad(*second)
+        reference.loss_and_grad(*second)
+        assert grad_bytes(policy) == grad_bytes(reference)
 
 
 class TestConditionalVAE:

@@ -302,6 +302,7 @@ class TestTrainLoop:
         train(dataset, cfg, tmp_path / "r")
         manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
         assert manifest["config_digest"] == config_digest(cfg)
+        assert manifest["dataset_sha256"] is None  # generated in memory
         assert manifest["versions"] == {
             "goalsel": goalsel.__version__, "numpy": np.__version__,
             "scipy": scipy.__version__, "python": platform.python_version()}
@@ -404,7 +405,7 @@ class TestSplitWorker:
             assert tuple(header) == TIMING_COLUMNS
             assert [r[0] for r in rows] == ["2", "4", "6"]
             filled = {col for r in rows for col, cell in zip(header, r) if cell}
-            expected = {"iter", "sample", "policy", "goal_cvae"}
+            expected = {"iter", "sample", "policy", "goal_cvae", "faults"}
             if variant == "iris":
                 expected |= {"action_cvae", "q"}
             if mode == "split":
