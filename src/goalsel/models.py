@@ -24,7 +24,10 @@ reads; the inference methods (``ConditionalVAE.sample`` and ``sample_each``,
 
 The recurrent policy computes in float32 by default, which nearly halves the
 cost of its unroll; the VAEs, the Q-network and the regressor compute in
-float64. Gradient checks build the policy in float64.
+float64. Gradient checks build the policy in float64. The policy keeps the
+per-step values of its unroll in arrays it allocates once per (T, B) shape
+(:class:`_StepCaches`), so a training step allocates no memory that outlives
+one recurrent step.
 """
 
 from __future__ import annotations
@@ -81,6 +84,9 @@ class _StepCaches:
         self.rh = np.empty(steps + (hd,), dtype)
         self.c = np.empty(steps + (hd,), dtype)
         self.acts = np.empty((batch, t_window, policy.act_dim), dtype)
+        # what step t writes, as views made once: (x, e, mask, zr, rh, c, h[t + 1])
+        self.steps = [(self.x[t], self.e[t], self.mask[t], self.zr[t], self.rh[t],
+                       self.c[t], self.h[t + 1]) for t in range(t_window)]
 
 
 class PolicyRNN:
@@ -95,10 +101,10 @@ class PolicyRNN:
     values its backward pass would read into a :class:`_StepCaches` that the
     policy allocates once per (T, B) shape and reuses on every later call of
     that shape. A training step then allocates no memory that outlives one
-    recurrent step; before, the heap grew by the whole unroll's caches in the
-    forward pass and shrank back after the backward pass, so every step
-    faulted those pages in again. No array returned to a caller is part of
-    the kept caches.
+    recurrent step: caches allocated per step would grow the heap by the
+    whole unroll in the forward pass, and the allocator would hand those
+    pages back after the backward pass, so that every training step faulted
+    them in again. No array returned to a caller is part of the kept caches.
     """
 
     def __init__(self, obs_dim: int, act_dim: int, norm: NormStats, *,
@@ -136,15 +142,15 @@ class PolicyRNN:
             caches.x[..., self.obs_dim:] = g_n
         return caches
 
-    def _step(self, caches: _StepCaches, t: int) -> np.ndarray:
-        """Step ``t`` of the unroll in ``caches``: reads the encoder input
-        ``x[t]`` and the hidden state ``h[t]``, writes the step's cached values
-        and ``h[t + 1]``, and returns the normalized (B, act) actions."""
-        e_pre, _ = self.enc.forward(caches.x[t])
-        e, _ = relu(e_pre, out=(caches.e[t], caches.mask[t]))
-        h, _ = self.cell.forward(caches.h[t], e, out=(caches.zr[t], caches.rh[t],
-                                                      caches.c[t], caches.h[t + 1]))
-        return self.head.forward(h)[0]
+    def _step(self, views, h: np.ndarray) -> np.ndarray:
+        """One recurrent step from the (B, H) hidden state ``h`` on the
+        encoder input in ``views``, one entry of :attr:`_StepCaches.steps`:
+        writes the step's cached values and new hidden state there and
+        returns the normalized (B, act) actions."""
+        x, e, mask, zr, rh, c, h_next = views
+        relu(self.enc.forward(x)[0], out=(e, mask))
+        self.cell.forward(h, e, out=(zr, rh, c, h_next))
+        return self.head.forward(h_next)[0]
 
     def _unroll(self, states_n: np.ndarray, goal_n: np.ndarray | None):
         """(B, T, obs) normalized states from a zero hidden state -> a new
@@ -152,8 +158,8 @@ class PolicyRNN:
         t_window = states_n.shape[1]
         caches = self._step_caches(t_window, states_n.swapaxes(0, 1), goal_n)
         caches.h[0] = 0.0
-        for t in range(t_window):
-            caches.acts[:, t] = self._step(caches, t)
+        for t, views in enumerate(caches.steps):
+            caches.acts[:, t] = self._step(views, caches.h[t])
         return caches.acts.copy(), caches
 
     def loss_and_grad(self, states, actions, goal=None) -> float:
@@ -181,8 +187,7 @@ class PolicyRNN:
         hidden state; returns ((B, act) denormalized actions, new hidden)."""
         g_n = None if goal is None else self.norm.norm_state(goal)
         caches = self._step_caches(1, self.norm.norm_state(s)[None], g_n)
-        caches.h[0] = hidden
-        a_n = self._step(caches, 0)
+        a_n = self._step(caches.steps[0], hidden)
         return self.norm.denorm_action(a_n), caches.h[1].copy()
 
 

@@ -10,8 +10,12 @@ Layers follow a ``forward(...) -> (output, cache)`` /
 ``backward(cache, dout) -> din`` convention; parameter gradients accumulate
 into the owning :class:`Tensor` until the next :func:`adam_step`, so a
 recurrent cell can be unrolled and backpropagated one cached step at a time.
-:meth:`MLP.predict` is the inference pass: it returns the output of
-:meth:`MLP.forward` bit for bit but keeps no caches.
+:meth:`GRUCell.forward` writes its cached values into arrays the caller
+passes, as :func:`relu` does when given ``out``, so that an unroll can keep
+them in buffers it reuses, and :meth:`Linear.backward_params` skips the input
+gradient of a layer whose input is data. :meth:`MLP.predict` is the
+inference pass: it returns the output of :meth:`MLP.forward` bit for bit but
+keeps no caches.
 """
 
 from __future__ import annotations
@@ -166,10 +170,15 @@ class Linear:
         return dout @ self.W.value.T
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out=None) -> np.ndarray:
     """Logistic function as ``0.5 * tanh(0.5 x) + 0.5``: it keeps the input
-    dtype and cannot overflow, and costs less than ``scipy.special.expit``."""
-    return 0.5 * np.tanh(0.5 * x) + 0.5
+    dtype and cannot overflow, and costs less than ``scipy.special.expit``.
+    Computed in ``out`` (which may be ``x``) if given, else in one new array."""
+    y = np.multiply(x, 0.5, out=out)
+    np.tanh(y, out=y)
+    y *= 0.5
+    y += 0.5
+    return y
 
 
 def relu(x: np.ndarray, out=None):
@@ -253,27 +262,19 @@ class GRUCell:
         self.Uc = store.add(f"{name}.Uc", fan_in_uniform(rng, fan, (hidden_dim, hidden_dim)))
         self.b = store.add(f"{name}.b", np.zeros(3 * hidden_dim))
 
-    def forward(self, h: np.ndarray, x: np.ndarray, out=None):
-        """One update of (B, H) hidden states on (B, in) inputs. Returns the
-        new hidden state and the cache ``(x, h, zr, rh, c)`` that
-        :meth:`backward` reads: ``zr`` holds the update and reset gates side
-        by side, ``rh`` the reset-gated hidden state and ``c`` the candidate.
-
-        ``out = (zr, rh, c, h_new)``, if given, are the arrays that receive
-        the gates, ``rh``, the candidate and the new state, so that a caller
-        that keeps them allocates nothing that outlives the call; otherwise
-        they are new arrays of the dtype of ``h``.
-        """
+    def forward(self, h: np.ndarray, x: np.ndarray, out):
+        """One update of (B, H) hidden states on (B, in) inputs, written into
+        the caller's arrays ``out = (zr, rh, c, h_new)``: the update and reset
+        gates side by side (B, 2H), the reset-gated hidden state, the
+        candidate and the new state. Returns the new state and the cache
+        ``(x, h, zr, rh, c)`` that :meth:`backward` reads."""
         hd = self.hidden_dim
-        if out is None:
-            out = (np.empty_like(h, shape=(h.shape[0], 2 * hd)), np.empty_like(h),
-                   np.empty_like(h), np.empty_like(h))
         zr, rh, c, h_new = out
         xw = x @ self.W.value + self.b.value
         hu = h @ self.U.value
         # one sigmoid for both gates: on a batch-1 step its cost is per
         # ufunc call, not per element
-        zr[...] = sigmoid(xw[:, :2 * hd] + hu)
+        sigmoid(np.add(xw[:, :2 * hd], hu, out=zr), out=zr)
         z, r = zr[:, :hd], zr[:, hd:]
         np.multiply(r, h, out=rh)
         np.tanh(xw[:, 2 * hd:] + rh @ self.Uc.value, out=c)

@@ -31,7 +31,9 @@ component but the policy live in shared memory, Adam step counters included
 batch and rng children from its fork-time copies of the dataset and the step
 rng, the same draws the parent makes. Checkpoints, ``metrics.csv`` and the
 returned models are byte-identical to a serial run.
-Per-component step times go to ``timings.csv`` beside ``metrics.csv``.
+Per-component step times and this process's minor page faults per step go
+to ``timings.csv`` beside ``metrics.csv``; ``manifest.json`` records the
+config digest and the sha256 of the dataset file.
 """
 
 from __future__ import annotations

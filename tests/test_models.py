@@ -151,7 +151,8 @@ class TestPolicyRNN:
         for t in range(3):
             x = np.concatenate([norm.norm_state(states[:, t]), g_n], axis=1)
             e = np.maximum(x @ policy.enc.W.value + policy.enc.b.value, 0.0)
-            h, _ = policy.cell.forward(h, e)
+            h, _ = policy.cell.forward(h, e, (np.empty((1, 8)), np.empty((1, 4)),
+                                              np.empty((1, 4)), np.empty((1, 4))))
             a_n = h @ policy.head.W.value + policy.head.b.value
             expected.append(norm.denorm_action(a_n))
         assert np.allclose(out, np.stack(expected, axis=1), rtol=0, atol=1e-12)
@@ -230,7 +231,7 @@ class TestPolicyRNN:
         pred_n, caches = policy._unroll(
             policy.norm.norm_state(states),
             None if goal is None else policy.norm.norm_state(goal))
-        arrays = [pred_n, *vars(caches).values()]
+        arrays = [pred_n, *cache_arrays(caches)]
         assert len(arrays) == 9
         assert all(a.dtype in (np.float32, np.bool_) for a in arrays)
         policy.loss_and_grad(states, rng.normal(0, 1, (3, 4, 2)), goal)
@@ -262,8 +263,13 @@ def grad_bytes(policy):
     return {name: t.grad.tobytes() for name, t in policy.store}
 
 
+def cache_arrays(caches):
+    """The arrays of a ``_StepCaches``, without the per-step views of them."""
+    return [a for a in vars(caches).values() if isinstance(a, np.ndarray)]
+
+
 def kept_arrays(policy):
-    return [a for caches in policy._caches.values() for a in vars(caches).values()]
+    return [a for caches in policy._caches.values() for a in cache_arrays(caches)]
 
 
 class TestPolicyCaches:

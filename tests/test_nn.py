@@ -167,9 +167,17 @@ def _scalar_gru_reference(cell, h, x):
     return np.array([(1.0 - z[j]) * h[j] + z[j] * c[j] for j in range(hd)])
 
 
+def gru_forward(cell, h, x):
+    """One cell update of (B, H) hidden states on (B, in) inputs into new
+    arrays."""
+    out = (np.empty((len(h), 2 * cell.hidden_dim)), np.empty_like(h),
+           np.empty_like(h), np.empty_like(h))
+    return cell.forward(h, x, out)[0]
+
+
 def gru(cell, h, x):
     """One cell update of a single (h, x) row pair."""
-    return cell.forward(np.atleast_2d(h), np.atleast_2d(x))[0][0]
+    return gru_forward(cell, np.atleast_2d(h), np.atleast_2d(x))[0]
 
 
 def head_of(mu, log_sigma):
@@ -229,7 +237,7 @@ class TestGRU:
         cell = GRUCell(store, "g", 3, 4, rng)
         h = rng.normal(size=(5, 4))
         x = rng.normal(size=(5, 3))
-        batched, _ = cell.forward(h, x)
+        batched = gru_forward(cell, h, x)
         for i in range(5):
             assert np.allclose(batched[i], gru(cell, h[i], x[i]))
 
