@@ -24,10 +24,8 @@ reads; the inference methods (``ConditionalVAE.sample`` and ``sample_each``,
 
 The recurrent policy computes in float32 by default, which nearly halves the
 cost of its unroll; the VAEs, the Q-network and the regressor compute in
-float64. Gradient checks build the policy in float64. The policy keeps the
-per-step values of its unroll in arrays it allocates once per (T, B) shape
-(:class:`_StepCaches`), so a training step allocates no memory that outlives
-one recurrent step.
+float64. Gradient checks build the policy in float64. The policy keeps its
+unroll's per-step values in arrays reused across calls (:class:`_StepCaches`).
 """
 
 from __future__ import annotations
@@ -63,14 +61,12 @@ VARIANTS = {
 
 
 class _StepCaches:
-    """What the backward pass of a T-step unroll of B rows reads, one array
-    per value with the step first: the encoder inputs ``x``, the ReLU mask
-    and output, the hidden states ``h`` (``h[t]`` enters step t, so there are
-    T + 1), the GRU gates ``zr``, the reset-gated hidden states ``rh`` and
-    the candidates ``c``; plus the (B, T, act) normalized predictions. Step
-    t's arrays are contiguous (B, ...) rows, as freshly allocated ones would
-    be, so the products and ufuncs that read and write them give the same
-    bits."""
+    """What the backward pass of a T-step unroll of B rows reads, step first:
+    encoder inputs ``x``, ReLU mask and output ``e``, hidden states ``h``
+    (T + 1; ``h[t]`` enters step t), gates ``zr``, reset-gated states ``rh``
+    and candidates ``c``; plus the (B, T, act) normalized predictions. Each
+    step's rows are contiguous, as new arrays would be, so they give the
+    same bits."""
 
     def __init__(self, t_window: int, batch: int, policy: "PolicyRNN"):
         dtype = policy.store.dtype
@@ -97,14 +93,11 @@ class PolicyRNN:
     it refreshes the goal. Normalized inputs are cast once to ``dtype``, the
     dtype of the parameter store, so the encoder, cell and head compute in it.
 
-    Every step, of the training unroll and of :meth:`step` alike, writes the
-    values its backward pass would read into a :class:`_StepCaches` that the
-    policy allocates once per (T, B) shape and reuses on every later call of
-    that shape. A training step then allocates no memory that outlives one
-    recurrent step: caches allocated per step would grow the heap by the
-    whole unroll in the forward pass, and the allocator would hand those
-    pages back after the backward pass, so that every training step faulted
-    them in again. No array returned to a caller is part of the kept caches.
+    Every step, of the training unroll and of :meth:`step` alike, writes what
+    its backward pass would read into a :class:`_StepCaches` allocated once
+    per (T, B) shape. Caches allocated per step would grow the heap by the
+    whole unroll and hand it back every training step, faulting its pages in
+    again each time. No array returned to a caller is part of a kept cache.
     """
 
     def __init__(self, obs_dim: int, act_dim: int, norm: NormStats, *,
