@@ -123,8 +123,7 @@ def cmd_viz(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    worst = standard_grad_check_suite(n_instances=args.instances,
-                                      rel_tol=args.tolerance, seed=args.seed)
+    worst = standard_grad_check_suite(n_instances=args.instances, seed=args.seed)
     ok = True
     for name, err in worst.items():
         status = "ok" if err < args.tolerance else "FAIL"

@@ -26,23 +26,21 @@ class GraphReachEnv:
 
     Dynamics are deterministic: actions are clipped per axis to ``a_max``,
     positions are clipped to the unit square, and reward 1 is granted exactly
-    when the new position enters the goal disc, ending the episode.
+    when the new position enters the goal disc, ending the episode. The
+    caller sets the horizon.
     """
 
-    def __init__(self, grid_n: int = 5, a_max: float = 0.02,
-                 eps_goal: float = 0.05, h_max: int = 800):
+    def __init__(self, grid_n: int = 5, a_max: float = 0.02, eps_goal: float = 0.05):
         if grid_n < 3 or grid_n % 2 == 0:
             raise ValueError("grid_n must be an odd integer >= 3")
         self.grid_n = grid_n
         self.a_max = float(a_max)
         self.eps_goal = float(eps_goal)
-        self.h_max = int(h_max)
         self.start = np.array([0.5, 1.0])
         self.goal_center = np.array([0.5, 0.0])
         self.obs_dim = 2
         self.act_dim = 2
         self._pos = self.start.copy()
-        self._steps = 0
 
     @property
     def env_id(self) -> str:
@@ -53,18 +51,18 @@ class GraphReachEnv:
 
     def reset(self) -> np.ndarray:
         self._pos = self.start.copy()
-        self._steps = 0
         return self._pos.copy()
 
     def step(self, a) -> tuple[np.ndarray, float, bool]:
         a = self.clip_action(a)
         self._pos = np.clip(self._pos + a, 0.0, 1.0)
-        self._steps += 1
         success = float(np.linalg.norm(self._pos - self.goal_center)) <= self.eps_goal
         reward = 1.0 if success else 0.0
-        done = success or self._steps >= self.h_max
-        return self._pos.copy(), reward, done
+        return self._pos.copy(), reward, success
 
+
+# Steps after which the demonstration generator abandons a path.
+DEMO_H_MAX = 800
 
 _ENV_ID_RE = re.compile(r"^graph-reach-n(\d+)-v1$")
 
@@ -171,14 +169,15 @@ def build_waypoint_path(cfg: DemoGenConfig,
 
 def _follow_waypoints(env: GraphReachEnv, waypoints: np.ndarray,
                       cfg: DemoGenConfig, rng: np.random.Generator):
-    """Track a waypoint list with noisy actions; None if the step cap is hit."""
+    """Track a waypoint list with noisy actions; None if ``DEMO_H_MAX`` steps
+    do not reach the goal."""
     pos = env.reset()
     states = [pos]
     actions = []
     rewards = []
     wp = 1  # waypoints[0] is the start node
     last = len(waypoints) - 1
-    while True:
+    for _ in range(DEMO_H_MAX):
         while wp < last and np.linalg.norm(waypoints[wp] - pos) <= cfg.capture_radius:
             wp += 1
         delta = waypoints[wp] - pos
@@ -191,10 +190,9 @@ def _follow_waypoints(env: GraphReachEnv, waypoints: np.ndarray,
         actions.append(a)
         rewards.append(reward)
         if done:
-            if reward == 1.0:
-                return Trajectory(states=np.stack(states), actions=np.stack(actions),
-                                  rewards=np.array(rewards))
-            return None
+            return Trajectory(states=np.stack(states), actions=np.stack(actions),
+                              rewards=np.array(rewards))
+    return None
 
 
 def generate_demo(cfg: DemoGenConfig, rng: np.random.Generator,

@@ -256,7 +256,7 @@ class ConditionalVAE:
         dmu = dz + self.beta * head.mu / batch
         dls = dz * eps * sigma + self.beta * (sigma ** 2 - 1.0) / batch
         dls = dls * head.clip_mask
-        self.encoder.backward(enc_cache, np.concatenate([dmu, dls], axis=-1))
+        self.encoder.backward_params(enc_cache, np.concatenate([dmu, dls], axis=-1))
         return loss, {"recon": recon, "kl": kl}
 
     def sample(self, cond, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -346,7 +346,7 @@ class QNet:
         q = q[:, 0]
         err = q - targets
         loss = float((err ** 2).mean())
-        self.mlp.backward(cache, (2.0 * err / err.size)[:, None])
+        self.mlp.backward_params(cache, (2.0 * err / err.size)[:, None])
         return loss, float(q.mean())
 
 
@@ -401,7 +401,7 @@ class Regressor:
         out_n, cache = self.mlp.forward(s_n)
         diff = out_n - t_n
         loss = float((diff ** 2).sum(axis=-1).mean())
-        self.mlp.backward(cache, 2.0 * diff / s_n.shape[0])
+        self.mlp.backward_params(cache, 2.0 * diff / s_n.shape[0])
         return loss
 
 

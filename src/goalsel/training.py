@@ -2,13 +2,16 @@
 Q-network from dataset windows. Purely offline: this module never touches an
 environment.
 
-Each iteration samples a batch of T-step windows and applies the four
-parameter updates in a fixed order: (1) policy imitation on the window with
-its last state as goal, (2) goal VAE on the (first state, last state) pair,
-(3) action VAE on the window's final transition, (4) Q regression toward
-``r + gamma * max_i Q'(s_next, a_i)`` over action-VAE proposals, with the
-absorbing-goal value ``r / (1 - gamma)`` when the window ends a trajectory.
-A variant updates only its components (``models.VARIANTS``); per-component
+Each iteration samples a batch of T-step windows and updates the components
+in ``UPDATE_ORDER``: (1) policy imitation on the window with its last state
+as goal, (2) action VAE on the window's final transition, (3) Q regression
+toward ``r + gamma * max_i Q'(s_next, a_i)`` over action-VAE proposals, with
+the absorbing-goal value ``r / (1 - gamma)`` when the window ends a
+trajectory, (4) goal VAE on the (first state, last state) pair. The one
+constraint on the order is that the Q targets sample from the action VAE
+after its update; no two components share parameters or rng draws, so any
+order that keeps the action VAE before the Q-network gives the same bits. A
+variant updates only its components (``models.VARIANTS``); per-component
 noise comes from fixed rng slots so an absent component never perturbs the
 others' draws.
 
@@ -23,17 +26,17 @@ initial checkpoint and is stopped when training ends or fails. It is used
 only when the model set has a policy and another component, the process may
 run on two or more CPUs, and the process has exactly one OS thread (a BLAS
 thread pool in each process would fight over the cores, and only a
-single-threaded process is safe to fork); otherwise every update runs here,
-in order. Both processes run the same update body (``_update``), so the split
-is bit-exact whichever process runs a component: the stores of every
-component but the policy live in shared memory, Adam step counters included
+single-threaded process is safe to fork); otherwise every update runs here.
+Both processes run the same update body (``_update``), so the split is
+bit-exact whichever process runs a component: the stores of every component
+but the policy live in shared memory, Adam step counters included
 (:meth:`~goalsel.nn.ParamStore.share`), and the worker draws each step's
 batch and rng children from its fork-time copies of the dataset and the step
 rng, the same draws the parent makes. Checkpoints, ``metrics.csv`` and the
-returned models are byte-identical to a serial run.
-Per-component step times and this process's minor page faults per step go
-to ``timings.csv`` beside ``metrics.csv``; ``manifest.json`` records the
-config digest and the sha256 of the dataset file.
+returned models are byte-identical to a serial run. Per-component step times
+and this process's minor page faults per step go to ``timings.csv`` beside
+``metrics.csv``; ``manifest.json`` records the config digest and the sha256
+of the dataset file.
 """
 
 from __future__ import annotations
@@ -164,104 +167,84 @@ def _draw(dataset: TrajectoryDataset, cfg: TrainConfig, rng: np.random.Generator
     return batch, rng.spawn(3)
 
 
-def _update(models: ModelSet, names, batch: WindowBatch, rngs, cfg: TrainConfig,
-            update: bool, timings: dict[str, float]) -> dict[str, float]:
-    """The updates of the components in ``names``, in the fixed order policy,
-    bc, goal_cvae, goal_reg, action_cvae, qnet. Returns their losses and adds
-    each one's seconds to ``timings``."""
+# The action cVAE before the Q-net, whose targets sample from it after its
+# update. The split worker claims its components in this order too, so the
+# independent goal model, last, is the one the parent most likely takes over.
+UPDATE_ORDER = ("policy", "bc", "action_cvae", "qnet", "goal_cvae", "goal_reg")
+
+
+def _update(models: ModelSet, name: str, batch: WindowBatch, rngs, cfg: TrainConfig,
+            timings: dict[str, float]) -> dict[str, float]:
+    """Component ``name``'s update: its loss and gradients, its Adam step and,
+    for the Q-net, the polyak update of its target. Returns its losses and
+    adds its seconds to ``timings``."""
     goal_rng, action_rng, proposal_rng = rngs
-    losses: dict[str, float] = {}
-
-    if "policy" in names:
-        with _timed(timings, "policy"):
-            goal = batch.states[:, -1] if models["policy"].goal_conditioned else None
-            losses["loss_policy"] = models["policy"].loss_and_grad(
-                batch.states[:, :-1], batch.actions, goal)
-            if update:
-                adam_step(models["policy"].store, cfg.lr)
-    if "bc" in names:
-        with _timed(timings, "policy"):
-            losses["loss_policy"] = models["bc"].loss_and_grad(batch.states[:, 0],
-                                                               batch.actions[:, 0])
-            if update:
-                adam_step(models["bc"].store, cfg.lr)
-
-    if "goal_cvae" in names:
-        with _timed(timings, "goal_cvae"):
-            _, parts = models["goal_cvae"].loss_and_grad(
-                batch.states[:, -1], batch.states[:, 0], rng=goal_rng)
-            losses["loss_goal_recon"] = parts["recon"]
-            losses["loss_goal_kl"] = parts["kl"]
-            if update:
-                adam_step(models["goal_cvae"].store, cfg.lr)
-    if "goal_reg" in names:
-        with _timed(timings, "goal_reg"):
-            losses["loss_goal_recon"] = models["goal_reg"].loss_and_grad(
-                batch.states[:, 0], batch.states[:, -1])
-            if update:
-                adam_step(models["goal_reg"].store, cfg.lr)
-
-    # The Q targets sample from the action cVAE after its update.
-    if "action_cvae" in names:
-        with _timed(timings, "action_cvae"):
-            _, parts = models["action_cvae"].loss_and_grad(
-                batch.actions[:, -1], batch.states[:, -2], rng=action_rng)
-            losses["loss_action_recon"] = parts["recon"]
-            losses["loss_action_kl"] = parts["kl"]
-            if update:
-                adam_step(models["action_cvae"].store, cfg.lr)
-
-    if "qnet" in names:
-        with _timed(timings, "q"):
+    model = models[name]
+    with _timed(timings, {"bc": "policy", "qnet": "q"}.get(name, name)):
+        if name == "policy":
+            goal = batch.states[:, -1] if model.goal_conditioned else None
+            losses = {"loss_policy": model.loss_and_grad(batch.states[:, :-1],
+                                                         batch.actions, goal)}
+        elif name == "bc":
+            losses = {"loss_policy": model.loss_and_grad(batch.states[:, 0],
+                                                         batch.actions[:, 0])}
+        elif name == "action_cvae":
+            _, parts = model.loss_and_grad(batch.actions[:, -1], batch.states[:, -2],
+                                           rng=action_rng)
+            losses = {"loss_action_recon": parts["recon"], "loss_action_kl": parts["kl"]}
+        elif name == "qnet":
             s, a, r, s_next, terminal = _q_transitions(batch, cfg)
-            targets = q_targets_batch(models["qnet"], models["action_cvae"], s_next, r,
-                                      terminal, cfg.gamma, cfg.m_proposals,
-                                      proposal_rng)
-            losses["loss_q"], losses["q_mean"] = models["qnet"].loss_and_grad(
-                s, a, targets)
-            if update:
-                adam_step(models["qnet"].store, cfg.lr)
-                polyak_update(models["qnet"], cfg.tau)
+            targets = q_targets_batch(model, models["action_cvae"], s_next, r, terminal,
+                                      cfg.gamma, cfg.m_proposals, proposal_rng)
+            losses = dict(zip(("loss_q", "q_mean"), model.loss_and_grad(s, a, targets)))
+        elif name == "goal_cvae":
+            _, parts = model.loss_and_grad(batch.states[:, -1], batch.states[:, 0],
+                                           rng=goal_rng)
+            losses = {"loss_goal_recon": parts["recon"], "loss_goal_kl": parts["kl"]}
+        else:  # goal_reg
+            losses = {"loss_goal_recon": model.loss_and_grad(batch.states[:, 0],
+                                                             batch.states[:, -1])}
+        adam_step(model.store, cfg.lr)
+        if name == "qnet":
+            polyak_update(model, cfg.tau)
     return losses
 
 
 def train_step(models: ModelSet, dataset: TrajectoryDataset, cfg: TrainConfig,
-               rng: np.random.Generator, update: bool = True,
-               worker: "_Worker | None" = None,
+               rng: np.random.Generator, worker: "_Worker | None" = None,
                timings: dict[str, float] | None = None) -> dict[str, float]:
-    """One batch through every enabled component, in the fixed update order.
+    """One batch through every enabled component, in ``UPDATE_ORDER``.
 
-    Returns the losses under their ``METRIC_COLUMNS`` names. With
-    ``update=False`` the losses and gradients are computed but no parameters
-    move (used by gradient and orthogonality tests). With a ``worker`` (which
-    :func:`train` forks), this process updates the policy while the worker
-    updates the other components, and this process then takes over every
-    component the worker has not started; ``rng`` must be the rng the worker
-    was forked with, since the worker mirrors its draws. The seconds of each
-    phase (``TIMING_COLUMNS``) are added to ``timings`` if given.
+    Returns the losses under their ``METRIC_COLUMNS`` names, in that order.
+    With a ``worker`` (which :func:`train` forks), this process updates the
+    policy while the worker updates the other components, and this process
+    then takes over every component the worker has not started; ``rng`` must
+    be the rng the worker was forked with, since the worker mirrors its
+    draws. The seconds of each phase (``TIMING_COLUMNS``) are added to
+    ``timings`` if given.
     """
     timings = {} if timings is None else timings
-    names = tuple(models)
     if worker is not None:
         if rng is not worker.rng:
             raise ValueError("a training worker mirrors the draws of the rng it "
                              "was forked with; train_step got another rng")
-        step = worker.start_step(update)
-        names = ("policy",)
+        step = worker.start_step()
     with _timed(timings, "sample"):
         batch, rngs = _draw(dataset, cfg, rng)
-    losses = _update(models, names, batch, rngs, cfg, update, timings)
+    losses: dict[str, float] = {}
+    for name in UPDATE_ORDER if worker is None else ("policy",):
+        if name in models:
+            losses.update(_update(models, name, batch, rngs, cfg, timings))
     if worker is not None:
         taken, ran_all = _run_claims(worker.board, step, models, batch, rngs, cfg,
-                                     update, timings)
+                                     timings)
         losses.update(taken)
         with _timed(timings, "wait"):
             worker_losses, worker_timings = worker.finish_step(step, wait=not ran_all)
         losses.update(worker_losses)
         for key, seconds in worker_timings.items():
             timings[key] = timings.get(key, 0.0) + seconds
-        losses = {key: losses[key] for key in METRIC_COLUMNS if key in losses}
-    return losses
+    return {key: losses[key] for key in METRIC_COLUMNS if key in losses}
 
 
 def _can_fork(models: ModelSet) -> bool:
@@ -277,12 +260,6 @@ def _can_fork(models: ModelSet) -> bool:
         return False
 
 
-# The worker claims components in this order: the action cVAE first, since the
-# Q update samples from it after its update, and last the independent goal
-# model, which the parent is then most likely to take over.
-CLAIM_ORDER = ("action_cvae", "qnet", "goal_cvae", "goal_reg")
-
-
 class _Board:
     """Which components of the current step have been claimed and finished,
     in shared memory under one lock, so that the parent and the worker each
@@ -291,7 +268,8 @@ class _Board:
     finished."""
 
     def __init__(self, names, ctx):
-        self.names = tuple(name for name in CLAIM_ORDER if name in names)
+        self.names = tuple(name for name in UPDATE_ORDER
+                           if name in names and name != "policy")
         n = len(self.names)
         shared = mmap.mmap(-1, 16 * n)  # views keep it alive
         # the last step for which each component was claimed, and finished
@@ -300,7 +278,7 @@ class _Board:
         self.lock = ctx.Lock()
 
     def claim(self, step: int) -> str | None:
-        """Claim the first component in ``CLAIM_ORDER`` that can run now in
+        """Claim the first component in ``UPDATE_ORDER`` that can run now in
         ``step``, or return None if there is none."""
         with self.lock:
             for i, name in enumerate(self.names):
@@ -317,7 +295,7 @@ class _Board:
 
 
 def _run_claims(board: _Board, step: int, models: ModelSet,
-                batch: WindowBatch, rngs, cfg: TrainConfig, update: bool,
+                batch: WindowBatch, rngs, cfg: TrainConfig,
                 timings: dict[str, float]) -> tuple[dict[str, float], bool]:
     """Claim and update components of ``step`` until none is left that can
     run now. Returns their losses and whether they were all of the board's
@@ -325,7 +303,7 @@ def _run_claims(board: _Board, step: int, models: ModelSet,
     losses: dict[str, float] = {}
     count = 0
     while (name := board.claim(step)) is not None:
-        losses.update(_update(models, (name,), batch, rngs, cfg, update, timings))
+        losses.update(_update(models, name, batch, rngs, cfg, timings))
         board.finish(name, step)
         count += 1
     return losses, count == len(board.names)
@@ -333,18 +311,16 @@ def _run_claims(board: _Board, step: int, models: ModelSet,
 
 def _serve(conn, board: _Board, models: ModelSet, dataset: TrajectoryDataset,
            cfg: TrainConfig, rng: np.random.Generator) -> None:
-    """The worker's loop: per ``(step, update)`` message received, draw the
-    batch and rng children that the parent draws from its own copy of ``rng``,
-    run the components it can claim, and reply with the step, their losses and
-    their seconds; ``None`` stops it. An exception is sent back as its
-    traceback text."""
+    """The worker's loop: per step number received, draw the batch and rng
+    children that the parent draws from its own copy of ``rng``, run the
+    components it can claim, and reply with the step, their losses and their
+    seconds; ``None`` stops it. An exception is sent back as its traceback
+    text."""
     try:
-        while (message := conn.recv()) is not None:
-            step, update = message
+        while (step := conn.recv()) is not None:
             timings: dict[str, float] = {}
             batch, rngs = _draw(dataset, cfg, rng)
-            losses, _ = _run_claims(board, step, models, batch, rngs, cfg, update,
-                                    timings)
+            losses, _ = _run_claims(board, step, models, batch, rngs, cfg, timings)
             conn.send(("ok", step, losses, timings))
     except EOFError:  # the parent has gone
         pass
@@ -379,10 +355,10 @@ class _Worker:
         self.process.start()
         child_conn.close()
 
-    def start_step(self, update: bool) -> int:
+    def start_step(self) -> int:
         """Send the worker the next step; returns its number."""
         self.step += 1
-        self.conn.send((self.step, update))
+        self.conn.send(self.step)
         return self.step
 
     def _receive(self):
@@ -431,30 +407,6 @@ def _q_transitions(batch: WindowBatch, cfg: TrainConfig):
         return s, a, r, s_next, terminal.reshape(-1)
     return (batch.states[:, -2], batch.actions[:, -1], batch.rewards[:, -1],
             batch.states[:, -1], batch.is_terminal)
-
-
-class TrainState:
-    """Iteration counter and running (since last flush) loss averages."""
-
-    def __init__(self):
-        self.iteration = 0
-        self._sums: dict[str, float] = {}
-        self._counts: dict[str, int] = {}
-
-    def update(self, losses: dict[str, float]) -> None:
-        self.iteration += 1
-        for key, value in losses.items():
-            if not np.isfinite(value):
-                raise FloatingPointError(f"non-finite {key} at iteration "
-                                         f"{self.iteration}: {value}")
-            self._sums[key] = self._sums.get(key, 0.0) + value
-            self._counts[key] = self._counts.get(key, 0) + 1
-
-    def flush(self) -> dict[str, float]:
-        means = {k: self._sums[k] / self._counts[k] for k in self._sums}
-        self._sums.clear()
-        self._counts.clear()
-        return means
 
 
 @dataclass
@@ -541,7 +493,6 @@ def train(dataset: TrajectoryDataset, cfg: TrainConfig, out_dir) -> TrainResult:
 
     checkpoints = [_checkpoint(models, out_dir, 0, digest)]
     worker = _Worker(models, dataset, cfg, step_rng) if _can_fork(models) else None
-    state = TrainState()
     metrics_path = out_dir / "metrics.csv"
     try:
         with open(metrics_path, "w", newline="") as fh, \
@@ -552,6 +503,7 @@ def train(dataset: TrajectoryDataset, cfg: TrainConfig, out_dir) -> TrainResult:
             timings_writer = csv.writer(timings_fh)
             timings_writer.writerow(TIMING_COLUMNS)
             timings_fh.flush()
+            sums: dict[str, float] = {}
             timings: dict[str, float] = {}
             faults = 0
             logged = 0
@@ -560,18 +512,23 @@ def train(dataset: TrajectoryDataset, cfg: TrainConfig, out_dir) -> TrainResult:
                 losses = train_step(models, dataset, cfg, step_rng, worker=worker,
                                     timings=timings)
                 faults += _minor_faults()
-                state.update(losses)
+                for key, value in losses.items():
+                    if not np.isfinite(value):
+                        raise FloatingPointError(f"non-finite {key} at iteration "
+                                                 f"{i}: {value}")
+                    sums[key] = sums.get(key, 0.0) + value
                 if i % cfg.log_every == 0 or i == cfg.n_iter:
-                    means = state.flush()
-                    writer.writerow([i] + [repr(means[col]) if col in means else ""
+                    # every loss is present at every step
+                    steps = i - logged
+                    writer.writerow([i] + [repr(sums[col] / steps) if col in sums else ""
                                            for col in METRIC_COLUMNS[1:]])
                     fh.flush()
-                    steps = i - logged
                     timings_writer.writerow(
                         [i] + [f"{1e3 * timings[col] / steps:.4f}"
                                if col in timings else "" for col in TIMING_COLUMNS[1:-1]]
                         + [f"{faults / steps:.2f}"])
                     timings_fh.flush()
+                    sums.clear()
                     timings.clear()
                     faults = 0
                     logged = i
@@ -610,8 +567,7 @@ def jitter_params(store, rng: np.random.Generator, scale: float = 0.05) -> None:
         tensor.value += rng.normal(0.0, scale, tensor.value.shape)
 
 
-def standard_grad_check_suite(n_instances: int = 20, rel_tol: float = 1e-4,
-                              seed: int = 0) -> dict[str, float]:
+def standard_grad_check_suite(n_instances: int = 20, seed: int = 0) -> dict[str, float]:
     """Finite-difference checks for the four training losses on small random
     instances with frozen sampling noise; returns each loss's max relative
     error over all instances."""
@@ -652,6 +608,5 @@ def standard_grad_check_suite(n_instances: int = 20, rel_tol: float = 1e-4,
                       states[:, -2], actions[:, -1], targets)[0]),
         }
         for name, (store, loss_fn) in checks.items():
-            report = grad_check(loss_fn, store, rng, rel_tol=rel_tol)
-            worst[name] = max(worst[name], report.max_rel_err)
+            worst[name] = max(worst[name], *grad_check(loss_fn, store, rng).values())
     return worst

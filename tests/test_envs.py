@@ -5,6 +5,7 @@ import pytest
 
 from goalsel.data import save, load
 from goalsel.envs import (
+    DEMO_H_MAX,
     DemoGenConfig,
     GraphReachEnv,
     WaypointPolicy,
@@ -51,13 +52,15 @@ class TestEnv:
         s, _, _ = env.step(np.array([10.0, 10.0]))
         assert np.array_equal(s, [1.0, 1.0])
 
-    def test_step_cap_ends_episode(self):
-        env = GraphReachEnv(h_max=3)
-        env.reset()
-        done = False
-        for _ in range(3):
-            _, _, done = env.step(np.zeros(2))
-        assert done
+    def test_step_cap_ends_episode(self, rng):
+        # the demo generator abandons a path after DEMO_H_MAX steps
+        env = GraphReachEnv(eps_goal=1e-9)  # a goal no noisy demo can hit
+        steps = []
+        real_step = env.step
+        env.step = lambda a: steps.append(a) or real_step(a)
+        with pytest.raises(RuntimeError, match="failed to generate"):
+            generate_demo(DemoGenConfig(max_retries=1), rng, env)
+        assert len(steps) == DEMO_H_MAX
 
     def test_deterministic_given_actions(self, rng):
         actions = rng.normal(0, 0.01, (40, 2))

@@ -57,11 +57,17 @@ class TestDiscountedReturn:
 
 class TestRollout:
     def test_zero_policy_fails_at_horizon(self):
-        env = GraphReachEnv(h_max=50)
+        env = GraphReachEnv()
         rec = rollout(env, ZeroPolicy(), 50, np.random.default_rng(0))
         assert not rec.success
         assert rec.length == 50
         assert rec.ret == 0.0
+
+    def test_rollout_horizon_beyond_demo_cap(self):
+        # the demo generator's 800-step cap does not end an evaluation episode
+        rec = rollout(make_env("graph-reach-n5-v1"), ZeroPolicy(), 1000,
+                      np.random.default_rng(0))
+        assert rec.length == 1000 and not rec.success
 
     def test_waypoint_oracle_return_matches_formula(self):
         env = GraphReachEnv()
@@ -73,7 +79,7 @@ class TestRollout:
         assert np.isclose(rec.ret, expected)
 
     def test_states_one_longer_than_actions(self):
-        env = GraphReachEnv(h_max=20)
+        env = GraphReachEnv()
         rec = rollout(env, ZeroPolicy(), 20, np.random.default_rng(0))
         assert len(rec.states) == rec.length + 1
         assert rec.actions.shape == (rec.length, 2)
@@ -103,7 +109,7 @@ class TestEvaluate:
                           np.mean([t.length for t in dataset]))
 
     def test_no_success_gives_null_length(self):
-        env = GraphReachEnv(h_max=10)
+        env = GraphReachEnv()
         report = evaluate(ZeroPolicy(), env,
                           EvalConfig(n_episodes=2, h_max=10, seeds=(0, 1)))
         assert report.mean_success_length is None

@@ -193,18 +193,18 @@ class TestPolicyRNN:
         states = rng.normal(0, 1, (2, 4, 2))
         actions = rng.normal(0, 1, (2, 4, 2))
         goal = rng.normal(0, 1, (2, 2))
-        report = grad_check(lambda: policy.loss_and_grad(states, actions, goal),
-                            policy.store, rng)
-        assert report.passed, report.failures
+        errs = grad_check(lambda: policy.loss_and_grad(states, actions, goal),
+                          policy.store, rng)
+        assert max(errs.values()) < 1e-4, errs
 
     def test_non_goal_conditioned_gradient_check(self, rng):
         policy = PolicyRNN(2, 2, random_norm(rng), hidden_dim=5, enc_dim=4,
                            goal_conditioned=False, dtype=np.float64, rng=rng)
         states = rng.normal(0, 1, (2, 4, 2))
         actions = rng.normal(0, 1, (2, 4, 2))
-        report = grad_check(lambda: policy.loss_and_grad(states, actions),
-                            policy.store, rng)
-        assert report.passed, report.failures
+        errs = grad_check(lambda: policy.loss_and_grad(states, actions),
+                          policy.store, rng)
+        assert max(errs.values()) < 1e-4, errs
 
     def test_float32_matches_float64(self):
         norm = random_norm(np.random.default_rng(7))
@@ -373,9 +373,9 @@ class TestConditionalVAE:
         target = rng.normal(0, 1, (3, 2))
         cond = rng.normal(0, 1, (3, 2))
         eps = rng.standard_normal((3, 2))
-        report = grad_check(lambda: cvae.loss_and_grad(target, cond, eps=eps)[0],
-                            cvae.store, rng)
-        assert report.passed, report.failures
+        errs = grad_check(lambda: cvae.loss_and_grad(target, cond, eps=eps)[0],
+                          cvae.store, rng)
+        assert max(errs.values()) < 1e-4, errs
 
 
 class TestSampling:
@@ -443,8 +443,8 @@ class TestQNet:
         s = rng.normal(0, 1, (4, 2))
         a = rng.normal(0, 1, (4, 2))
         targets = rng.normal(0, 1, 4)
-        report = grad_check(lambda: q.loss_and_grad(s, a, targets)[0], q.store, rng)
-        assert report.passed, report.failures
+        errs = grad_check(lambda: q.loss_and_grad(s, a, targets)[0], q.store, rng)
+        assert max(errs.values()) < 1e-4, errs
 
 
 class TestProposalValue:
@@ -517,15 +517,15 @@ class TestAuxiliaryNets:
         reg = goal_regressor(random_norm(rng), hidden_dim=5, rng=rng)
         s = rng.normal(0, 1, (4, 2))
         target = rng.normal(0, 1, (4, 2))
-        report = grad_check(lambda: reg.loss_and_grad(s, target), reg.store, rng)
-        assert report.passed, report.failures
+        errs = grad_check(lambda: reg.loss_and_grad(s, target), reg.store, rng)
+        assert max(errs.values()) < 1e-4, errs
 
     def test_bc_net_gradient_check(self, rng):
         net = bc_net(random_norm(rng), hidden_dim=5, rng=rng)
         s = rng.normal(0, 1, (4, 2))
         a = rng.normal(0, 1, (4, 2))
-        report = grad_check(lambda: net.loss_and_grad(s, a), net.store, rng)
-        assert report.passed, report.failures
+        errs = grad_check(lambda: net.loss_and_grad(s, a), net.store, rng)
+        assert max(errs.values()) < 1e-4, errs
 
     def test_zero_bc_net_outputs_mean_action(self, rng):
         norm = random_norm(rng)

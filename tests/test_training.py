@@ -171,6 +171,7 @@ class TestTrainStep:
                                   rng=np.random.default_rng(0))
             losses = train_step(models, dataset, cfg, np.random.default_rng(1))
             assert set(losses) == keys, variant
+            assert list(losses) == [c for c in METRIC_COLUMNS if c in keys], variant
 
     def test_deterministic_loss_records(self, small_demo_set):
         dataset, _ = small_demo_set
@@ -185,7 +186,11 @@ class TestTrainStep:
 
         assert run() == run()  # bit-identical floats
 
-    def test_ablations_leave_other_gradients_unchanged(self, small_demo_set):
+    def test_ablations_leave_other_gradients_unchanged(self, small_demo_set,
+                                                      monkeypatch):
+        # no parameter moves, so the gradients stay in the stores
+        monkeypatch.setattr(training_module, "adam_step", lambda store, lr: store)
+        monkeypatch.setattr(training_module, "polyak_update", lambda qnet, tau: qnet)
         dataset, _ = small_demo_set
         cfg_full = small_train_config("iris", n_iter=1)
         cfg_ablated = small_train_config("iris_no_q", n_iter=1)
@@ -194,8 +199,7 @@ class TestTrainStep:
             models = build_models(variant, 2, 2, dataset.norm_stats,
                                   hidden_dim=8, enc_dim=8,
                                   rng=np.random.default_rng(3))
-            train_step(models, dataset, cfg, np.random.default_rng(4),
-                       update=False)
+            train_step(models, dataset, cfg, np.random.default_rng(4))
             return models
 
         full = grads("iris", cfg_full)
