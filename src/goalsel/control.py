@@ -104,24 +104,17 @@ class BCController:
 
 
 class BCRNNController:
-    """Recurrent cloning without goals; hidden state spans the episode unless
-    ``windowed_reset`` re-zeroes it every ``t_segment`` steps."""
+    """Recurrent cloning without goals; the hidden state spans the episode."""
 
-    def __init__(self, policy, t_segment: int = 10, windowed_reset: bool = False):
+    def __init__(self, policy):
         self.policy = policy
-        self.t_segment = t_segment
-        self.windowed_reset = windowed_reset
         self.reset()
 
     def reset(self) -> None:
         self._hidden = self.policy.init_hidden()
-        self._steps = 0
 
     def act(self, s, rng=None) -> np.ndarray:
-        if self.windowed_reset and self._steps % self.t_segment == 0:
-            self._hidden = self.policy.init_hidden()
         action, self._hidden = self.policy.step(self._hidden, np.asarray(s)[None])
-        self._steps += 1
         return action[0]
 
 
@@ -147,7 +140,7 @@ class BCQController:
 
 
 def make_policy(models: ModelSet, *, t_segment: int = 10, n_goals: int = 100,
-                m_actions: int = 10, bc_rnn_windowed_reset: bool = False):
+                m_actions: int = 10):
     """Build the test-time policy that a model set's components call for."""
     if "bc" in models:
         return BCController(models["bc"])
@@ -155,8 +148,7 @@ def make_policy(models: ModelSet, *, t_segment: int = 10, n_goals: int = 100,
         return BCQController(models["action_cvae"], models["qnet"],
                              m_actions=m_actions)
     if not models["policy"].goal_conditioned:
-        return BCRNNController(models["policy"], t_segment,
-                               windowed_reset=bc_rnn_windowed_reset)
+        return BCRNNController(models["policy"])
     return HierarchicalController(
         models["policy"], t_segment, goal_cvae=models.get("goal_cvae"),
         action_cvae=models.get("action_cvae"), qnet=models.get("qnet"),

@@ -34,7 +34,6 @@ class EvalConfig:
     seeds: tuple[int, ...] = (0,)
     n_goals: int = 100
     m_actions: int = 10
-    bc_rnn_windowed_reset: bool = False
 
     def validate(self) -> None:
         if self.n_episodes < 1:
@@ -261,8 +260,7 @@ def evaluate_checkpoint(ckpt_path, dataset: TrajectoryDataset,
                         env) -> EvalReport:
     models = load_models(ckpt_path, dataset, train_cfg)
     policy = make_policy(models, t_segment=train_cfg.t_window,
-                         n_goals=eval_cfg.n_goals, m_actions=eval_cfg.m_actions,
-                         bc_rnn_windowed_reset=eval_cfg.bc_rnn_windowed_reset)
+                         n_goals=eval_cfg.n_goals, m_actions=eval_cfg.m_actions)
     return evaluate(policy, env, eval_cfg, checkpoint_hash=file_sha256(ckpt_path))
 
 

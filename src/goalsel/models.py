@@ -354,10 +354,9 @@ def polyak_update(qnet: QNet, tau: float) -> QNet:
     """target <- tau * online + (1 - tau) * target, elementwise."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    for name, tensor in qnet.store.params.items():
-        target = qnet.target_store.params[name].value
-        target *= 1.0 - tau
-        target += tau * tensor.value
+    target = qnet.target_store
+    target.value *= 1.0 - tau
+    target.value += tau * qnet.store.value
     return qnet
 
 

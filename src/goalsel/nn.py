@@ -3,10 +3,11 @@ gated-recurrent layers, clamped diagonal-Gaussian heads, Adam, finite-difference
 gradient checking, and a named-tensor checkpoint format (stored in the
 container of :mod:`goalsel.binfile`).
 
-Each :class:`ParamStore` fixes the dtype of its parameters, gradients and Adam
-moments (float64 unless the owner asks for float32); layers compute in the
-dtype of their inputs and parameters, with hand-written backward passes.
-Layers follow a ``forward(...) -> (output, cache)`` /
+Each :class:`ParamStore` holds its parameters, gradients and Adam moments in
+one flat buffer of one dtype (float64 unless the owner asks for float32), so
+that Adam and the other whole-store operations are single array operations;
+layers compute in the dtype of their inputs and parameters, with hand-written
+backward passes. Layers follow a ``forward(...) -> (output, cache)`` /
 ``backward(cache, dout) -> din`` convention; parameter gradients accumulate
 into the owning :class:`Tensor` until the next :func:`adam_step`, so a
 recurrent cell can be unrolled and backpropagated one cached step at a time.
@@ -35,13 +36,14 @@ CHECKPOINT_VERSION = 1
 
 
 class Tensor:
-    """A parameter array with a same-shaped gradient slot."""
+    """A parameter array and its same-shaped gradient slot: views of one
+    segment of the owning :class:`ParamStore`'s buffer."""
 
     __slots__ = ("value", "grad")
 
-    def __init__(self, value, dtype=np.float64):
-        self.value = np.array(value, dtype=dtype)
-        self.grad = np.zeros_like(self.value)
+    def __init__(self, value: np.ndarray, grad: np.ndarray):
+        self.value = value
+        self.grad = grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -52,15 +54,28 @@ class Tensor:
 
 
 class ParamStore:
-    """Named parameter tensors plus Adam moment buffers, all held in the
-    store's ``dtype``, and Adam's step counter."""
+    """Named parameter tensors laid end to end, in the order added, in one
+    ``(4, n)`` buffer of the store's ``dtype``, plus Adam's step counter. The
+    rows, also bound as ``value``, ``grad``, ``moment1`` and ``moment2``, are
+    the flat values, gradients and both Adam moments; each tensor's ``value``
+    and ``grad`` are views of its segment of the first two."""
 
     def __init__(self, dtype=np.float64):
         self.dtype = np.dtype(dtype)
         self.params: dict[str, Tensor] = {}
-        self.moment1: dict[str, np.ndarray] = {}
-        self.moment2: dict[str, np.ndarray] = {}
         self._step = np.zeros(1, np.int64)
+        self._bind(np.zeros((4, 0), self.dtype))
+
+    def _bind(self, buffer: np.ndarray) -> None:
+        """Make ``buffer`` the store's and rebind the row and tensor views."""
+        self.buffer = buffer
+        self.value, self.grad, self.moment1, self.moment2 = buffer
+        start = 0
+        for t in self.params.values():
+            stop = start + t.value.size
+            t.value = buffer[0, start:stop].reshape(t.shape)
+            t.grad = buffer[1, start:stop].reshape(t.shape)
+            start = stop
 
     @property
     def step_count(self) -> int:
@@ -72,12 +87,16 @@ class ParamStore:
         self._step[0] = value
 
     def add(self, name: str, value) -> Tensor:
+        """Append a tensor holding ``value`` (zero gradient and moments)."""
         if name in self.params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        tensor = Tensor(value, self.dtype)
-        self.params[name] = tensor
-        self.moment1[name] = np.zeros_like(tensor.value)
-        self.moment2[name] = np.zeros_like(tensor.value)
+        value = np.asarray(value)
+        n = self.buffer.shape[1]
+        buffer = np.zeros((4, n + value.size), self.dtype)
+        buffer[:, :n] = self.buffer
+        buffer[0, n:] = value.reshape(-1)
+        tensor = self.params[name] = Tensor(value, value)  # rebound below
+        self._bind(buffer)
         return tensor
 
     def __iter__(self):
@@ -87,43 +106,28 @@ class ParamStore:
         return len(self.params)
 
     def share(self) -> "ParamStore":
-        """Move values, gradients, both Adam moments and the step counter
-        into one anonymous shared memory mapping, so that a process forked
+        """Copy the step counter and the buffer into one anonymous shared
+        memory mapping and rebind the views to it, so that a process forked
         afterwards reads and writes the same memory as this one, and either
-        process can take the store's next Adam step.
-
-        Each ``Tensor.value``/``grad`` and each moment entry is rebound to a
-        view of the mapping holding a copy of its current contents; code that
-        reaches parameters through the store or its tensors sees no other
-        change. Arrays captured before the call keep the old private memory.
-        """
-        names = list(self.params)
-        arrays = [a for n in names for a in (self.params[n].value, self.params[n].grad,
-                                             self.moment1[n], self.moment2[n])]
-        arrays.append(self._step)
-        # each array starts on a 64-byte (cache-line) boundary
-        starts = np.cumsum([0] + [-(-a.nbytes // 64) * 64 for a in arrays])
-        shared = mmap.mmap(-1, max(int(starts[-1]), 1))  # views keep it alive
-        views = []
-        for a, start in zip(arrays, starts):
-            view = np.frombuffer(shared, a.dtype, a.size, int(start))
-            view = view.reshape(a.shape)
-            view[...] = a
-            views.append(view)
-        for i, n in enumerate(names):
-            t = self.params[n]
-            t.value, t.grad, self.moment1[n], self.moment2[n] = views[4 * i:4 * i + 4]
-        self._step = views[-1]
+        process can take the store's next Adam step. Arrays captured before
+        the call keep the old private memory."""
+        shared = mmap.mmap(-1, 8 + self.buffer.nbytes)  # views keep it alive
+        step = np.frombuffer(shared, np.int64, 1)
+        step[0] = self.step_count
+        buffer = np.frombuffer(shared, self.dtype, offset=8).reshape(self.buffer.shape)
+        buffer[...] = self.buffer
+        self._step = step
+        self._bind(buffer)
         return self
 
     def zero_grad(self) -> None:
-        for t in self.params.values():
-            t.grad.fill(0.0)
+        self.grad.fill(0.0)
 
     def assert_finite(self) -> None:
-        for name, t in self.params.items():
-            if not np.all(np.isfinite(t.value)):
-                raise FloatingPointError(f"non-finite values in parameter {name!r}")
+        if np.isfinite(self.value).all():
+            return
+        name = next(n for n, t in self.params.items() if not np.isfinite(t.value).all())
+        raise FloatingPointError(f"non-finite values in parameter {name!r}")
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: t.value.copy() for name, t in self.params.items()}
@@ -355,27 +359,27 @@ def kl_to_standard_normal(head: GaussianHead):
 
 def adam_step(store: ParamStore, lr: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> ParamStore:
-    """Bias-corrected adaptive-moment update; gradients are zeroed afterward.
+    """Bias-corrected adaptive-moment update of the whole store in one pass
+    over its buffer; gradients are zeroed afterward.
 
-    Tensors whose gradient is identically zero are left untouched (values and
-    moments), so a zero-gradient step is a parameter no-op for any state.
+    A store whose gradient is identically zero is left untouched (values and
+    moments; the step counter still advances), so a zero-gradient step is a
+    parameter no-op for any state.
     """
     store.step_count += 1
     t = store.step_count
+    g = store.grad
+    if not g.any():
+        return store
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
-    for name, tensor in store.params.items():
-        g = tensor.grad
-        if not g.any():
-            continue
-        m = store.moment1[name]
-        v = store.moment2[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        tensor.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-        g.fill(0.0)
+    m, v = store.moment1, store.moment2
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    store.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    g.fill(0.0)
     return store
 
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import mmap
 import multiprocessing
 import os
@@ -117,8 +118,11 @@ class TrainConfig:
             raise ValueError("m_proposals must be >= 1")
         if self.batch_size < 1 or self.n_iter < 0:
             raise ValueError("batch_size must be >= 1 and n_iter >= 0")
-        if self.beta_g < 0 or self.beta_a < 0 or self.lr <= 0:
-            raise ValueError("betas must be >= 0 and lr > 0")
+        if not (0 <= self.beta_g < math.inf and 0 <= self.beta_a < math.inf
+                and 0 < self.lr < math.inf):  # also false for nan
+            raise ValueError("betas must be finite and >= 0, lr finite and > 0")
+        if min(self.hidden_dim, self.enc_dim, self.goal_latent, self.action_latent) < 1:
+            raise ValueError("hidden_dim, enc_dim and latent sizes must be >= 1")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("tau must lie in [0, 1]")
         if self.ckpt_every < 1 or self.log_every < 1:

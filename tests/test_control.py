@@ -267,21 +267,6 @@ class TestBaselines:
         ctrl = BCQController(Fixed(), ActionQ(), m_actions=5)
         assert np.array_equal(ctrl.act(np.zeros(2), rng), proposals[1])
 
-    def test_bc_rnn_windowed_reset_periodicity(self, small_demo_set, rng):
-        dataset, _ = small_demo_set
-        from goalsel.models import PolicyRNN
-        policy = PolicyRNN(2, 2, dataset.norm_stats, hidden_dim=8, enc_dim=8,
-                           goal_conditioned=False, rng=rng)
-        s = np.array([0.5, 0.6])
-        windowed = BCRNNController(policy, 4, windowed_reset=True)
-        windowed.reset()
-        acts = [windowed.act(s) for _ in range(8)]
-        assert np.allclose(acts[0], acts[4])
-        free = BCRNNController(policy, 4, windowed_reset=False)
-        free.reset()
-        acts_free = [free.act(s) for _ in range(8)]
-        assert not np.allclose(acts_free[0], acts_free[4])
-
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_make_policy_variant_dispatch(self, variant):
         models = build_models(variant, 2, 2, flat_norm(), hidden_dim=6, enc_dim=6,

@@ -61,19 +61,18 @@ class TestParamStore:
         store.params["a"].grad[...] = 1.0
         adam_step(store)
         store.params["b"].grad[...] = 2.0
-        before = [(n, t.value.copy(), t.grad.copy(), store.moment1[n].copy(),
-                   store.moment2[n].copy()) for n, t in store]
+        before = store.buffer.copy()
         assert store.share() is store
         assert store.step_count == 1
-        for name, value, grad, m1, m2 in before:
-            t = store.params[name]
-            for got, want in ((t.value, value), (t.grad, grad),
-                              (store.moment1[name], m1), (store.moment2[name], m2)):
-                assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        assert store.buffer.dtype == dtype
+        assert store.buffer.tobytes() == before.tobytes()
+        for t in store.params.values():
+            assert np.shares_memory(t.value, store.buffer)
+            assert np.shares_memory(t.grad, store.buffer)
 
         def child():
             store.params["a"].value[...] = 7.0
-            store.moment2["b"][...] = 3.0
+            store.moment2[-5:] = 3.0
             store.params["b"].grad[...] = 0.0
             store.step_count = 4
 
@@ -82,7 +81,7 @@ class TestParamStore:
         process.join(10)
         assert process.exitcode == 0
         assert np.all(store.params["a"].value == 7.0)
-        assert np.all(store.moment2["b"] == 3.0)
+        assert np.all(store.moment2[-5:] == 3.0)
         assert not store.params["b"].grad.any()
         assert store.step_count == 4
 
@@ -310,15 +309,56 @@ class TestGaussianHead:
 class TestAdam:
     def test_zero_grad_is_noop_any_state(self, rng):
         store = ParamStore()
-        t = store.add("x", rng.normal(size=3))
+        store.add("x", rng.normal(size=3))
+        store.add("y", rng.normal(size=(2, 2)))
         # nonzero optimizer state must not move parameters when grads are zero
-        store.moment1["x"][...] = 1.0
-        store.moment2["x"][...] = 2.0
+        store.moment1[...] = 1.0
+        store.moment2[...] = 2.0
         store.step_count = 5
-        before = t.value.copy()
+        before = store.buffer.copy()
         adam_step(store, lr=0.1)
-        assert np.array_equal(t.value, before)
+        assert np.array_equal(store.buffer, before)
         assert store.step_count == 6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_per_tensor_loop(self, rng, dtype):
+        def reference_step(store, moments, lr):
+            # one tensor at a time, as each tensor once kept its own moments
+            store.step_count += 1
+            t = store.step_count
+            bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            for name, tensor in store:
+                g = tensor.grad
+                m, v = moments[name]
+                m *= 0.9
+                m += (1.0 - 0.9) * g
+                v *= 0.999
+                v += (1.0 - 0.999) * g * g
+                tensor.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+                g.fill(0.0)
+
+        shapes = {"w": (3, 4), "b": (4,), "u": (4, 2), "c": (1,)}
+        stores = [ParamStore(dtype) for _ in range(2)]
+        for name, shape in shapes.items():
+            value = rng.normal(size=shape)
+            for store in stores:
+                store.add(name, value)
+        flat, reference = stores
+        moments = {n: (np.zeros_like(t.value), np.zeros_like(t.value))
+                   for n, t in reference}
+        for _ in range(5):
+            for name, shape in shapes.items():
+                grad = rng.normal(size=shape)
+                flat.params[name].grad[...] = grad
+                reference.params[name].grad[...] = grad
+            adam_step(flat, lr=1e-2)
+            reference_step(reference, moments, lr=1e-2)
+            for name, tensor in reference:
+                assert flat.params[name].value.tobytes() == tensor.value.tobytes()
+            for row, moment in ((flat.moment1, 0), (flat.moment2, 1)):
+                want = np.concatenate([mv[moment].ravel() for mv in moments.values()])
+                assert row.tobytes() == want.tobytes()
+            assert not flat.grad.any()
 
     def test_first_step_magnitude_and_sign(self):
         store = ParamStore()
@@ -407,6 +447,12 @@ class TestCheckpoint:
 
 class TestTensor:
     def test_grad_matches_shape(self):
-        t = Tensor(np.zeros((2, 3)))
+        store = ParamStore()
+        store.add("a", np.zeros(4))
+        t = store.add("b", np.ones((2, 3)))
+        assert isinstance(t, Tensor)
         assert t.grad.shape == (2, 3)
         assert t.shape == (2, 3)
+        assert np.shares_memory(t.value, store.value)
+        assert np.shares_memory(t.grad, store.grad)
+        assert np.array_equal(store.value, [0.0] * 4 + [1.0] * 6)

@@ -139,6 +139,9 @@ class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
         {"variant": "nope"}, {"t_window": 1}, {"gamma": 1.0},
         {"m_proposals": 0}, {"tau": 1.5}, {"lr": 0.0},
+        {"hidden_dim": 0}, {"enc_dim": 0}, {"goal_latent": 0}, {"action_latent": 0},
+        {"lr": float("nan")}, {"lr": float("inf")}, {"beta_g": float("nan")},
+        {"beta_a": float("inf")},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -399,10 +402,8 @@ class TestSplitWorker:
             other = serial_stores[prefix]
             assert store.step_count == other.step_count == (
                 0 if prefix == "qnet_target" else cfg.n_iter)
-            for name, tensor in store:
-                assert tensor.value.tobytes() == other.params[name].value.tobytes()
-                assert store.moment1[name].tobytes() == other.moment1[name].tobytes()
-                assert store.moment2[name].tobytes() == other.moment2[name].tobytes()
+            assert list(store.params) == list(other.params)
+            assert store.buffer.tobytes() == other.buffer.tobytes()
         # one timings row per metrics row; only the split run waits on a worker
         for mode, result in results.items():
             header, *rows = read_timings(result.out_dir)
