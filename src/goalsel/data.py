@@ -1,8 +1,9 @@
 """Storage, sampling, filtering, and serialization of goal-reaching demonstrations.
 
 A trajectory is goal-reaching when its final reward is 1 and every earlier
-reward is 0. Datasets are append-then-freeze: once training starts nothing
-mutates them, so concurrent readers and samplers (each with its own rng) are
+reward is 0. A dataset is fixed when it is built from its finished list of
+trajectories: nothing mutates it afterwards, so its derived arrays are
+computed once and concurrent readers and samplers (each with its own rng) are
 safe. Dataset files use the container of :mod:`goalsel.binfile`.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -118,29 +120,32 @@ class WindowBatch:
 
 
 class TrajectoryDataset:
-    """A collection of goal-reaching trajectories with shared dimensions.
+    """A fixed collection of goal-reaching trajectories with shared dimensions.
 
-    Normalization statistics and window-sampling indices are computed lazily
-    and invalidated by ``append``. ``sha256`` is the digest of the file that
-    :func:`load` read the dataset from, and None for a dataset built in
-    memory or appended to since.
+    Normalization statistics and the stacked arrays that window sampling
+    gathers from are computed on first use. ``sha256`` is the digest of the
+    file that :func:`load` read the dataset from, and None for a dataset
+    built in memory.
     """
 
     def __init__(self, obs_dim: int, act_dim: int, env_id: str = "",
-                 trajectories=()):
+                 trajectories=(), sha256: str | None = None):
         if obs_dim < 1 or act_dim < 1:
             raise ValueError("obs_dim and act_dim must be positive")
         self.obs_dim = int(obs_dim)
         self.act_dim = int(act_dim)
         self.env_id = str(env_id)
-        self.sha256: str | None = None
-        self.trajectories: list[Trajectory] = []
-        self._norm: NormStats | None = None
+        self.sha256 = sha256
+        self.trajectories: list[Trajectory] = list(trajectories)
+        for traj in self.trajectories:
+            if not isinstance(traj, Trajectory):
+                raise TypeError("expected a Trajectory")
+            if traj.obs_dim != self.obs_dim or traj.act_dim != self.act_dim:
+                raise ValueError(
+                    f"dimension mismatch: trajectory is ({traj.obs_dim}, {traj.act_dim}), "
+                    f"dataset is ({self.obs_dim}, {self.act_dim})"
+                )
         self._window_index: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._stacked_states: np.ndarray | None = None
-        self._flat: tuple[np.ndarray, ...] | None = None
-        for traj in trajectories:
-            self.append(traj)
 
     def __len__(self) -> int:
         return len(self.trajectories)
@@ -148,33 +153,15 @@ class TrajectoryDataset:
     def __iter__(self):
         return iter(self.trajectories)
 
-    def append(self, traj: Trajectory) -> "TrajectoryDataset":
-        """Add a trajectory; its invariants were checked at construction."""
-        if not isinstance(traj, Trajectory):
-            raise TypeError("expected a Trajectory")
-        if traj.obs_dim != self.obs_dim or traj.act_dim != self.act_dim:
-            raise ValueError(
-                f"dimension mismatch: trajectory is ({traj.obs_dim}, {traj.act_dim}), "
-                f"dataset is ({self.obs_dim}, {self.act_dim})"
-            )
-        self.trajectories.append(traj)
-        self.sha256 = None
-        self._norm = None
-        self._window_index.clear()
-        self._stacked_states = None
-        self._flat = None
-        return self
-
     @property
     def lengths(self) -> np.ndarray:
         return np.array([t.length for t in self.trajectories], dtype=np.int64)
 
-    def compute_norm_stats(self) -> NormStats:
+    @cached_property
+    def norm_stats(self) -> NormStats:
         """Mean/std over all states and all actions, std floored at STD_FLOOR."""
-        if not self.trajectories:
-            raise ValueError("cannot compute normalization statistics of an empty dataset")
-        states = np.concatenate([t.states for t in self.trajectories]).astype(np.float64)
-        actions = np.concatenate([t.actions for t in self.trajectories]).astype(np.float64)
+        states = self.stacked_states
+        actions = self._flat_transitions[0]
         return NormStats(
             state_mean=states.mean(axis=0),
             state_std=np.maximum(states.std(axis=0), STD_FLOOR),
@@ -182,33 +169,23 @@ class TrajectoryDataset:
             action_std=np.maximum(actions.std(axis=0), STD_FLOOR),
         )
 
-    @property
-    def norm_stats(self) -> NormStats:
-        if self._norm is None:
-            self._norm = self.compute_norm_stats()
-        return self._norm
-
+    @cached_property
     def stacked_states(self) -> np.ndarray:
         """All states of all trajectories as one (N, obs_dim) float64 array."""
-        if self._stacked_states is None:
-            if not self.trajectories:
-                raise ValueError("empty dataset")
-            self._stacked_states = np.concatenate(
-                [t.states for t in self.trajectories]
-            ).astype(np.float64)
-        return self._stacked_states
+        if not self.trajectories:
+            raise ValueError("empty dataset")
+        return np.concatenate([t.states for t in self.trajectories]).astype(np.float64)
 
+    @cached_property
     def _flat_transitions(self) -> tuple[np.ndarray, ...]:
         """All actions as one (n_transitions, act_dim) float64 array, all
         rewards as one float64 vector, and each trajectory's first row in
-        :meth:`stacked_states` and in those two."""
-        if self._flat is None:
-            actions = np.concatenate([t.actions for t in self.trajectories])
-            rewards = np.concatenate([t.rewards for t in self.trajectories])
-            action_start = np.concatenate(([0], np.cumsum(self.lengths)[:-1]))
-            self._flat = (actions.astype(np.float64), rewards.astype(np.float64),
-                          action_start + np.arange(len(self)), action_start)
-        return self._flat
+        :attr:`stacked_states` and in those two."""
+        actions = np.concatenate([t.actions for t in self.trajectories])
+        rewards = np.concatenate([t.rewards for t in self.trajectories])
+        action_start = np.concatenate(([0], np.cumsum(self.lengths)[:-1]))
+        return (actions.astype(np.float64), rewards.astype(np.float64),
+                action_start + np.arange(len(self)), action_start)
 
     def _windows(self, t_window: int) -> tuple[np.ndarray, np.ndarray]:
         """(eligible trajectory indices, offsets) for length T, where
@@ -242,12 +219,12 @@ class TrajectoryDataset:
         j = np.searchsorted(offsets, flats, side="right") - 1
         traj_index = idx[j]
         start = flats - offsets[j]
-        actions, rewards, state_start, action_start = self._flat_transitions()
+        actions, rewards, state_start, action_start = self._flat_transitions
         steps = np.arange(t_window + 1)
         state_rows = (state_start[traj_index] + start)[:, None] + steps
         action_rows = (action_start[traj_index] + start)[:, None] + steps[:-1]
         # a window is terminal iff it is the last one of its trajectory
-        return WindowBatch(states=self.stacked_states()[state_rows],
+        return WindowBatch(states=self.stacked_states[state_rows],
                            actions=actions[action_rows], rewards=rewards[action_rows],
                            is_terminal=flats + 1 == offsets[j + 1],
                            traj_index=traj_index, start=start)
@@ -296,14 +273,11 @@ def load(path) -> TrajectoryDataset:
     obs_dim = r.u32()
     act_dim = r.u32()
     env_id = r.text()
-    n_traj = r.u32()
-    dataset = TrajectoryDataset(obs_dim, act_dim, env_id=env_id)
-    for _ in range(n_traj):
+    trajectories = []
+    for _ in range(r.u32()):
         length = r.u32()
-        states = r.f32((length + 1, obs_dim))
-        actions = r.f32((length, act_dim))
-        rewards = r.f32((length,))
-        dataset.append(Trajectory(states=states, actions=actions, rewards=rewards))
+        trajectories.append(Trajectory(states=r.f32((length + 1, obs_dim)),
+                                       actions=r.f32((length, act_dim)),
+                                       rewards=r.f32((length,))))
     r.finish()
-    dataset.sha256 = r.sha256()
-    return dataset
+    return TrajectoryDataset(obs_dim, act_dim, env_id, trajectories, sha256=r.sha256())

@@ -1,4 +1,4 @@
-"""2D grid-graph navigation task and its demonstration generator.
+"""2D grid-graph navigation task, its episode loop, and its demonstrations.
 
 The agent lives in the unit square and must travel from a fixed start at the
 top center to a fixed goal region at the bottom center. Demonstrations follow
@@ -6,8 +6,10 @@ random waypoint paths over an odd-sided grid of nodes: each row descent along
 the central column may branch into a lateral excursion that swings out to
 depth d, drops a row, and swings back, contributing 2d extra waypoints (more
 when the length multiplier is raised), so deeper deviations take
-proportionally longer detours before rejoining the central path. Waypoints
-are tracked with noisy, random-magnitude actions.
+proportionally longer detours before rejoining the central path. A
+demonstration is an ordinary :func:`rollout` of a :class:`WaypointPolicy`,
+which tracks the waypoints with noisy, random-magnitude actions; the same
+class with a fixed step and no noise is the deterministic oracle.
 """
 
 from __future__ import annotations
@@ -46,15 +48,12 @@ class GraphReachEnv:
     def env_id(self) -> str:
         return f"graph-reach-n{self.grid_n}-v1"
 
-    def clip_action(self, a) -> np.ndarray:
-        return np.clip(np.asarray(a, dtype=np.float64), -self.a_max, self.a_max)
-
     def reset(self) -> np.ndarray:
         self._pos = self.start.copy()
         return self._pos.copy()
 
     def step(self, a) -> tuple[np.ndarray, float, bool]:
-        a = self.clip_action(a)
+        a = np.clip(np.asarray(a, dtype=np.float64), -self.a_max, self.a_max)
         self._pos = np.clip(self._pos + a, 0.0, 1.0)
         success = float(np.linalg.norm(self._pos - self.goal_center)) <= self.eps_goal
         reward = 1.0 if success else 0.0
@@ -73,6 +72,57 @@ def make_env(env_id: str, **overrides) -> GraphReachEnv:
     if not m:
         raise ValueError(f"unknown env id {env_id!r}")
     return GraphReachEnv(grid_n=int(m.group(1)), **overrides)
+
+
+@dataclass
+class EpisodeRecord:
+    states: np.ndarray   # (L+1, obs_dim)
+    actions: np.ndarray  # (L, act_dim)
+    rewards: np.ndarray  # (L,)
+    success: bool
+    length: int
+    ret: float
+    goal_log: list | None = None
+
+
+def discounted_return(rewards, success: bool, gamma: float) -> float:
+    """Absorbing-goal return ``sum_t gamma^t r_t + success * gamma^L / (1 - gamma)``
+    of an episode of L steps."""
+    rewards = np.asarray(rewards, dtype=np.float64)
+    steps = np.arange(len(rewards))
+    value = float((gamma ** steps * rewards).sum())
+    if success:
+        value += gamma ** len(rewards) / (1.0 - gamma)
+    return value
+
+
+def rollout(env, policy, h_max: int, rng: np.random.Generator,
+            gamma: float = 0.99) -> EpisodeRecord:
+    """Reset env and policy, then step until done or the horizon."""
+    s = env.reset()
+    policy.reset()
+    states = [s]
+    actions = []
+    rewards = []
+    for _ in range(h_max):
+        a = policy.act(s, rng)
+        s, r, done = env.step(a)
+        states.append(s)
+        actions.append(np.asarray(a, dtype=np.float64))
+        rewards.append(r)
+        if done:
+            break
+    rewards = np.array(rewards)
+    success = bool(len(rewards) and rewards[-1] == 1.0)
+    return EpisodeRecord(
+        states=np.stack(states),
+        actions=np.stack(actions) if actions else np.zeros((0, env.act_dim)),
+        rewards=rewards,
+        success=success,
+        length=len(rewards),
+        ret=discounted_return(rewards, success, gamma),
+        goal_log=list(getattr(policy, "goal_log", []) or []) or None,
+    )
 
 
 class BranchDecision(NamedTuple):
@@ -100,6 +150,8 @@ class DemoGenConfig:
     max_retries: int = 20
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.grid_n < 3 or self.grid_n % 2 == 0:
             raise ValueError("grid_n must be an odd integer >= 3")
         if not 0.0 <= self.detour_prob <= 1.0:
@@ -167,34 +219,6 @@ def build_waypoint_path(cfg: DemoGenConfig,
     return waypoints, tuple(decisions)
 
 
-def _follow_waypoints(env: GraphReachEnv, waypoints: np.ndarray,
-                      cfg: DemoGenConfig, rng: np.random.Generator):
-    """Track a waypoint list with noisy actions; None if ``DEMO_H_MAX`` steps
-    do not reach the goal."""
-    pos = env.reset()
-    states = [pos]
-    actions = []
-    rewards = []
-    wp = 1  # waypoints[0] is the start node
-    last = len(waypoints) - 1
-    for _ in range(DEMO_H_MAX):
-        while wp < last and np.linalg.norm(waypoints[wp] - pos) <= cfg.capture_radius:
-            wp += 1
-        delta = waypoints[wp] - pos
-        dist = float(np.linalg.norm(delta))
-        eta = rng.uniform(cfg.eta_min, cfg.eta_max)
-        a = delta * (eta / max(dist, 1e-12)) + rng.normal(0.0, cfg.noise_sigma, size=2)
-        a = env.clip_action(a)
-        pos, reward, done = env.step(a)
-        states.append(pos)
-        actions.append(a)
-        rewards.append(reward)
-        if done:
-            return Trajectory(states=np.stack(states), actions=np.stack(actions),
-                              rewards=np.array(rewards))
-    return None
-
-
 def generate_demo(cfg: DemoGenConfig, rng: np.random.Generator,
                   env: GraphReachEnv | None = None) -> tuple[Trajectory, tuple[BranchDecision, ...]]:
     """One goal-reaching demonstration plus its branch-decision bookkeeping."""
@@ -205,9 +229,10 @@ def generate_demo(cfg: DemoGenConfig, rng: np.random.Generator,
         raise ValueError("eta_max exceeds the environment action bound")
     for _ in range(cfg.max_retries):
         waypoints, decisions = build_waypoint_path(cfg, rng)
-        traj = _follow_waypoints(env, waypoints, cfg, rng)
-        if traj is not None and traj.length > cfg.min_length:
-            return traj, decisions
+        demo = rollout(env, WaypointPolicy(waypoints, cfg, env.a_max), DEMO_H_MAX, rng)
+        if demo.success and demo.length > cfg.min_length:
+            return Trajectory(states=demo.states, actions=demo.actions,
+                              rewards=demo.rewards), decisions
     raise RuntimeError(
         f"failed to generate a valid demonstration in {cfg.max_retries} attempts"
     )
@@ -220,35 +245,39 @@ def generate_dataset(cfg: DemoGenConfig) -> tuple[TrajectoryDataset, list[tuple[
         raise ValueError("n_demos must be >= 1")
     env = GraphReachEnv(grid_n=cfg.grid_n)
     rng = np.random.default_rng(cfg.seed)
-    dataset = TrajectoryDataset(env.obs_dim, env.act_dim, env_id=env.env_id)
-    all_decisions = []
-    for _ in range(cfg.n_demos):
-        traj, decisions = generate_demo(cfg, rng, env)
-        dataset.append(traj)
-        all_decisions.append(decisions)
-    dataset.norm_stats  # compute and cache
-    return dataset, all_decisions
+    demos = [generate_demo(cfg, rng, env) for _ in range(cfg.n_demos)]
+    dataset = TrajectoryDataset(env.obs_dim, env.act_dim, env.env_id,
+                                [traj for traj, _ in demos])
+    return dataset, [decisions for _, decisions in demos]
 
 
 class WaypointPolicy:
-    """Deterministic waypoint follower (test oracle, no noise)."""
+    """The waypoint follower behind every demonstration.
 
-    def __init__(self, waypoints: np.ndarray, eta: float = 0.015,
-                 capture_radius: float = 0.03):
+    Each step moves on to the next waypoint once within ``cfg.capture_radius``
+    of the current one, steps toward it by ``eta ~ U(eta_min, eta_max)`` plus
+    ``N(0, noise_sigma)`` noise per axis, and clips the action to ``a_max``.
+    With ``eta_min == eta_max`` and ``noise_sigma == 0`` it is deterministic:
+    the oracle that tracks a fixed path at a fixed speed.
+    """
+
+    def __init__(self, waypoints: np.ndarray, cfg: DemoGenConfig, a_max: float):
         self.waypoints = np.asarray(waypoints, dtype=np.float64)
-        self.eta = float(eta)
-        self.capture_radius = float(capture_radius)
-        self._wp = 1
+        self.cfg = cfg
+        self.a_max = float(a_max)
+        self._last = len(self.waypoints) - 1
+        self._wp = 1  # waypoints[0] is the start node
 
     def reset(self) -> None:
         self._wp = 1
 
-    def act(self, s, rng=None) -> np.ndarray:
-        pos = np.asarray(s, dtype=np.float64)
-        last = len(self.waypoints) - 1
-        while (self._wp < last
-               and np.linalg.norm(self.waypoints[self._wp] - pos) <= self.capture_radius):
+    def act(self, s, rng: np.random.Generator) -> np.ndarray:
+        cfg = self.cfg
+        while (self._wp < self._last
+               and np.linalg.norm(self.waypoints[self._wp] - s) <= cfg.capture_radius):
             self._wp += 1
-        delta = self.waypoints[self._wp] - pos
+        delta = self.waypoints[self._wp] - s
         dist = float(np.linalg.norm(delta))
-        return delta * (self.eta / max(dist, 1e-12))
+        eta = rng.uniform(cfg.eta_min, cfg.eta_max)
+        a = delta * (eta / max(dist, 1e-12)) + rng.normal(0.0, cfg.noise_sigma, size=2)
+        return np.clip(a, -self.a_max, self.a_max)

@@ -1,11 +1,11 @@
-"""Closed-loop evaluation: rollouts, success/length/return metrics with
-multi-seed aggregation, nearest-dataset-state statistics, checkpoint loading,
-and SVG/CSV trajectory export.
+"""Closed-loop evaluation: success/length/return metrics with multi-seed
+aggregation, nearest-dataset-state statistics, checkpoint loading, and
+SVG/CSV trajectory export.
 
-Episode rngs derive from (seed, episode index), so evaluations are
-deterministic and order-independent. Reported returns use the absorbing-goal
-formula: ``sum_t gamma^t r_t + success * gamma^L / (1 - gamma)`` for an
-episode of L steps.
+Each episode is one :func:`~goalsel.envs.rollout` (the loop that also records
+demonstrations), called through this module's name ``rollout``, with its rng
+derived from (seed, episode index): evaluations are deterministic and
+order-independent. Returns are absorbing-goal returns (``discounted_return``).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .binfile import write_atomic
 from .config import config_digest, from_flat, load_flat
 from .control import make_policy
 from .data import TrajectoryDataset
+from .envs import EpisodeRecord, discounted_return, rollout  # noqa: F401
 from .models import ModelSet, build_models
 from .nn import load_checkpoint
 from .training import TrainConfig
@@ -44,56 +45,8 @@ class EvalConfig:
             raise ValueError("gamma must lie in [0, 1)")
         if not self.seeds:
             raise ValueError("need at least one seed")
-
-
-@dataclass
-class EpisodeRecord:
-    states: np.ndarray   # (L+1, obs_dim)
-    actions: np.ndarray  # (L, act_dim)
-    rewards: np.ndarray  # (L,)
-    success: bool
-    length: int
-    ret: float
-    goal_log: list | None = None
-
-
-def discounted_return(rewards, success: bool, gamma: float) -> float:
-    """Absorbing-goal return of one episode record."""
-    rewards = np.asarray(rewards, dtype=np.float64)
-    steps = np.arange(len(rewards))
-    value = float((gamma ** steps * rewards).sum())
-    if success:
-        value += gamma ** len(rewards) / (1.0 - gamma)
-    return value
-
-
-def rollout(env, policy, h_max: int, rng: np.random.Generator,
-            gamma: float = 0.99) -> EpisodeRecord:
-    """Reset env and policy, then step until done or the horizon."""
-    s = env.reset()
-    policy.reset()
-    states = [s]
-    actions = []
-    rewards = []
-    for _ in range(h_max):
-        a = policy.act(s, rng)
-        s, r, done = env.step(a)
-        states.append(s)
-        actions.append(np.asarray(a, dtype=np.float64))
-        rewards.append(r)
-        if done:
-            break
-    rewards = np.array(rewards)
-    success = bool(len(rewards) and rewards[-1] == 1.0)
-    return EpisodeRecord(
-        states=np.stack(states),
-        actions=np.stack(actions) if actions else np.zeros((0, env.act_dim)),
-        rewards=rewards,
-        success=success,
-        length=len(rewards),
-        ret=discounted_return(rewards, success, gamma),
-        goal_log=list(getattr(policy, "goal_log", []) or []) or None,
-    )
+        if min(self.seeds) < 0:
+            raise ValueError("seeds must be >= 0")
 
 
 @dataclass
@@ -206,7 +159,7 @@ class ReplayPolicy:
 
 def nearest_state_distances(states, dataset: TrajectoryDataset) -> np.ndarray:
     """Distance from each query state to its nearest dataset state."""
-    tree = cKDTree(dataset.stacked_states())
+    tree = cKDTree(dataset.stacked_states)
     dist, _ = tree.query(np.asarray(states, dtype=np.float64))
     return np.asarray(dist)
 
@@ -288,6 +241,7 @@ def evaluate_run(run_dir, dataset: TrajectoryDataset, eval_cfg: EvalConfig,
     Best means highest success rate, ties broken by higher mean return (which
     favors shorter successful rollouts), then by earlier checkpoint.
     """
+    eval_cfg.validate()
     run_dir = Path(run_dir)
     train_cfg = load_run_config(run_dir)
     ckpts = list_checkpoints(run_dir)

@@ -116,6 +116,8 @@ class TrainConfig:
             raise ValueError("gamma must lie in [0, 1)")
         if self.m_proposals < 1:
             raise ValueError("m_proposals must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.batch_size < 1 or self.n_iter < 0:
             raise ValueError("batch_size must be >= 1 and n_iter >= 0")
         if not (0 <= self.beta_g < math.inf and 0 <= self.beta_a < math.inf
@@ -474,9 +476,12 @@ def train(dataset: TrajectoryDataset, cfg: TrainConfig, out_dir) -> TrainResult:
     goal-selection components train in a forked worker when the module's
     conditions for it hold, with identical results. A run
     directory that already holds checkpoints is refused, since an earlier
-    run's later checkpoints would survive beside the new ones.
+    run's later checkpoints would survive beside the new ones; so is, before
+    anything is written, a dataset with no ``cfg.sample_t``-step window.
     """
     cfg.validate()
+    if not len(dataset) or dataset.lengths.max() < cfg.sample_t:
+        raise ValueError(f"no trajectory admits a window of length {cfg.sample_t}")
     started = time.perf_counter()
     start_time = _utc_now()
     out_dir = Path(out_dir)

@@ -9,7 +9,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from goalsel.data import Trajectory, TrajectoryDataset  # noqa: E402
-from goalsel.envs import DemoGenConfig, generate_dataset  # noqa: E402
+from goalsel.envs import DemoGenConfig, WaypointPolicy, generate_dataset  # noqa: E402
 from goalsel.models import Regressor  # noqa: E402
 from goalsel.training import TrainConfig, train  # noqa: E402
 
@@ -27,10 +27,14 @@ def make_traj(rng, length=8, obs_dim=2, act_dim=2, scale=1.0):
 
 def make_dataset(rng, n_traj=5, lengths=None, obs_dim=2, act_dim=2):
     lengths = lengths if lengths is not None else [int(rng.integers(5, 15)) for _ in range(n_traj)]
-    ds = TrajectoryDataset(obs_dim, act_dim, env_id="test-v0")
-    for length in lengths:
-        ds.append(make_traj(rng, length, obs_dim, act_dim))
-    return ds
+    return TrajectoryDataset(obs_dim, act_dim, "test-v0",
+                             [make_traj(rng, length, obs_dim, act_dim) for length in lengths])
+
+
+def oracle(waypoints, eta, a_max=0.02):
+    """The deterministic waypoint follower: a fixed step of ``eta``, no noise."""
+    cfg = DemoGenConfig(eta_min=eta, eta_max=eta, noise_sigma=0.0)
+    return WaypointPolicy(waypoints, cfg, a_max)
 
 
 def goal_regressor(norm, **kwargs):

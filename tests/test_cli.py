@@ -103,6 +103,17 @@ class TestTrainEval:
         assert capsys.readouterr().err.startswith(
             "error: non-finite loss_policy at iteration ")
 
+    def test_negative_seed_fails_before_writing(self, tiny_setup, tmp_path, capsys):
+        _, data_path, run_dir = tiny_setup
+        rc = main(["train", "--dataset", str(data_path), "--out", str(tmp_path / "r"),
+                   "--seed", "-1"])
+        assert rc == 1 and "seed" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+        rc = main(["eval", "--run", str(run_dir), "--dataset", str(data_path),
+                   "--report", str(tmp_path / "report.json"), "--set", "seeds=-3"])
+        assert rc == 1 and "seeds" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_eval_writes_report(self, tiny_setup):
         root, data_path, run_dir = tiny_setup
         report_path = root / "report.json"

@@ -51,22 +51,29 @@ class TestTrajectory:
                        rewards=np.array([0.0, 0.0, 0.5]))
 
 
-class TestAppend:
-    def test_append_to_empty(self, rng):
-        ds = TrajectoryDataset(2, 2)
-        ds.append(make_traj(rng, length=5))
-        assert len(ds) == 1
+class TestConstruction:
+    def test_builds_from_trajectory_list(self, rng):
+        trajs = [make_traj(rng, length=5), make_traj(rng, length=7)]
+        ds = TrajectoryDataset(2, 2, "test-v0", trajs)
+        assert len(ds) == 2 and all(a is b for a, b in zip(ds, trajs))
+        assert ds.lengths.tolist() == [5, 7] and ds.sha256 is None
 
     def test_dimension_mismatch(self, rng):
-        ds = TrajectoryDataset(2, 2)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            ds.append(make_traj(rng, length=5, obs_dim=3))
+            TrajectoryDataset(2, 2, trajectories=[make_traj(rng, length=5, obs_dim=3)])
 
-    def test_norm_stats_refresh_after_append(self, rng):
-        ds = make_dataset(rng, lengths=[6])
-        before = ds.norm_stats.state_mean.copy()
-        ds.append(make_traj(rng, length=6, scale=50.0))
-        assert not np.allclose(before, ds.norm_stats.state_mean)
+    def test_not_a_trajectory_rejected(self):
+        with pytest.raises(TypeError, match="Trajectory"):
+            TrajectoryDataset(2, 2, trajectories=[np.zeros((3, 2))])
+
+    def test_norm_stats_reuse_stacked_arrays(self, rng):
+        # the statistics are those of the arrays that window sampling gathers from
+        ds = make_dataset(rng, n_traj=4)
+        states, actions = ds.stacked_states, ds._flat_transitions[0]
+        stats = ds.norm_stats
+        assert ds.norm_stats is stats
+        assert stats.state_mean.tobytes() == states.mean(axis=0).tobytes()
+        assert stats.action_std.tobytes() == actions.std(axis=0).tobytes()
 
 
 class TestNormStats:
@@ -74,7 +81,7 @@ class TestNormStats:
         state = np.array([[1.0, 2.0]] * 4, dtype=np.float32)
         traj = Trajectory(states=state, actions=np.zeros((3, 2)),
                           rewards=np.array([0, 0, 1.0]))
-        stats = TrajectoryDataset(2, 2, trajectories=[traj]).compute_norm_stats()
+        stats = TrajectoryDataset(2, 2, trajectories=[traj]).norm_stats
         assert np.allclose(stats.state_mean, [1.0, 2.0])
         assert np.all(stats.state_std == 1e-6)
 
@@ -82,7 +89,7 @@ class TestNormStats:
         states = np.array([[0.0, 0.0], [2.0, 2.0]], dtype=np.float32)
         traj = Trajectory(states=states, actions=np.zeros((1, 2)),
                           rewards=np.array([1.0]))
-        stats = TrajectoryDataset(2, 2, trajectories=[traj]).compute_norm_stats()
+        stats = TrajectoryDataset(2, 2, trajectories=[traj]).norm_stats
         assert np.allclose(stats.state_mean, [1.0, 1.0])
         assert np.allclose(stats.state_std, [1.0, 1.0])
 
@@ -93,13 +100,13 @@ class TestNormStats:
         mean = [sum(s[d] for s in states) / n for d in range(3)]
         std = [max((sum((s[d] - mean[d]) ** 2 for s in states) / n) ** 0.5, 1e-6)
                for d in range(3)]
-        stats = ds.compute_norm_stats()
+        stats = ds.norm_stats
         assert np.allclose(stats.state_mean, mean, atol=1e-12)
         assert np.allclose(stats.state_std, std, atol=1e-12)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            TrajectoryDataset(2, 2).compute_norm_stats()
+            TrajectoryDataset(2, 2).norm_stats
 
     def test_roundtrip_norm_denorm(self, rng):
         ds = make_dataset(rng)
@@ -147,7 +154,7 @@ class TestSampleWindow:
     @pytest.mark.parametrize("t_window", [1, 10])
     def test_gather_matches_per_row_slices(self, rng, t_window):
         ds = make_dataset(rng, lengths=[10, 13, 11, 25])
-        for _ in range(2):  # the second pass reads the caches rebuilt by append
+        for _ in range(2):  # the second pass reads the cached arrays
             w = ds.sample_window_batch(t_window, 64, rng)
             assert w.is_terminal.any()
             rows = [(ds.trajectories[i], s) for i, s in zip(w.traj_index, w.start)]
@@ -161,7 +168,6 @@ class TestSampleWindow:
                 got = getattr(w, field)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), field
-            ds.append(make_traj(rng, 12))
 
     def test_seeded_determinism(self, rng):
         ds = make_dataset(rng, n_traj=6)
@@ -246,8 +252,6 @@ class TestSerialization:
         assert ds.sha256 is None
         loaded = load(path)
         assert loaded.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
-        loaded.append(make_traj(rng))
-        assert loaded.sha256 is None
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from collections import Counter
 
 import numpy as np
@@ -8,14 +10,15 @@ from goalsel.envs import (
     DEMO_H_MAX,
     DemoGenConfig,
     GraphReachEnv,
-    WaypointPolicy,
     build_waypoint_path,
     central_waypoints,
     generate_demo,
     generate_dataset,
     make_env,
     node_position,
+    rollout,
 )
+from conftest import oracle
 
 
 class TestEnv:
@@ -144,6 +147,24 @@ class TestGenerateDataset:
         with pytest.raises(ValueError, match="n_demos"):
             generate_dataset(DemoGenConfig(n_demos=0))
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"seed": -1}, "seed"), ({"grid_n": 4}, "grid_n"),
+        ({"detour_prob": 1.5}, "detour_prob"), ({"noise_sigma": -0.1}, "noise_sigma"),
+        ({"capture_radius": 0.2}, "capture_radius"),
+    ])
+    def test_bad_values_rejected(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            generate_dataset(DemoGenConfig(n_demos=2, **kwargs))
+
+    def test_golden_bytes(self, tmp_path):
+        # the file and branch decisions of the default generator at seed 0
+        dataset, decisions = generate_dataset(DemoGenConfig(n_demos=5, seed=0))
+        save(dataset, tmp_path / "d.bin")
+        blob = (tmp_path / "d.bin").read_bytes() + json.dumps(
+            [[list(d) for d in demo] for demo in decisions]).encode()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "fcf86827ae5aa761c48bb5cb4d2819fd250e2c3eab66fccbe6ef8aa129840b47")
+
     def test_seeded_determinism_bit_exact(self):
         cfg = DemoGenConfig(n_demos=4, seed=11)
         a, da = generate_dataset(cfg)
@@ -183,16 +204,25 @@ class TestGenerateDataset:
 class TestWaypointPolicy:
     def test_oracle_reaches_goal(self):
         env = GraphReachEnv()
-        policy = WaypointPolicy(central_waypoints(5), eta=0.015)
+        policy = oracle(central_waypoints(5), 0.015)
+        rng = np.random.default_rng(0)
         s = env.reset()
         policy.reset()
         done, reward = False, 0.0
         steps = 0
         while not done:
-            s, reward, done = env.step(policy.act(s))
+            s, reward, done = env.step(policy.act(s, rng))
             steps += 1
         assert reward == 1.0
         assert steps < 100
+
+    @pytest.mark.parametrize("grid_n", [3, 5, 7])
+    def test_straight_line_at_full_speed_takes_48_steps(self, grid_n):
+        # from y = 1 at a_max = 0.02 per step into the goal disc of radius 0.05
+        env = GraphReachEnv(grid_n=grid_n)
+        policy = oracle(central_waypoints(grid_n), env.a_max, env.a_max)
+        rec = rollout(env, policy, DEMO_H_MAX, np.random.default_rng(0))
+        assert rec.success and rec.length == 48
 
     def test_node_position_grid(self):
         assert np.array_equal(node_position(5, 2, 4), [0.5, 1.0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from goalsel.control import make_policy
-from goalsel.envs import GraphReachEnv, WaypointPolicy, central_waypoints, make_env
+from goalsel.envs import GraphReachEnv, central_waypoints, make_env
 from goalsel.evaluation import (
     EvalConfig,
     ReplayPolicy,
@@ -24,7 +24,7 @@ from goalsel.evaluation import (
 )
 from goalsel.nn import load_checkpoint, save_checkpoint
 from goalsel.training import train
-from conftest import small_train_config
+from conftest import oracle, small_train_config
 
 
 class ZeroPolicy:
@@ -71,7 +71,7 @@ class TestRollout:
 
     def test_waypoint_oracle_return_matches_formula(self):
         env = GraphReachEnv()
-        policy = WaypointPolicy(central_waypoints(5), eta=0.015)
+        policy = oracle(central_waypoints(5), 0.015)
         rec = rollout(env, policy, 800, np.random.default_rng(0), gamma=0.99)
         assert rec.success
         expected = (0.99 ** (rec.length - 1)
@@ -86,15 +86,23 @@ class TestRollout:
 
     def test_return_recomputable_from_record(self):
         env = GraphReachEnv()
-        policy = WaypointPolicy(central_waypoints(5), eta=0.012)
+        policy = oracle(central_waypoints(5), 0.012)
         rec = rollout(env, policy, 800, np.random.default_rng(0), gamma=0.97)
         assert rec.ret == discounted_return(rec.rewards, rec.success, 0.97)
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"n_episodes": 0}, "n_episodes"), ({"h_max": 0}, "h_max"),
+        ({"gamma": 1.0}, "gamma"), ({"seeds": ()}, "seed"), ({"seeds": (0, -3)}, "seeds"),
+    ])
+    def test_bad_values_rejected(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            EvalConfig(**kwargs).validate()
+
     def test_scripted_success_rate_one(self):
         env = GraphReachEnv()
-        policy = WaypointPolicy(central_waypoints(5), eta=0.015)
+        policy = oracle(central_waypoints(5), 0.015)
         report = evaluate(policy, env, EvalConfig(n_episodes=1, seeds=(0,)))
         assert report.per_seed[0].success_rate == 1.0
 

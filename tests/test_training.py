@@ -25,7 +25,7 @@ from goalsel.training import (
     train,
     train_step,
 )
-from conftest import small_train_config
+from conftest import make_dataset, small_train_config
 
 
 def q_target(qnet, action_cvae, s_next, r, is_terminal, gamma, n_proposals, rng):
@@ -141,7 +141,7 @@ class TestTrainConfig:
         {"m_proposals": 0}, {"tau": 1.5}, {"lr": 0.0},
         {"hidden_dim": 0}, {"enc_dim": 0}, {"goal_latent": 0}, {"action_latent": 0},
         {"lr": float("nan")}, {"lr": float("inf")}, {"beta_g": float("nan")},
-        {"beta_a": float("inf")},
+        {"beta_a": float("inf")}, {"seed": -1},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -262,6 +262,17 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=re.escape(str(run_dir))):
             train(dataset, small_train_config("bc", n_iter=4, ckpt_every=3), run_dir)
         assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+    @pytest.mark.parametrize("cfg, lengths, match", [
+        (small_train_config("iris", t_window=15), [5, 14, 9], "window of length 15"),
+        (small_train_config("bc"), [], "window of length 1"),
+    ], ids=["too-short", "empty"])
+    def test_unusable_dataset_refused_before_writing(self, tmp_path, rng, cfg,
+                                                     lengths, match):
+        # refused after writing, a retry into the same directory would be refused too
+        with pytest.raises(ValueError, match=match):
+            train(make_dataset(rng, lengths=lengths), cfg, tmp_path / "r")
+        assert not (tmp_path / "r").exists()
 
     def test_non_finite_parameter_blocks_checkpoint(self, small_demo_set, tmp_path,
                                                      monkeypatch):

@@ -1,8 +1,9 @@
 """Digest of every output of a small fixed-seed goalsel pipeline.
 
-Runs gen-data, then training of each variant (and of ``iris`` with
-``q_all_transitions=true``), then eval of each run and viz of one run per
-variant, all at tiny sizes in a temporary directory and with relative paths.
+Runs gen-data (once in full and once with ``--filter-best 0.5``), then
+training of each variant (and of ``iris`` with ``q_all_transitions=true``),
+then eval of each run and viz of one run per variant, all at tiny sizes in a
+temporary directory and with relative paths.
 Prints ``sha256  path`` for every file written except ``manifest.json`` and
 ``timings.csv``, which record wall-clock times. Two source trees produce the
 same outputs when their digests match:
@@ -25,6 +26,8 @@ from goalsel.cli import main
 from goalsel.models import VARIANTS
 
 DATASET = "data/demos.bin"
+FILTERED_DATASET = "data/best_half.bin"
+GEN_SETTINGS = ("n_demos=20", "seed=3")
 TRAIN_SETTINGS = ("n_iter=40", "batch_size=16", "hidden_dim=16", "enc_dim=16",
                   "ckpt_every=20", "log_every=10")
 EVAL_SETTINGS = ("n_episodes=2", "h_max=150", "n_goals=10", "m_actions=4")
@@ -47,7 +50,9 @@ def _run(argv: list[str]) -> None:
 
 
 def pipeline() -> None:
-    _run(["gen-data", "--out", DATASET, *_sets(("n_demos=20", "seed=3"))])
+    _run(["gen-data", "--out", DATASET, *_sets(GEN_SETTINGS)])
+    _run(["gen-data", "--out", FILTERED_DATASET, "--filter-best", "0.5",
+          *_sets(GEN_SETTINGS)])
     for run_dir, (variant, extra) in RUNS.items():
         _run(["train", "--dataset", DATASET, "--out", run_dir, "--variant", variant,
               "--seed", "1", *_sets(TRAIN_SETTINGS + extra)])
