@@ -54,8 +54,11 @@ def _coerce(value, typ, key: str):
         if text in ("false", "0", "no"):
             return False
         raise ConfigError(f"cannot read {value!r} as a boolean for {key!r}")
+    if typ in (int, float) and isinstance(value, bool):
+        raise ConfigError(f"cannot read {value!r} as a number for {key!r}")
     if typ is int:
-        if isinstance(value, bool):
+        # a float must be whole: is_integer() is also false for inf and nan
+        if isinstance(value, float) and not value.is_integer():
             raise ConfigError(f"cannot read {value!r} as an integer for {key!r}")
         return int(value)
     if typ is float:

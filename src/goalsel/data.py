@@ -1,10 +1,12 @@
-"""Storage, sampling, filtering, and serialization of goal-reaching demonstrations.
+"""Storage, sampling, filtering, normalization and serialization of demonstrations.
 
 A trajectory is goal-reaching when its final reward is 1 and every earlier
 reward is 0. A dataset is fixed when it is built from its finished list of
 trajectories: nothing mutates it afterwards, so its derived arrays are
 computed once and concurrent readers and samplers (each with its own rng) are
-safe. Dataset files use the container of :mod:`goalsel.binfile`.
+safe. Its :class:`NormStats` hold one :class:`Scaler` for states and one for
+actions: the only normalization the models apply. Dataset files use the
+container of :mod:`goalsel.binfile`.
 """
 
 from __future__ import annotations
@@ -80,22 +82,30 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
+class Scaler:
+    """Per-dimension standardization by a dataset mean and (floored) std: the
+    one normalization every model applies at its interface."""
+
+    mean: np.ndarray
+    std: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return len(self.mean)
+
+    def norm(self, x) -> np.ndarray:
+        return (np.asarray(x, dtype=np.float64) - self.mean) / self.std
+
+    def denorm(self, x) -> np.ndarray:
+        return np.asarray(x, dtype=np.float64) * self.std + self.mean
+
+
+@dataclass(frozen=True)
 class NormStats:
-    """Per-dimension mean and (floored) standard deviation for states and actions."""
+    """The dataset's state and action scalers."""
 
-    state_mean: np.ndarray
-    state_std: np.ndarray
-    action_mean: np.ndarray
-    action_std: np.ndarray
-
-    def norm_state(self, s):
-        return (np.asarray(s, dtype=np.float64) - self.state_mean) / self.state_std
-
-    def norm_action(self, a):
-        return (np.asarray(a, dtype=np.float64) - self.action_mean) / self.action_std
-
-    def denorm_action(self, a):
-        return np.asarray(a, dtype=np.float64) * self.action_std + self.action_mean
+    state: Scaler
+    action: Scaler
 
 
 @dataclass(frozen=True)
@@ -160,14 +170,9 @@ class TrajectoryDataset:
     @cached_property
     def norm_stats(self) -> NormStats:
         """Mean/std over all states and all actions, std floored at STD_FLOOR."""
-        states = self.stacked_states
-        actions = self._flat_transitions[0]
-        return NormStats(
-            state_mean=states.mean(axis=0),
-            state_std=np.maximum(states.std(axis=0), STD_FLOOR),
-            action_mean=actions.mean(axis=0),
-            action_std=np.maximum(actions.std(axis=0), STD_FLOOR),
-        )
+        def scaler(x: np.ndarray) -> Scaler:
+            return Scaler(x.mean(axis=0), np.maximum(x.std(axis=0), STD_FLOOR))
+        return NormStats(scaler(self.stacked_states), scaler(self._flat_transitions[0]))
 
     @cached_property
     def stacked_states(self) -> np.ndarray:

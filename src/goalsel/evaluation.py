@@ -10,7 +10,9 @@ order-independent. Returns are absorbing-goal returns (``discounted_return``).
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,6 +49,8 @@ class EvalConfig:
             raise ValueError("need at least one seed")
         if min(self.seeds) < 0:
             raise ValueError("seeds must be >= 0")
+        if self.n_goals < 1 or self.m_actions < 1:
+            raise ValueError("n_goals and m_actions must be >= 1")
 
 
 @dataclass
@@ -190,12 +194,8 @@ def load_models(ckpt_path, dataset: TrajectoryDataset,
             f"checkpoint {ckpt_path} was written under a different config "
             f"(hash {stored_hash[:12]}... != {expected[:12]}...)")
     models = build_models(train_cfg.variant, dataset.obs_dim, dataset.act_dim,
-                          dataset.norm_stats, hidden_dim=train_cfg.hidden_dim,
-                          enc_dim=train_cfg.enc_dim,
-                          goal_latent=train_cfg.goal_latent,
-                          action_latent=train_cfg.action_latent,
-                          beta_g=train_cfg.beta_g, beta_a=train_cfg.beta_a,
-                          rng=np.random.default_rng(0))
+                          dataset.norm_stats, rng=np.random.default_rng(0),
+                          **train_cfg.model_kwargs)
     models.load_state_dict(tensors)
     return models
 
@@ -288,12 +288,14 @@ def export_trajectories(records_by_policy: dict[str, list[EpisodeRecord]],
     svg_path = out_dir / "trajectories.svg"
     csv_path = out_dir / "rollout_states.csv"
 
-    rows = ["policy,episode,step,s0,s1"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("policy", "episode", "step", "s0", "s1"))
     for name, records in records_by_policy.items():
         for ep, record in enumerate(records):
-            for step, state in enumerate(record.states):
-                rows.append(f"{name},{ep},{step},{state[0]!r},{state[1]!r}")
-    write_atomic(csv_path, ("\n".join(rows) + "\n").encode())
+            writer.writerows((name, ep, step, repr(state[0]), repr(state[1]))
+                             for step, state in enumerate(record.states))
+    write_atomic(csv_path, buf.getvalue().encode())
 
     style = [".dataset{fill:none;stroke:#9bb0c9;stroke-width:1;opacity:0.55}"]
     body = []
@@ -306,8 +308,9 @@ def export_trajectories(records_by_policy: dict[str, list[EpisodeRecord]],
         for record in records[:per_policy]:
             body.append(_polyline((svg_point(s) for s in record.states), cls))
         lx, ly = SVG_SIZE - SVG_MARGIN - 150, SVG_MARGIN + 16 * i + 10
+        text = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         body.append(f'<text x="{lx}" y="{ly}" class="label" '
-                    f'fill="{_STROKES[i % len(_STROKES)]}">{name}</text>')
+                    f'fill="{_STROKES[i % len(_STROKES)]}">{text}</text>')
     sx, sy = svg_point((0.5, 1.0))
     gx, gy = svg_point((0.5, 0.0))
     radius = 0.05 * (SVG_SIZE - 2 * SVG_MARGIN)

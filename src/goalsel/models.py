@@ -12,11 +12,12 @@ returns ``(B, ...)`` arrays; the recurrent policy's training unroll takes
 itself. The one exception is :meth:`ConditionalVAE.sample`, which draws ``n``
 samples for a single condition.
 
-All models normalize their inputs with dataset statistics and denormalize
-predictions at the interface, so losses are computed in normalized space and
-the VAE KL weights stay scale-free. Each model owns a disjoint
-:class:`~goalsel.nn.ParamStore`; ``loss_and_grad`` methods return the scalar
-loss and accumulate parameter gradients as a side effect. Training runs
+All models map inputs and targets through the dataset's two scalers
+(:class:`~goalsel.data.Scaler`: ``norm.state`` and ``norm.action``) and
+denormalize predictions at the interface, so losses are computed in
+normalized space and the VAE KL weights stay scale-free. Each model owns a
+disjoint :class:`~goalsel.nn.ParamStore`; ``loss_and_grad`` methods return the
+scalar loss and accumulate parameter gradients as a side effect. Training runs
 :meth:`~goalsel.nn.MLP.forward`, which keeps the caches its backward pass
 reads; the inference methods (``ConditionalVAE.sample`` and ``sample_each``,
 ``QNet.value``, ``Regressor.predict``) run the cache-free
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import NormStats
+from .data import NormStats, Scaler
 from .nn import (
     MLP,
     GaussianHead,
@@ -158,9 +159,9 @@ class PolicyRNN:
     def loss_and_grad(self, states, actions, goal=None) -> float:
         """Imitation loss: per-window sum of squared normalized-action errors,
         averaged over the batch. Accumulates gradients."""
-        states_n = self.norm.norm_state(states)
-        actions_n = self.norm.norm_action(actions).astype(self.store.dtype)
-        goal_n = None if goal is None else self.norm.norm_state(goal)
+        states_n = self.norm.state.norm(states)
+        actions_n = self.norm.action.norm(actions).astype(self.store.dtype)
+        goal_n = None if goal is None else self.norm.state.norm(goal)
         batch, t_window, _ = states_n.shape
         pred_n, caches = self._unroll(states_n, goal_n)
         err = pred_n - actions_n
@@ -178,47 +179,36 @@ class PolicyRNN:
     def step(self, hidden: np.ndarray, s, goal=None) -> tuple[np.ndarray, np.ndarray]:
         """One closed-loop step of (B, obs) states and goals from a (B, H)
         hidden state; returns ((B, act) denormalized actions, new hidden)."""
-        g_n = None if goal is None else self.norm.norm_state(goal)
-        caches = self._step_caches(1, self.norm.norm_state(s)[None], g_n)
+        g_n = None if goal is None else self.norm.state.norm(goal)
+        caches = self._step_caches(1, self.norm.state.norm(s)[None], g_n)
         a_n = self._step(caches.steps[0], hidden)
-        return self.norm.denorm_action(a_n), caches.h[1].copy()
+        return self.norm.action.denorm(a_n), caches.h[1].copy()
 
 
 class ConditionalVAE:
     """Conditional VAE with a diagonal-Gaussian latent and standard-normal prior.
 
-    The encoder maps (normalized target, normalized condition) to a
-    :class:`GaussianHead`; the decoder reconstructs the normalized target from
-    (latent, normalized condition). Sampling denormalizes at the interface.
+    The goal cVAE models the state T steps ahead of a state (``target`` and
+    ``cond`` are both ``norm.state``); the action cVAE models a demonstrated
+    action given its state (``norm.action``, ``norm.state``). The encoder maps
+    (normalized target, normalized condition) to a :class:`GaussianHead`; the
+    decoder reconstructs the normalized target from (latent, normalized
+    condition). Sampling denormalizes at the interface.
     """
 
-    def __init__(self, target_dim: int, cond_dim: int, latent_dim: int, beta: float,
-                 target_mean, target_std, cond_mean, cond_std, *,
+    def __init__(self, target: Scaler, cond: Scaler, latent_dim: int, beta: float, *,
                  hidden_dim: int = 64, rng: np.random.Generator):
-        self.target_dim = target_dim
-        self.cond_dim = cond_dim
+        self.target = target
+        self.cond = cond
         self.latent_dim = latent_dim
         self.beta = float(beta)
-        self.target_mean = np.asarray(target_mean, dtype=np.float64)
-        self.target_std = np.asarray(target_std, dtype=np.float64)
-        self.cond_mean = np.asarray(cond_mean, dtype=np.float64)
-        self.cond_std = np.asarray(cond_std, dtype=np.float64)
         self.store = ParamStore()
         self.encoder = MLP(self.store, "enc",
-                           [target_dim + cond_dim, hidden_dim, hidden_dim, 2 * latent_dim],
+                           [target.dim + cond.dim, hidden_dim, hidden_dim, 2 * latent_dim],
                            rng)
         self.decoder = MLP(self.store, "dec",
-                           [latent_dim + cond_dim, hidden_dim, hidden_dim, target_dim],
+                           [latent_dim + cond.dim, hidden_dim, hidden_dim, target.dim],
                            rng)
-
-    def _norm_target(self, x):
-        return (np.asarray(x, dtype=np.float64) - self.target_mean) / self.target_std
-
-    def _denorm_target(self, x):
-        return np.asarray(x, dtype=np.float64) * self.target_std + self.target_mean
-
-    def _norm_cond(self, x):
-        return (np.asarray(x, dtype=np.float64) - self.cond_mean) / self.cond_std
 
     def encode(self, target_n: np.ndarray, cond_n: np.ndarray):
         raw, cache = self.encoder.forward(np.concatenate([target_n, cond_n], axis=-1))
@@ -231,8 +221,8 @@ class ConditionalVAE:
         Noise is drawn from ``rng`` unless ``eps`` is injected (frozen-noise
         gradient checks). Accumulates gradients.
         """
-        target_n = self._norm_target(target)
-        cond_n = self._norm_cond(cond)
+        target_n = self.target.norm(target)
+        cond_n = self.cond.norm(cond)
         if target_n.shape[0] != cond_n.shape[0]:
             raise ValueError("target/condition batch mismatch")
         batch = target_n.shape[0]
@@ -265,52 +255,29 @@ class ConditionalVAE:
         if n < 1:
             raise ValueError("need at least one sample")
         z = rng.standard_normal((n, self.latent_dim))
-        cond = np.asarray(cond, dtype=np.float64)
-        if cond.ndim != 1:
+        cond_n = self.cond.norm(cond)
+        if cond_n.ndim != 1:
             raise ValueError("sample() takes a single condition; see sample_each()")
-        cond_n = np.broadcast_to(self._norm_cond(cond)[None, :], (n, self.cond_dim))
+        cond_n = np.broadcast_to(cond_n[None, :], (n, self.cond.dim))
         out_n = self.decoder.predict(np.concatenate([z, cond_n], axis=-1))
-        return self._denorm_target(out_n)
+        return self.target.denorm(out_n)
 
     def sample_each(self, cond, n: int, rng: np.random.Generator) -> np.ndarray:
         """n samples for each of a batch of conditions; returns (n, B, target_dim)."""
         if n < 1:
             raise ValueError("need at least one sample")
-        cond_n = self._norm_cond(cond)
+        cond_n = self.cond.norm(cond)
         batch = cond_n.shape[0]
         z = rng.standard_normal((n, batch, self.latent_dim))
         # one decoder input: the condition columns are written once, the
         # latent columns once per proposal
-        dec_in = np.empty((batch, self.latent_dim + self.cond_dim))
+        dec_in = np.empty((batch, self.latent_dim + self.cond.dim))
         dec_in[:, self.latent_dim:] = cond_n
-        out_n = np.empty((n, batch, self.target_dim))
+        out_n = np.empty((n, batch, self.target.dim))
         for j in range(n):
             dec_in[:, :self.latent_dim] = z[j]
             out_n[j] = self.decoder.predict(dec_in)
-        return self._denorm_target(out_n)
-
-
-class GoalCVAE(ConditionalVAE):
-    """Models the distribution of states T steps ahead of a given state."""
-
-    def __init__(self, obs_dim: int, norm: NormStats, *, latent_dim: int = 8,
-                 beta: float = 0.05, hidden_dim: int = 64, rng: np.random.Generator):
-        super().__init__(obs_dim, obs_dim, latent_dim, beta,
-                         norm.state_mean, norm.state_std,
-                         norm.state_mean, norm.state_std,
-                         hidden_dim=hidden_dim, rng=rng)
-
-
-class ActionCVAE(ConditionalVAE):
-    """Models the state-conditional distribution of demonstrated actions."""
-
-    def __init__(self, obs_dim: int, act_dim: int, norm: NormStats, *,
-                 latent_dim: int = 4, beta: float = 0.05, hidden_dim: int = 64,
-                 rng: np.random.Generator):
-        super().__init__(act_dim, obs_dim, latent_dim, beta,
-                         norm.action_mean, norm.action_std,
-                         norm.state_mean, norm.state_std,
-                         hidden_dim=hidden_dim, rng=rng)
+        return self.target.denorm(out_n)
 
 
 class QNet:
@@ -318,8 +285,6 @@ class QNet:
 
     def __init__(self, obs_dim: int, act_dim: int, norm: NormStats, *,
                  hidden_dim: int = 64, rng: np.random.Generator):
-        self.obs_dim = obs_dim
-        self.act_dim = act_dim
         self.norm = norm
         sizes = [obs_dim + act_dim, hidden_dim, hidden_dim, 1]
         self.store = ParamStore()
@@ -329,7 +294,7 @@ class QNet:
         polyak_update(self, 1.0)
 
     def _inputs(self, s, a) -> np.ndarray:
-        return np.concatenate([self.norm.norm_state(s), self.norm.norm_action(a)],
+        return np.concatenate([self.norm.state.norm(s), self.norm.action.norm(a)],
                               axis=-1)
 
     def value(self, s, a, use_target: bool = False) -> np.ndarray:
@@ -378,27 +343,23 @@ def proposal_value(qnet: QNet, action_cvae: ConditionalVAE, s, m: int,
 class Regressor:
     """Deterministic squared-error regression from a state to a target vector:
     the ``goal_reg`` component (state -> state T steps ahead) and the ``bc``
-    component (state -> action). Targets are normalized with the given mean
-    and std."""
+    component (state -> action). Inputs and targets are mapped through the
+    ``inputs`` and ``target`` scalers."""
 
-    def __init__(self, name: str, obs_dim: int, norm: NormStats, target_mean,
-                 target_std, *, hidden_dim: int = 64, rng: np.random.Generator):
-        self.norm = norm
-        self.target_mean = np.asarray(target_mean, dtype=np.float64)
-        self.target_std = np.asarray(target_std, dtype=np.float64)
+    def __init__(self, name: str, inputs: Scaler, target: Scaler, *,
+                 hidden_dim: int = 64, rng: np.random.Generator):
+        self.inputs = inputs
+        self.target = target
         self.store = ParamStore()
-        self.mlp = MLP(self.store, name,
-                       [obs_dim, hidden_dim, hidden_dim, len(self.target_mean)], rng)
+        self.mlp = MLP(self.store, name, [inputs.dim, hidden_dim, hidden_dim, target.dim], rng)
 
     def predict(self, s) -> np.ndarray:
-        out_n = self.mlp.predict(self.norm.norm_state(s))
-        return out_n * self.target_std + self.target_mean
+        return self.target.denorm(self.mlp.predict(self.inputs.norm(s)))
 
     def loss_and_grad(self, s, target) -> float:
-        s_n = self.norm.norm_state(s)
-        t_n = (np.asarray(target, dtype=np.float64) - self.target_mean) / self.target_std
+        s_n = self.inputs.norm(s)
         out_n, cache = self.mlp.forward(s_n)
-        diff = out_n - t_n
+        diff = out_n - self.target.norm(target)
         loss = float((diff ** 2).sum(axis=-1).mean())
         self.mlp.backward_params(cache, 2.0 * diff / s_n.shape[0])
         return loss
@@ -458,16 +419,15 @@ def build_models(variant: str, obs_dim: int, act_dim: int, norm: NormStats, *,
             obs_dim, act_dim, norm, hidden_dim=hidden_dim, enc_dim=enc_dim,
             goal_conditioned="goal_cvae" in parts or "goal_reg" in parts,
             dtype=policy_dtype, rng=r),
-        "goal_cvae": lambda r: GoalCVAE(obs_dim, norm, latent_dim=goal_latent,
-                                        beta=beta_g, hidden_dim=hidden_dim, rng=r),
-        "action_cvae": lambda r: ActionCVAE(obs_dim, act_dim, norm,
-                                            latent_dim=action_latent, beta=beta_a,
-                                            hidden_dim=hidden_dim, rng=r),
+        "goal_cvae": lambda r: ConditionalVAE(norm.state, norm.state, goal_latent, beta_g,
+                                              hidden_dim=hidden_dim, rng=r),
+        "action_cvae": lambda r: ConditionalVAE(norm.action, norm.state, action_latent,
+                                                beta_a, hidden_dim=hidden_dim, rng=r),
         "qnet": lambda r: QNet(obs_dim, act_dim, norm, hidden_dim=hidden_dim, rng=r),
-        "goal_reg": lambda r: Regressor("reg", obs_dim, norm, norm.state_mean,
-                                        norm.state_std, hidden_dim=hidden_dim, rng=r),
-        "bc": lambda r: Regressor("bc", obs_dim, norm, norm.action_mean,
-                                  norm.action_std, hidden_dim=hidden_dim, rng=r),
+        "goal_reg": lambda r: Regressor("reg", norm.state, norm.state,
+                                        hidden_dim=hidden_dim, rng=r),
+        "bc": lambda r: Regressor("bc", norm.state, norm.action,
+                                  hidden_dim=hidden_dim, rng=r),
     }
     slots = rng.spawn(len(COMPONENTS))
     return ModelSet((name, make[name](slot)) for name, slot in zip(COMPONENTS, slots)

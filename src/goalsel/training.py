@@ -131,6 +131,12 @@ class TrainConfig:
             raise ValueError("cadences must be >= 1")
 
     @property
+    def model_kwargs(self) -> dict:
+        """The keywords of :func:`~goalsel.models.build_models` this config sets."""
+        return {k: getattr(self, k) for k in ("hidden_dim", "enc_dim", "goal_latent",
+                                              "action_latent", "beta_g", "beta_a")}
+
+    @property
     def sample_t(self) -> int:
         """Window length actually sampled: 1 for variants without a policy."""
         return self.t_window if "policy" in VARIANTS[self.variant] else 1
@@ -494,10 +500,7 @@ def train(dataset: TrajectoryDataset, cfg: TrainConfig, out_dir) -> TrainResult:
     root = np.random.default_rng(cfg.seed)
     init_rng, step_rng = root.spawn(2)
     models = build_models(cfg.variant, dataset.obs_dim, dataset.act_dim,
-                          dataset.norm_stats, hidden_dim=cfg.hidden_dim,
-                          enc_dim=cfg.enc_dim, goal_latent=cfg.goal_latent,
-                          action_latent=cfg.action_latent, beta_g=cfg.beta_g,
-                          beta_a=cfg.beta_a, rng=init_rng)
+                          dataset.norm_stats, rng=init_rng, **cfg.model_kwargs)
     _write_manifest(out_dir, digest, dataset, models, start_time)
 
     checkpoints = [_checkpoint(models, out_dir, 0, digest)]
@@ -580,18 +583,15 @@ def standard_grad_check_suite(n_instances: int = 20, seed: int = 0) -> dict[str,
     """Finite-difference checks for the four training losses on small random
     instances with frozen sampling noise; returns each loss's max relative
     error over all instances."""
-    from .data import NormStats  # local import keeps the module header lean
+    from .data import NormStats, Scaler  # local import keeps the module header lean
 
     worst = {"policy": 0.0, "goal_cvae": 0.0, "action_cvae": 0.0, "q": 0.0}
     for inst in range(n_instances):
         rng = np.random.default_rng(np.random.SeedSequence([seed, inst]))
         obs_dim, act_dim, t_window, batch = 3, 2, 4, 2
         norm = NormStats(
-            state_mean=rng.normal(0, 0.5, obs_dim),
-            state_std=rng.uniform(0.5, 1.5, obs_dim),
-            action_mean=rng.normal(0, 0.5, act_dim),
-            action_std=rng.uniform(0.5, 1.5, act_dim),
-        )
+            Scaler(rng.normal(0, 0.5, obs_dim), rng.uniform(0.5, 1.5, obs_dim)),
+            Scaler(rng.normal(0, 0.5, act_dim), rng.uniform(0.5, 1.5, act_dim)))
         models = build_models("iris", obs_dim, act_dim, norm, hidden_dim=6,
                               enc_dim=5, goal_latent=3, action_latent=2,
                               policy_dtype=np.float64, rng=rng.spawn(1)[0])

@@ -8,7 +8,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from goalsel.data import Trajectory, TrajectoryDataset  # noqa: E402
+from goalsel.data import NormStats, Scaler, Trajectory, TrajectoryDataset  # noqa: E402
 from goalsel.envs import DemoGenConfig, WaypointPolicy, generate_dataset  # noqa: E402
 from goalsel.models import Regressor  # noqa: E402
 from goalsel.training import TrainConfig, train  # noqa: E402
@@ -37,16 +37,25 @@ def oracle(waypoints, eta, a_max=0.02):
     return WaypointPolicy(waypoints, cfg, a_max)
 
 
+def flat_norm(obs_dim=2, act_dim=2):
+    """Identity normalization (zero mean, unit std)."""
+    return NormStats(Scaler(np.zeros(obs_dim), np.ones(obs_dim)),
+                     Scaler(np.zeros(act_dim), np.ones(act_dim)))
+
+
+def random_norm(rng, obs_dim=2, act_dim=2):
+    return NormStats(Scaler(rng.normal(0, 0.5, obs_dim), rng.uniform(0.5, 2.0, obs_dim)),
+                     Scaler(rng.normal(0, 0.5, act_dim), rng.uniform(0.5, 2.0, act_dim)))
+
+
 def goal_regressor(norm, **kwargs):
     """The goal predictor of ``iris_no_goal_vae``, named as build_models does."""
-    return Regressor("reg", len(norm.state_mean), norm, norm.state_mean,
-                     norm.state_std, **kwargs)
+    return Regressor("reg", norm.state, norm.state, **kwargs)
 
 
 def bc_net(norm, **kwargs):
     """The ``bc`` policy net, named as build_models does."""
-    return Regressor("bc", len(norm.state_mean), norm, norm.action_mean,
-                     norm.action_std, **kwargs)
+    return Regressor("bc", norm.state, norm.action, **kwargs)
 
 
 def small_train_config(variant="iris", **overrides):

@@ -1,5 +1,8 @@
+import csv
 import hashlib
 import json
+import math
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -207,22 +210,48 @@ class TestViz:
         assert (out / "rollout_states.csv").exists()
 
     def test_two_runs_of_one_variant_both_drawn(self, tiny_setup, tmp_path):
+        # the second run's label holds its directory, whose name may hold
+        # characters that XML and CSV treat specially
         _, data_path, run_dir = tiny_setup
-        second = tmp_path / "run2"
-        rc = main(["train", "--dataset", str(data_path), "--out", str(second),
-                   "--variant", "bcq", "--seed", "2", "--set", "n_iter=10",
-                   "--set", "hidden_dim=8", "--set", "batch_size=16"])
-        assert rc == 0
-        out = tmp_path / "viz"
-        rc = main(["viz", "--dataset", str(data_path), "--run", str(run_dir),
-                   "--run", str(second), "--out", str(out), "--episodes", "2"])
-        assert rc == 0
-        rows = (out / "rollout_states.csv").read_text().splitlines()[1:]
-        episodes = {tuple(row.split(",")[:2]) for row in rows}
-        assert episodes == {(label, ep) for label in ("bcq", f"bcq ({second})")
-                            for ep in ("0", "1")}
-        svg = (out / "trajectories.svg").read_text()
-        assert f">bcq ({second})</text>" in svg
+        for name in ("run2", "run&<,2"):
+            second = tmp_path / name
+            rc = main(["train", "--dataset", str(data_path), "--out", str(second),
+                       "--variant", "bcq", "--seed", "2", "--set", "n_iter=10",
+                       "--set", "hidden_dim=8", "--set", "batch_size=16"])
+            assert rc == 0
+            out = tmp_path / f"viz-{name}"
+            rc = main(["viz", "--dataset", str(data_path), "--run", str(run_dir),
+                       "--run", str(second), "--out", str(out), "--episodes", "2"])
+            assert rc == 0
+            labels = ("bcq", f"bcq ({second})")
+            with open(out / "rollout_states.csv", newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert {tuple(row[:2]) for row in rows} == {(label, ep) for label in labels
+                                                        for ep in ("0", "1")}
+            svg = minidom.parse(str(out / "trajectories.svg"))
+            assert tuple(node.firstChild.data
+                         for node in svg.getElementsByTagName("text")) == labels
+
+
+class TestConfigNumbers:
+    @pytest.mark.parametrize("command, doc, key", [
+        ("train", {"n_iter": 1000.7}, "n_iter"),
+        ("train", {"batch_size": 64.9}, "batch_size"),
+        ("train", {"n_iter": math.inf}, "n_iter"),
+        ("train", {"n_iter": math.nan}, "n_iter"),
+        ("train", {"n_iter": True}, "n_iter"),
+        ("train", {"lr": True}, "lr"),
+        ("eval", {"seeds": [1.5]}, "seeds"),
+    ])
+    def test_inexact_number_rejected(self, tmp_path, capsys, command, doc, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        run = ["--out" if command == "train" else "--run", str(tmp_path / "run")]
+        rc = main([command, "--config", str(config),
+                   "--dataset", str(tmp_path / "missing.bin"), *run])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: bad value for {key!r}")
+        assert not (tmp_path / "run").exists()
 
 
 class TestGradCheckCommand:

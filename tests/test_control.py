@@ -10,17 +10,11 @@ from goalsel.control import (
     HierarchicalController,
     make_policy,
 )
-from goalsel.data import NormStats
 from goalsel.envs import make_env
 from goalsel.evaluation import rollout
-from goalsel.models import VARIANTS, GoalCVAE, build_models
+from goalsel.models import VARIANTS, ConditionalVAE, build_models
 from goalsel.nn import adam_step
-from conftest import bc_net, goal_regressor
-
-
-def flat_norm(obs_dim=2, act_dim=2):
-    return NormStats(state_mean=np.zeros(obs_dim), state_std=np.ones(obs_dim),
-                     action_mean=np.zeros(act_dim), action_std=np.ones(act_dim))
+from conftest import bc_net, flat_norm, goal_regressor
 
 
 class StubPolicy:
@@ -197,7 +191,7 @@ class TestGoalRegressorMode:
             t.value[...] = 0.0
         ctrl = HierarchicalController(StubPolicy(), 5, goal_regressor=reg)
         ctrl.act(np.array([0.5, 0.9]), rng)
-        assert np.allclose(ctrl.goal_log[0].goal, norm.state_mean)
+        assert np.allclose(ctrl.goal_log[0].goal, norm.state.mean)
 
     def test_goal_is_exact_regressor_output(self, small_demo_set, rng):
         dataset, _ = small_demo_set
@@ -212,7 +206,7 @@ class TestGoalRegressorMode:
         # deterministic regression wins when the future is single-moded
         norm = flat_norm()
         reg = goal_regressor(norm, hidden_dim=16, rng=rng)
-        cvae = GoalCVAE(2, norm, latent_dim=4, hidden_dim=16, rng=rng)
+        cvae = ConditionalVAE(norm.state, norm.state, 4, 0.05, hidden_dim=16, rng=rng)
         data_rng = np.random.default_rng(0)
         states = data_rng.normal(0, 1, (512, 2))
         futures = states + np.array([0.3, -0.2]) + data_rng.normal(0, 0.02, (512, 2))
@@ -241,7 +235,7 @@ class TestBaselines:
         ctrl = BCController(net)
         ctrl.reset()
         assert np.allclose(ctrl.act(np.array([0.2, 0.8])),
-                           dataset.norm_stats.action_mean)
+                           dataset.norm_stats.action.mean)
 
     def test_bcq_single_proposal_returned(self, rng):
         class OneAction(StubActionCVAE):

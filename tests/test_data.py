@@ -72,8 +72,8 @@ class TestConstruction:
         states, actions = ds.stacked_states, ds._flat_transitions[0]
         stats = ds.norm_stats
         assert ds.norm_stats is stats
-        assert stats.state_mean.tobytes() == states.mean(axis=0).tobytes()
-        assert stats.action_std.tobytes() == actions.std(axis=0).tobytes()
+        assert stats.state.mean.tobytes() == states.mean(axis=0).tobytes()
+        assert stats.action.std.tobytes() == actions.std(axis=0).tobytes()
 
 
 class TestNormStats:
@@ -82,16 +82,16 @@ class TestNormStats:
         traj = Trajectory(states=state, actions=np.zeros((3, 2)),
                           rewards=np.array([0, 0, 1.0]))
         stats = TrajectoryDataset(2, 2, trajectories=[traj]).norm_stats
-        assert np.allclose(stats.state_mean, [1.0, 2.0])
-        assert np.all(stats.state_std == 1e-6)
+        assert np.allclose(stats.state.mean, [1.0, 2.0])
+        assert np.all(stats.state.std == 1e-6)
 
     def test_two_point_variance(self):
         states = np.array([[0.0, 0.0], [2.0, 2.0]], dtype=np.float32)
         traj = Trajectory(states=states, actions=np.zeros((1, 2)),
                           rewards=np.array([1.0]))
         stats = TrajectoryDataset(2, 2, trajectories=[traj]).norm_stats
-        assert np.allclose(stats.state_mean, [1.0, 1.0])
-        assert np.allclose(stats.state_std, [1.0, 1.0])
+        assert np.allclose(stats.state.mean, [1.0, 1.0])
+        assert np.allclose(stats.state.std, [1.0, 1.0])
 
     def test_matches_two_pass_oracle(self, rng):
         ds = make_dataset(rng, n_traj=12, obs_dim=3, act_dim=2)
@@ -101,8 +101,8 @@ class TestNormStats:
         std = [max((sum((s[d] - mean[d]) ** 2 for s in states) / n) ** 0.5, 1e-6)
                for d in range(3)]
         stats = ds.norm_stats
-        assert np.allclose(stats.state_mean, mean, atol=1e-12)
-        assert np.allclose(stats.state_std, std, atol=1e-12)
+        assert np.allclose(stats.state.mean, mean, atol=1e-12)
+        assert np.allclose(stats.state.std, std, atol=1e-12)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -112,8 +112,8 @@ class TestNormStats:
         ds = make_dataset(rng)
         stats = ds.norm_stats
         x = rng.normal(0, 3, (7, 2))
-        assert np.allclose(stats.norm_state(x) * stats.state_std + stats.state_mean, x)
-        assert np.allclose(stats.denorm_action(stats.norm_action(x)), x)
+        assert np.allclose(stats.state.norm(x) * stats.state.std + stats.state.mean, x)
+        assert np.allclose(stats.action.denorm(stats.action.norm(x)), x)
 
 
 class TestSampleWindow:

@@ -95,6 +95,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("kwargs, field", [
         ({"n_episodes": 0}, "n_episodes"), ({"h_max": 0}, "h_max"),
         ({"gamma": 1.0}, "gamma"), ({"seeds": ()}, "seed"), ({"seeds": (0, -3)}, "seeds"),
+        ({"n_goals": 0}, "n_goals"), ({"m_actions": 0}, "m_actions"),
     ])
     def test_bad_values_rejected(self, kwargs, field):
         with pytest.raises(ValueError, match=field):

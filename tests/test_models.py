@@ -3,11 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goalsel.data import NormStats
 from goalsel.models import (
     VARIANTS,
-    ActionCVAE,
-    GoalCVAE,
+    ConditionalVAE,
     PolicyRNN,
     QNet,
     build_models,
@@ -16,20 +14,7 @@ from goalsel.models import (
 )
 from goalsel.nn import GaussianHead, adam_step, grad_check, kl_to_standard_normal
 from goalsel.training import jitter_params
-from conftest import bc_net, goal_regressor
-
-
-def flat_norm(obs_dim=2, act_dim=2):
-    """Identity normalization (zero mean, unit std)."""
-    return NormStats(state_mean=np.zeros(obs_dim), state_std=np.ones(obs_dim),
-                     action_mean=np.zeros(act_dim), action_std=np.ones(act_dim))
-
-
-def random_norm(rng, obs_dim=2, act_dim=2):
-    return NormStats(state_mean=rng.normal(0, 0.5, obs_dim),
-                     state_std=rng.uniform(0.5, 2.0, obs_dim),
-                     action_mean=rng.normal(0, 0.5, act_dim),
-                     action_std=rng.uniform(0.5, 2.0, act_dim))
+from conftest import bc_net, flat_norm, goal_regressor, random_norm
 
 
 def zero_store(store):
@@ -40,9 +25,9 @@ def zero_store(store):
 def unroll_actions(policy, states, goal=None):
     """Denormalized (B, T, act) actions of the training unroll of (B, T, obs)
     windows from a zero hidden state."""
-    goal_n = None if goal is None else policy.norm.norm_state(goal)
-    acts_n, _ = policy._unroll(policy.norm.norm_state(states), goal_n)
-    return policy.norm.denorm_action(acts_n)
+    goal_n = None if goal is None else policy.norm.state.norm(goal)
+    acts_n, _ = policy._unroll(policy.norm.state.norm(states), goal_n)
+    return policy.norm.action.denorm(acts_n)
 
 
 def reference_loss_and_grad(policy, states, actions, goal=None) -> float:
@@ -54,9 +39,9 @@ def reference_loss_and_grad(policy, states, actions, goal=None) -> float:
     p = {name: t.value for name, t in policy.store}
     grads = {name: t.grad for name, t in policy.store}
     hd = policy.hidden_dim
-    states_n = policy.norm.norm_state(states).astype(dtype)
-    actions_n = policy.norm.norm_action(actions).astype(dtype)
-    goal_n = None if goal is None else policy.norm.norm_state(goal).astype(dtype)
+    states_n = policy.norm.state.norm(states).astype(dtype)
+    actions_n = policy.norm.action.norm(actions).astype(dtype)
+    goal_n = None if goal is None else policy.norm.state.norm(goal).astype(dtype)
     batch, t_window, _ = states_n.shape
     h = np.zeros((batch, hd), dtype)
     pred_n = np.empty((batch, t_window, policy.act_dim), dtype)
@@ -114,9 +99,9 @@ def reference_loss_and_grad(policy, states, actions, goal=None) -> float:
 def decode(cvae, z, cond):
     """Denormalized decoder output for (B, latent) latents and (B, cond_dim)
     raw conditions."""
-    cond_n = (cond - cvae.cond_mean) / cvae.cond_std
+    cond_n = (cond - cvae.cond.mean) / cvae.cond.std
     out_n, _ = cvae.decoder.forward(np.concatenate([z, cond_n], axis=-1))
-    return out_n * cvae.target_std + cvae.target_mean
+    return out_n * cvae.target.std + cvae.target.mean
 
 
 class TestPolicyRNN:
@@ -126,7 +111,7 @@ class TestPolicyRNN:
         zero_store(policy.store)
         states = rng.normal(0, 1, (1, 4, 2))
         acts = unroll_actions(policy, states, goal=rng.normal(0, 1, (1, 2)))
-        assert np.allclose(acts, np.tile(norm.action_mean, (1, 4, 1)))
+        assert np.allclose(acts, np.tile(norm.action.mean, (1, 4, 1)))
 
     def test_batch_permutation_independence(self, rng):
         policy = PolicyRNN(2, 2, flat_norm(), hidden_dim=8, enc_dim=8, rng=rng)
@@ -146,15 +131,15 @@ class TestPolicyRNN:
         out = unroll_actions(policy, states, goal)
         # manual unroll with the public primitives
         h = np.zeros((1, 4))
-        g_n = norm.norm_state(goal)
+        g_n = norm.state.norm(goal)
         expected = []
         for t in range(3):
-            x = np.concatenate([norm.norm_state(states[:, t]), g_n], axis=1)
+            x = np.concatenate([norm.state.norm(states[:, t]), g_n], axis=1)
             e = np.maximum(x @ policy.enc.W.value + policy.enc.b.value, 0.0)
             h, _ = policy.cell.forward(h, e, (np.empty((1, 8)), np.empty((1, 4)),
                                               np.empty((1, 4)), np.empty((1, 4))))
             a_n = h @ policy.head.W.value + policy.head.b.value
-            expected.append(norm.denorm_action(a_n))
+            expected.append(norm.action.denorm(a_n))
         assert np.allclose(out, np.stack(expected, axis=1), rtol=0, atol=1e-12)
 
     def test_step_matches_unroll(self, rng):
@@ -229,8 +214,8 @@ class TestPolicyRNN:
         states = rng.normal(0, 1, (3, 4, 2))
         goal = rng.normal(0, 1, (3, 2)) if goal_conditioned else None
         pred_n, caches = policy._unroll(
-            policy.norm.norm_state(states),
-            None if goal is None else policy.norm.norm_state(goal))
+            policy.norm.state.norm(states),
+            None if goal is None else policy.norm.state.norm(goal))
         arrays = [pred_n, *cache_arrays(caches)]
         assert len(arrays) == 9
         assert all(a.dtype in (np.float32, np.bool_) for a in arrays)
@@ -301,8 +286,8 @@ class TestPolicyCaches:
         kept = kept_arrays(policy)
         policy.loss_and_grad(*window_batch(rng, 4, 3))
         assert [id(a) for a in kept_arrays(policy)] == [id(a) for a in kept]
-        pred_n, _ = policy._unroll(policy.norm.norm_state(states),
-                                   policy.norm.norm_state(goal))
+        pred_n, _ = policy._unroll(policy.norm.state.norm(states),
+                                   policy.norm.state.norm(goal))
         assert not any(np.shares_memory(pred_n, a) for a in kept)
 
     def test_interleaved_step_leaves_training_unchanged(self, rng):
@@ -328,17 +313,17 @@ class TestPolicyCaches:
 class TestConditionalVAE:
     def test_zero_beta_perfect_reconstruction(self, rng):
         norm = random_norm(rng)
-        cvae = GoalCVAE(2, norm, latent_dim=1, beta=0.0, hidden_dim=4, rng=rng)
+        cvae = ConditionalVAE(norm.state, norm.state, 1, 0.0, hidden_dim=4, rng=rng)
         zero_store(cvae.store)
         # zero decoder output denormalizes to the mean, so the mean is exact
-        loss, parts = cvae.loss_and_grad(norm.state_mean[None],
+        loss, parts = cvae.loss_and_grad(norm.state.mean[None],
                                          rng.normal(0, 1, (1, 2)),
                                          eps=np.zeros((1, 1)))
         assert loss == 0.0 and parts["recon"] == 0.0
 
     def test_beta_weighted_kl_example(self, rng):
         norm = flat_norm()
-        cvae = GoalCVAE(2, norm, latent_dim=1, beta=2.0, hidden_dim=4, rng=rng)
+        cvae = ConditionalVAE(norm.state, norm.state, 1, 2.0, hidden_dim=4, rng=rng)
         zero_store(cvae.store)
         # encoder bias fixes mu=1, log_sigma=0; zero decoder reconstructs the mean
         cvae.store.params["enc.l2.b"].value[...] = np.array([1.0, 0.0])
@@ -349,14 +334,14 @@ class TestConditionalVAE:
 
     def test_matches_recomputation_from_primitives(self, rng):
         norm = random_norm(rng)
-        cvae = ActionCVAE(2, 2, norm, latent_dim=3, beta=0.07, hidden_dim=6, rng=rng)
+        cvae = ConditionalVAE(norm.action, norm.state, 3, 0.07, hidden_dim=6, rng=rng)
         target = rng.normal(0, 1, (4, 2))
         cond = rng.normal(0, 1, (4, 2))
         eps = rng.standard_normal((4, 3))
         loss, parts = cvae.loss_and_grad(target, cond, eps=eps)
         # independent recomposition
-        t_n = (target - norm.action_mean) / norm.action_std
-        c_n = (cond - norm.state_mean) / norm.state_std
+        t_n = (target - norm.action.mean) / norm.action.std
+        c_n = (cond - norm.state.mean) / norm.state.std
         raw, _ = cvae.encoder.forward(np.concatenate([t_n, c_n], axis=1))
         head = GaussianHead.from_raw(raw)
         z = head.mu + head.sigma * eps
@@ -367,8 +352,8 @@ class TestConditionalVAE:
         assert np.isclose(parts["recon"], recon)
 
     def test_gradient_check_frozen_eps(self, rng):
-        cvae = GoalCVAE(2, random_norm(rng), latent_dim=2, beta=0.1,
-                        hidden_dim=5, rng=rng)
+        norm = random_norm(rng)
+        cvae = ConditionalVAE(norm.state, norm.state, 2, 0.1, hidden_dim=5, rng=rng)
         jitter_params(cvae.store, rng)
         target = rng.normal(0, 1, (3, 2))
         cond = rng.normal(0, 1, (3, 2))
@@ -382,32 +367,36 @@ class TestSampling:
     def test_single_sample_frozen_zero_latent(self, rng):
         # the latent is frozen by seeding: the same seed rebuilds it here
         norm = random_norm(rng)
-        cvae = GoalCVAE(2, norm, latent_dim=3, hidden_dim=6, rng=rng)
+        cvae = ConditionalVAE(norm.state, norm.state, 3, 0.05, hidden_dim=6, rng=rng)
         s = rng.normal(0, 1, 2)
         out = cvae.sample(s, 1, np.random.default_rng(5))
         z = np.random.default_rng(5).standard_normal((1, 3))
         assert np.allclose(out, decode(cvae, z, s[None]))
 
     def test_seeded_determinism(self, rng):
-        cvae = ActionCVAE(2, 2, flat_norm(), latent_dim=2, hidden_dim=6, rng=rng)
+        norm = flat_norm()
+        cvae = ConditionalVAE(norm.action, norm.state, 2, 0.05, hidden_dim=6, rng=rng)
         s = rng.normal(0, 1, 2)
         a = cvae.sample(s, 8, np.random.default_rng(3))
         b = cvae.sample(s, 8, np.random.default_rng(3))
         assert np.array_equal(a, b)
 
     def test_zero_samples_rejected(self, rng):
-        cvae = GoalCVAE(2, flat_norm(), hidden_dim=4, rng=rng)
+        norm = flat_norm()
+        cvae = ConditionalVAE(norm.state, norm.state, 8, 0.05, hidden_dim=4, rng=rng)
         with pytest.raises(ValueError, match="at least one"):
             cvae.sample(np.zeros(2), 0, rng)
 
     def test_outputs_finite_and_shaped(self, rng):
-        cvae = GoalCVAE(3, flat_norm(3, 2), latent_dim=2, hidden_dim=5, rng=rng)
+        norm = flat_norm(3, 2)
+        cvae = ConditionalVAE(norm.state, norm.state, 2, 0.05, hidden_dim=5, rng=rng)
         out = cvae.sample(np.zeros(3), 17, rng)
         assert out.shape == (17, 3)
         assert np.all(np.isfinite(out))
 
     def test_sample_each_nests_sample(self, rng):
-        cvae = ActionCVAE(2, 2, flat_norm(), latent_dim=2, hidden_dim=5, rng=rng)
+        norm = flat_norm()
+        cvae = ConditionalVAE(norm.action, norm.state, 2, 0.05, hidden_dim=5, rng=rng)
         conds = rng.normal(0, 1, (3, 2))
         out = cvae.sample_each(conds, 4, np.random.default_rng(0))
         assert out.shape == (4, 3, 2)
@@ -435,7 +424,7 @@ class TestQNet:
         norm = random_norm(rng)
         q = QNet(2, 2, norm, hidden_dim=5, rng=rng)
         s, a = rng.normal(0, 1, (1, 2)), rng.normal(0, 1, (1, 2))
-        x = np.concatenate([norm.norm_state(s), norm.norm_action(a)], axis=1)
+        x = np.concatenate([norm.state.norm(s), norm.action.norm(a)], axis=1)
         assert np.allclose(q.value(s, a), q.mlp.forward(x)[0][:, 0])
 
     def test_loss_gradient_check(self, rng):
@@ -452,7 +441,7 @@ class TestProposalValue:
     def test_matches_forward_reference_bit_for_bit(self, rng, batch, use_target):
         norm = random_norm(rng)
         q = QNet(2, 2, norm, rng=rng)
-        cvae = ActionCVAE(2, 2, norm, rng=rng)
+        cvae = ConditionalVAE(norm.action, norm.state, 4, 0.05, rng=rng)
         for store in (q.store, q.target_store, cvae.store):
             for _, t in store:
                 t.value += rng.normal(0, 0.3, t.shape)
@@ -462,11 +451,11 @@ class TestProposalValue:
         # reference: the training forward pass, one proposal index at a time
         z = np.random.default_rng(7).standard_normal((m, batch, cvae.latent_dim))
         net = q.target_mlp if use_target else q.mlp
-        s_n = (s - norm.state_mean) / norm.state_std
+        s_n = (s - norm.state.mean) / norm.state.std
         best = np.full(batch, -np.inf)
         for j in range(m):
             a = decode(cvae, z[j], s)
-            a_n = (a - norm.action_mean) / norm.action_std
+            a_n = (a - norm.action.mean) / norm.action.std
             value, _ = net.forward(np.concatenate([s_n, a_n], axis=1))
             best = np.maximum(best, value[:, 0])
         assert got.tobytes() == best.tobytes()
@@ -531,13 +520,13 @@ class TestAuxiliaryNets:
         norm = random_norm(rng)
         net = bc_net(norm, hidden_dim=4, rng=rng)
         zero_store(net.store)
-        assert np.allclose(net.predict(rng.normal(0, 1, (1, 2))), norm.action_mean)
+        assert np.allclose(net.predict(rng.normal(0, 1, (1, 2))), norm.action.mean)
 
     def test_zero_regressor_outputs_mean_state(self, rng):
         norm = random_norm(rng)
         reg = goal_regressor(norm, hidden_dim=4, rng=rng)
         zero_store(reg.store)
-        assert np.allclose(reg.predict(rng.normal(0, 1, (1, 2))), norm.state_mean)
+        assert np.allclose(reg.predict(rng.normal(0, 1, (1, 2))), norm.state.mean)
 
 
 class TestModelSet:

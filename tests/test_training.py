@@ -14,8 +14,7 @@ import scipy
 import goalsel
 from goalsel import training as training_module
 from goalsel.config import config_digest
-from goalsel.data import NormStats
-from goalsel.models import ActionCVAE, PolicyRNN, QNet, build_models
+from goalsel.models import ConditionalVAE, PolicyRNN, QNet, build_models
 from goalsel.training import (
     METRIC_COLUMNS,
     TIMING_COLUMNS,
@@ -25,7 +24,7 @@ from goalsel.training import (
     train,
     train_step,
 )
-from conftest import make_dataset, small_train_config
+from conftest import flat_norm, make_dataset, small_train_config
 
 
 def q_target(qnet, action_cvae, s_next, r, is_terminal, gamma, n_proposals, rng):
@@ -46,9 +45,10 @@ def q_target(qnet, action_cvae, s_next, r, is_terminal, gamma, n_proposals, rng)
     return float(r) + gamma * best
 
 
-def flat_norm(obs_dim=2, act_dim=2):
-    return NormStats(state_mean=np.zeros(obs_dim), state_std=np.ones(obs_dim),
-                     action_mean=np.zeros(act_dim), action_std=np.ones(act_dim))
+def action_cvae(hidden_dim, rng):
+    """The action cVAE of ``build_models``' defaults on identity normalization."""
+    norm = flat_norm()
+    return ConditionalVAE(norm.action, norm.state, 4, 0.05, hidden_dim=hidden_dim, rng=rng)
 
 
 def constant_qnet(rng, value):
@@ -65,25 +65,25 @@ def constant_qnet(rng, value):
 class TestQTarget:
     def test_terminal_absorbing_value(self, rng):
         q = constant_qnet(rng, 0.0)
-        cvae = ActionCVAE(2, 2, flat_norm(), hidden_dim=4, rng=rng)
+        cvae = action_cvae(4, rng)
         value = q_target(q, cvae, np.zeros(2), 1.0, True, 0.99, 8, rng)
         assert np.float32(value) == np.float32(100.0)
 
     def test_nonterminal_constant_q(self, rng):
         q = constant_qnet(rng, 5.0)
-        cvae = ActionCVAE(2, 2, flat_norm(), hidden_dim=4, rng=rng)
+        cvae = action_cvae(4, rng)
         value = q_target(q, cvae, np.zeros(2), 0.0, False, 0.9, 4, rng)
         assert np.isclose(value, 4.5)
 
     def test_gamma_zero_returns_reward(self, rng):
         q = constant_qnet(rng, 7.0)
-        cvae = ActionCVAE(2, 2, flat_norm(), hidden_dim=4, rng=rng)
+        cvae = action_cvae(4, rng)
         assert q_target(q, cvae, np.zeros(2), 0.0, False, 0.0, 4, rng) == 0.0
         assert q_target(q, cvae, np.zeros(2), 1.0, True, 0.0, 4, rng) == 1.0
 
     def test_single_proposal_degenerates(self, rng):
         q = QNet(2, 2, flat_norm(), hidden_dim=4, rng=rng)
-        cvae = ActionCVAE(2, 2, flat_norm(), hidden_dim=4, rng=rng)
+        cvae = action_cvae(4, rng)
         s = rng.normal(0, 1, 2)
         value = q_target(q, cvae, s, 0.0, False, 0.95, 1,
                          np.random.default_rng(3))
@@ -92,7 +92,7 @@ class TestQTarget:
 
     def test_matches_enumeration_oracle_exactly(self, rng):
         q = QNet(2, 2, flat_norm(), hidden_dim=5, rng=rng)
-        cvae = ActionCVAE(2, 2, flat_norm(), hidden_dim=5, rng=rng)
+        cvae = action_cvae(5, rng)
         for i in range(100):
             s = rng.normal(0, 1, 2)
             r = float(rng.random())
@@ -105,7 +105,7 @@ class TestQTarget:
 
     def test_monotone_in_proposal_count(self, rng):
         q = QNet(2, 2, flat_norm(), hidden_dim=5, rng=rng)
-        cvae = ActionCVAE(2, 2, flat_norm(), hidden_dim=5, rng=rng)
+        cvae = action_cvae(5, rng)
         for i in range(30):
             s = rng.normal(0, 1, 2)
             small = q_target(q, cvae, s, 0.0, False, 0.97, 3,
@@ -116,7 +116,7 @@ class TestQTarget:
 
     def test_batch_helper_matches_single(self, rng):
         q = QNet(2, 2, flat_norm(), hidden_dim=5, rng=rng)
-        cvae = ActionCVAE(2, 2, flat_norm(), hidden_dim=5, rng=rng)
+        cvae = action_cvae(5, rng)
         for i in range(20):
             s = rng.normal(0, 1, (1, 2))
             batched = q_targets_batch(q, cvae, s, [0.3], [False], 0.9, 5,
@@ -127,7 +127,7 @@ class TestQTarget:
 
     def test_needs_positive_proposals(self, rng):
         q = QNet(2, 2, flat_norm(), hidden_dim=4, rng=rng)
-        cvae = ActionCVAE(2, 2, flat_norm(), hidden_dim=4, rng=rng)
+        cvae = action_cvae(4, rng)
         with pytest.raises(ValueError, match="proposal"):
             q_target(q, cvae, np.zeros(2), 0.0, False, 0.9, 0, rng)
 

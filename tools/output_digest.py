@@ -2,8 +2,9 @@
 
 Runs gen-data (once in full and once with ``--filter-best 0.5``), then
 training of each variant (and of ``iris`` with ``q_all_transitions=true``),
-then eval of each run and viz of one run per variant, all at tiny sizes in a
-temporary directory and with relative paths.
+then eval of each run and viz of every run (the second ``iris`` run is
+labelled with its directory), all at tiny sizes in a temporary directory and
+with relative paths.
 Prints ``sha256  path`` for every file written except ``manifest.json`` and
 ``timings.csv``, which record wall-clock times. Two source trees produce the
 same outputs when their digests match:
@@ -59,7 +60,7 @@ def pipeline() -> None:
         name = Path(run_dir).name
         _run(["eval", "--run", run_dir, "--dataset", DATASET,
               "--report", f"reports/{name}.json", *_sets(EVAL_SETTINGS)])
-    viz_runs = [arg for v in VARIANTS for arg in ("--run", f"runs/{v}")]
+    viz_runs = [arg for run_dir in RUNS for arg in ("--run", run_dir)]
     _run(["viz", "--dataset", DATASET, *viz_runs, "--out", "viz",
           "--episodes", "2", "--seed", "4"])
 
