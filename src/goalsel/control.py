@@ -1,7 +1,8 @@
 """Test-time policies: the hierarchical propose-select-imitate controller, its
 two ablations, and the BC / BC-RNN / BCQ baselines. :func:`make_policy` picks
-the controller from the components of a model set, and the hierarchical
-controller's goal selection follows from the models it is given.
+the controller from the components of a model set and, for the hierarchical
+controller, builds the goal source from them as a ``propose`` function and an
+optional ``score`` function.
 
 The hierarchical controller refreshes its goal exactly every ``t_segment``
 low-level steps and resets the policy hidden state at each refresh. Goal
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelSet, proposal_value
+from .models import VARIANTS, ModelSet, proposal_value
 
 
 @dataclass(frozen=True)
@@ -29,33 +30,20 @@ class GoalLogEntry:
 
 
 class HierarchicalController:
-    """Propose goals, pick the highest-value one, imitate toward it for T steps.
+    """Propose goals, keep the best-scored one, imitate toward it for T steps.
 
-    The models given decide the high level: a ``goal_regressor`` predicts one
-    goal (no scoring); a ``goal_cvae`` alone takes a single generative draw;
-    a ``goal_cvae`` with a ``qnet`` (which needs the ``action_cvae`` for its
-    BCQ value) scores ``n_goals`` proposals and keeps the best.
+    ``propose(s, rng)`` returns candidate goals ``(n, obs_dim)`` for one state
+    ``s``. ``score(goals, rng)``, when given, returns one value per candidate
+    and the highest wins; without it the first candidate is the goal.
     """
 
-    def __init__(self, policy, t_segment: int, *, goal_cvae=None, action_cvae=None,
-                 qnet=None, goal_regressor=None, n_goals: int = 100,
-                 m_actions: int = 10):
+    def __init__(self, policy, t_segment: int, propose, score=None):
         if t_segment < 1:
             raise ValueError("t_segment must be >= 1")
-        if (goal_cvae is None) == (goal_regressor is None):
-            raise ValueError("need one goal source: goal_cvae or goal_regressor")
-        if qnet is not None and (goal_cvae is None or action_cvae is None):
-            raise ValueError("value mode needs goal_cvae, action_cvae, and qnet")
-        if n_goals < 1 or m_actions < 1:
-            raise ValueError("n_goals and m_actions must be >= 1")
         self.policy = policy
         self.t_segment = t_segment
-        self.goal_cvae = goal_cvae
-        self.action_cvae = action_cvae
-        self.qnet = qnet
-        self.goal_regressor = goal_regressor
-        self.n_goals = n_goals
-        self.m_actions = m_actions
+        self.propose = propose
+        self.score = score
         self.reset()
 
     def reset(self) -> None:
@@ -67,14 +55,10 @@ class HierarchicalController:
     def select_goal(self, s, rng: np.random.Generator) -> tuple[np.ndarray, float | None]:
         """Pick the next goal; argmax ties break toward the lowest index."""
         proposal_rng, score_rng = rng.spawn(2)
-        s = np.asarray(s, dtype=np.float64)
-        if self.goal_regressor is not None:
-            return self.goal_regressor.predict(s[None])[0], None
-        if self.qnet is None:
-            return self.goal_cvae.sample(s, 1, proposal_rng)[0], None
-        goals = self.goal_cvae.sample(s, self.n_goals, proposal_rng)
-        scores = proposal_value(self.qnet, self.action_cvae, goals, self.m_actions,
-                                score_rng, use_target=False)
+        goals = self.propose(np.asarray(s, dtype=np.float64), proposal_rng)
+        if self.score is None:
+            return goals[0], None
+        scores = self.score(goals, score_rng)
         pick = int(np.argmax(scores))
         return goals[pick], float(scores[pick])
 
@@ -122,8 +106,6 @@ class BCQController:
     """Pick the highest-Q action among generative proposals at each step."""
 
     def __init__(self, action_cvae, qnet, m_actions: int = 10):
-        if m_actions < 1:
-            raise ValueError("m_actions must be >= 1")
         self.action_cvae = action_cvae
         self.qnet = qnet
         self.m_actions = m_actions
@@ -141,15 +123,30 @@ class BCQController:
 
 def make_policy(models: ModelSet, *, t_segment: int = 10, n_goals: int = 100,
                 m_actions: int = 10):
-    """Build the test-time policy that a model set's components call for."""
+    """Build the test-time policy that a model set's components call for; they
+    must be exactly one ``VARIANTS`` entry. Goals come from the regressor, from
+    one goal-cVAE draw, or from ``n_goals`` draws scored by their BCQ value."""
+    if not any(set(models) == set(parts) for parts in VARIANTS.values()):
+        raise ValueError(f"components {sorted(models)} match no variant")
+    if n_goals < 1 or m_actions < 1:
+        raise ValueError("n_goals and m_actions must be >= 1")
     if "bc" in models:
         return BCController(models["bc"])
     if "policy" not in models:
-        return BCQController(models["action_cvae"], models["qnet"],
-                             m_actions=m_actions)
-    if not models["policy"].goal_conditioned:
-        return BCRNNController(models["policy"])
+        return BCQController(models["action_cvae"], models["qnet"], m_actions=m_actions)
+    policy = models["policy"]
+    if "goal_reg" in models:
+        goal_reg = models["goal_reg"]
+        return HierarchicalController(policy, t_segment,
+                                      lambda s, rng: goal_reg.predict(s[None]))
+    if "goal_cvae" not in models:
+        return BCRNNController(policy)
+    goal_cvae = models["goal_cvae"]
+    if "qnet" not in models:
+        return HierarchicalController(policy, t_segment,
+                                      lambda s, rng: goal_cvae.sample(s, 1, rng))
+    action_cvae, qnet = models["action_cvae"], models["qnet"]
     return HierarchicalController(
-        models["policy"], t_segment, goal_cvae=models.get("goal_cvae"),
-        action_cvae=models.get("action_cvae"), qnet=models.get("qnet"),
-        goal_regressor=models.get("goal_reg"), n_goals=n_goals, m_actions=m_actions)
+        policy, t_segment, lambda s, rng: goal_cvae.sample(s, n_goals, rng),
+        lambda goals, rng: proposal_value(qnet, action_cvae, goals, m_actions, rng,
+                                          use_target=False))

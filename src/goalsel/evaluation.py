@@ -168,13 +168,6 @@ def nearest_state_distances(states, dataset: TrajectoryDataset) -> np.ndarray:
     return np.asarray(dist)
 
 
-def in_distribution_stat(episodes: list[EpisodeRecord], dataset: TrajectoryDataset,
-                         percentile: float = 95.0) -> float:
-    """Percentile of nearest-dataset-state distance over all visited states."""
-    states = np.concatenate([e.states for e in episodes])
-    return float(np.percentile(nearest_state_distances(states, dataset), percentile))
-
-
 # --- checkpoint plumbing -----------------------------------------------------
 
 def file_sha256(path) -> str:
@@ -293,7 +286,7 @@ def export_trajectories(records_by_policy: dict[str, list[EpisodeRecord]],
     writer.writerow(("policy", "episode", "step", "s0", "s1"))
     for name, records in records_by_policy.items():
         for ep, record in enumerate(records):
-            writer.writerows((name, ep, step, repr(state[0]), repr(state[1]))
+            writer.writerows((name, ep, step, repr(float(state[0])), repr(float(state[1])))
                              for step, state in enumerate(record.states))
     write_atomic(csv_path, buf.getvalue().encode())
 

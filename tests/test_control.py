@@ -12,7 +12,13 @@ from goalsel.control import (
 )
 from goalsel.envs import make_env
 from goalsel.evaluation import rollout
-from goalsel.models import VARIANTS, ConditionalVAE, build_models
+from goalsel.models import (
+    VARIANTS,
+    ConditionalVAE,
+    ModelSet,
+    build_models,
+    proposal_value,
+)
 from goalsel.nn import adam_step
 from conftest import bc_net, flat_norm, goal_regressor
 
@@ -30,27 +36,6 @@ class StubPolicy:
         return self.action[None].copy(), hidden
 
 
-class StubGoalCVAE:
-    """Returns fixed proposals, ignoring the rng."""
-
-    def __init__(self, proposals):
-        self.proposals = np.asarray(proposals, dtype=np.float64)
-
-    def sample(self, s, n, rng):
-        return self.proposals[:n].copy()
-
-
-class StubActionCVAE:
-    def __init__(self, act_dim=2):
-        self.act_dim = act_dim
-
-    def sample_each(self, goals, m, rng):
-        return np.zeros((m, len(goals), self.act_dim))
-
-    def sample(self, s, n, rng):
-        return np.zeros((n, self.act_dim))
-
-
 class StubQ:
     """Scores (s, a) with an arbitrary function of the state rows."""
 
@@ -62,12 +47,22 @@ class StubQ:
         return np.array([self.fn(row) for row in s])
 
 
+def fixed(proposals):
+    """A ``propose`` function that returns the given goals, ignoring the rng."""
+    proposals = np.asarray(proposals, dtype=np.float64)
+    return lambda s, rng: proposals.copy()
+
+
+def row_score(fn):
+    """A ``score`` function applying ``fn`` to each candidate goal."""
+    return lambda goals, rng: np.array([fn(g) for g in goals])
+
+
 class TestSelectGoal:
     def test_single_proposal_ignores_q(self, rng):
         proposals = rng.normal(0, 1, (1, 2))
-        ctrl = HierarchicalController(
-            StubPolicy(), 5, goal_cvae=StubGoalCVAE(proposals),
-            action_cvae=StubActionCVAE(), qnet=StubQ(lambda s: -123.0), n_goals=1)
+        ctrl = HierarchicalController(StubPolicy(), 5, fixed(proposals),
+                                      row_score(lambda g: -123.0))
         goal, score = ctrl.select_goal(np.zeros(2), rng)
         assert np.array_equal(goal, proposals[0])
 
@@ -75,10 +70,9 @@ class TestSelectGoal:
         proposals = np.array([[0.1, 0.9], [0.5, 0.5], [0.9, 0.1],
                               [0.3, 0.3], [0.7, 0.7]])
         target = np.array([0.9, 0.1])
-        q = StubQ(lambda s: -float(np.linalg.norm(s - target)))
         ctrl = HierarchicalController(
-            StubPolicy(), 5, goal_cvae=StubGoalCVAE(proposals),
-            action_cvae=StubActionCVAE(), qnet=q, n_goals=5)
+            StubPolicy(), 5, fixed(proposals),
+            row_score(lambda g: -float(np.linalg.norm(g - target))))
         goal, score = ctrl.select_goal(np.zeros(2), rng)
         scores = [-float(np.linalg.norm(p - target)) for p in proposals]
         assert np.array_equal(goal, proposals[int(np.argmax(scores))])
@@ -86,40 +80,33 @@ class TestSelectGoal:
 
     def test_argmax_invariant_under_monotone_transform(self, rng):
         proposals = rng.normal(0, 1, (6, 2))
-        base = lambda s: float(np.sin(s[0]) + 0.5 * s[1])
-        ctrl_a = HierarchicalController(
-            StubPolicy(), 5, goal_cvae=StubGoalCVAE(proposals),
-            action_cvae=StubActionCVAE(), qnet=StubQ(base), n_goals=6)
+        base = lambda g: float(np.sin(g[0]) + 0.5 * g[1])
+        ctrl_a = HierarchicalController(StubPolicy(), 5, fixed(proposals),
+                                        row_score(base))
         ctrl_b = HierarchicalController(
-            StubPolicy(), 5, goal_cvae=StubGoalCVAE(proposals),
-            action_cvae=StubActionCVAE(),
-            qnet=StubQ(lambda s: math.exp(2.0 * base(s)) + 3.0), n_goals=6)
+            StubPolicy(), 5, fixed(proposals),
+            row_score(lambda g: math.exp(2.0 * base(g)) + 3.0))
         goal_a, _ = ctrl_a.select_goal(np.zeros(2), np.random.default_rng(0))
         goal_b, _ = ctrl_b.select_goal(np.zeros(2), np.random.default_rng(0))
         assert np.array_equal(goal_a, goal_b)
 
     def test_tie_break_lowest_index(self, rng):
         proposals = rng.normal(0, 1, (4, 2))
-        ctrl = HierarchicalController(
-            StubPolicy(), 5, goal_cvae=StubGoalCVAE(proposals),
-            action_cvae=StubActionCVAE(), qnet=StubQ(lambda s: 1.0), n_goals=4)
+        ctrl = HierarchicalController(StubPolicy(), 5, fixed(proposals),
+                                      row_score(lambda g: 1.0))
         goal, _ = ctrl.select_goal(np.zeros(2), rng)
         assert np.array_equal(goal, proposals[0])
 
 
 class TestActCadence:
     def test_t_one_selects_every_step(self, rng):
-        ctrl = HierarchicalController(
-            StubPolicy(), 1,
-            goal_cvae=StubGoalCVAE(rng.normal(0, 1, (1, 2))))
+        ctrl = HierarchicalController(StubPolicy(), 1, fixed(rng.normal(0, 1, (1, 2))))
         for _ in range(7):
             ctrl.act(np.zeros(2), rng)
         assert [e.step for e in ctrl.goal_log] == list(range(7))
 
     def test_goal_held_for_t_steps_then_reselected(self, rng):
-        ctrl = HierarchicalController(
-            StubPolicy(), 4,
-            goal_cvae=StubGoalCVAE(rng.normal(0, 1, (1, 2))))
+        ctrl = HierarchicalController(StubPolicy(), 4, fixed(rng.normal(0, 1, (1, 2))))
         for _ in range(9):
             ctrl.act(np.zeros(2), rng)
         assert [e.step for e in ctrl.goal_log] == [0, 4, 8]
@@ -127,17 +114,14 @@ class TestActCadence:
     def test_goal_log_count_for_horizon(self, rng):
         # ceil(H / T) goals for an H-step rollout
         for horizon, t_segment in [(20, 4), (21, 4), (7, 10)]:
-            ctrl = HierarchicalController(
-                StubPolicy(), t_segment,
-                goal_cvae=StubGoalCVAE(rng.normal(0, 1, (1, 2))))
+            ctrl = HierarchicalController(StubPolicy(), t_segment,
+                                          fixed(rng.normal(0, 1, (1, 2))))
             for _ in range(horizon):
                 ctrl.act(np.zeros(2), rng)
             assert len(ctrl.goal_log) == math.ceil(horizon / t_segment)
 
     def test_reset_clears_state(self, rng):
-        ctrl = HierarchicalController(
-            StubPolicy(), 3,
-            goal_cvae=StubGoalCVAE(rng.normal(0, 1, (1, 2))))
+        ctrl = HierarchicalController(StubPolicy(), 3, fixed(rng.normal(0, 1, (1, 2))))
         for _ in range(5):
             ctrl.act(np.zeros(2), rng)
         ctrl.reset()
@@ -170,12 +154,12 @@ class TestTrainedControllerRollouts:
         result, dataset = trained_iris_run
         env = make_env(dataset.env_id)
         models = result.models
+        goal_cvae = models["goal_cvae"]
         const_q = HierarchicalController(
-            models["policy"], 10, goal_cvae=models["goal_cvae"],
-            action_cvae=models["action_cvae"], qnet=StubQ(lambda s: 0.0),
-            n_goals=16, m_actions=4)
-        sampled = HierarchicalController(models["policy"], 10,
-                                         goal_cvae=models["goal_cvae"])
+            models["policy"], 10, lambda s, rng: goal_cvae.sample(s, 16, rng),
+            lambda goals, rng: np.zeros(len(goals)))
+        sampled = HierarchicalController(
+            models["policy"], 10, lambda s, rng: goal_cvae.sample(s, 1, rng))
         rec_a = rollout(env, const_q, 150, np.random.default_rng(12))
         rec_b = rollout(env, sampled, 150, np.random.default_rng(12))
         assert rec_a.length == rec_b.length
@@ -189,14 +173,16 @@ class TestGoalRegressorMode:
         reg = goal_regressor(norm, hidden_dim=6, rng=rng)
         for _, t in reg.store:
             t.value[...] = 0.0
-        ctrl = HierarchicalController(StubPolicy(), 5, goal_regressor=reg)
+        ctrl = HierarchicalController(StubPolicy(), 5,
+                                      lambda s, rng: reg.predict(s[None]))
         ctrl.act(np.array([0.5, 0.9]), rng)
         assert np.allclose(ctrl.goal_log[0].goal, norm.state.mean)
 
     def test_goal_is_exact_regressor_output(self, small_demo_set, rng):
         dataset, _ = small_demo_set
         reg = goal_regressor(dataset.norm_stats, hidden_dim=6, rng=rng)
-        ctrl = HierarchicalController(StubPolicy(), 5, goal_regressor=reg)
+        ctrl = HierarchicalController(StubPolicy(), 5,
+                                      lambda s, rng: reg.predict(s[None]))
         s = np.array([0.4, 0.7])
         goal, score = ctrl.select_goal(s, rng)
         assert np.array_equal(goal, reg.predict(s[None])[0])
@@ -238,7 +224,7 @@ class TestBaselines:
                            dataset.norm_stats.action.mean)
 
     def test_bcq_single_proposal_returned(self, rng):
-        class OneAction(StubActionCVAE):
+        class OneAction:
             def sample(self, s, n, rng):
                 return np.array([[0.011, -0.007]])[:n]
 
@@ -249,7 +235,7 @@ class TestBaselines:
         proposals = np.array([[0.01, 0.0], [0.0, -0.02], [-0.01, 0.01],
                               [0.02, 0.02], [0.0, 0.0]])
 
-        class Fixed(StubActionCVAE):
+        class Fixed:
             def sample(self, s, n, rng):
                 return proposals[:n].copy()
 
@@ -265,42 +251,62 @@ class TestBaselines:
     def test_make_policy_variant_dispatch(self, variant):
         models = build_models(variant, 2, 2, flat_norm(), hidden_dim=6, enc_dim=6,
                               rng=np.random.default_rng(0))
-        policy = make_policy(models)
+        policy = make_policy(models, n_goals=7, m_actions=3)
         expected = {"iris": HierarchicalController, "iris_no_q": HierarchicalController,
                     "iris_no_goal_vae": HierarchicalController, "bc": BCController,
                     "bc_rnn": BCRNNController, "bcq": BCQController}[variant]
         assert type(policy) is expected
-        if expected is HierarchicalController:
-            assert policy.policy is models["policy"]
-            assert policy.goal_cvae is models.get("goal_cvae")
-            assert policy.goal_regressor is models.get("goal_reg")
-            assert policy.qnet is models.get("qnet")
-            assert policy.action_cvae is models.get("action_cvae")
+        if expected is not HierarchicalController:
+            return
+        assert policy.policy is models["policy"]
+        s = np.array([0.3, 0.8])
+        goal, score = policy.select_goal(s, np.random.default_rng(4))
+        proposal_rng, score_rng = np.random.default_rng(4).spawn(2)
+        if variant == "iris_no_goal_vae":
+            want, want_score = models["goal_reg"].predict(s[None])[0], None
+        elif variant == "iris_no_q":
+            want, want_score = models["goal_cvae"].sample(s, 1, proposal_rng)[0], None
+        else:
+            goals = models["goal_cvae"].sample(s, 7, proposal_rng)
+            values = proposal_value(models["qnet"], models["action_cvae"], goals, 3,
+                                    score_rng, use_target=False)
+            want, want_score = goals[np.argmax(values)], values.max()
+        assert np.array_equal(goal, want)
+        assert score == want_score
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_make_policy_rejects_empty_counts(self, variant):
+        models = build_models(variant, 2, 2, flat_norm(), hidden_dim=6, enc_dim=6,
+                              rng=np.random.default_rng(0))
+        for counts in ({"n_goals": 0}, {"m_actions": 0}):
+            with pytest.raises(ValueError, match="n_goals and m_actions"):
+                make_policy(models, **counts)
+
+
+def stub_models(*names) -> ModelSet:
+    stubs = {"policy": StubPolicy(), "goal_cvae": object(), "action_cvae": object(),
+             "qnet": StubQ(lambda s: 0.0), "goal_reg": object()}
+    return ModelSet((name, stubs[name]) for name in names)
 
 
 class TestValidation:
     def test_value_mode_requires_models(self):
-        with pytest.raises(ValueError, match="value mode"):
-            HierarchicalController(StubPolicy(), 5, qnet=StubQ(lambda s: 0.0),
-                                   goal_cvae=StubGoalCVAE(np.zeros((1, 2))))
+        with pytest.raises(ValueError, match="no variant"):
+            make_policy(stub_models("policy", "goal_cvae", "qnet"))
 
-    @pytest.mark.parametrize("sources,match", [
-        pytest.param((), "one goal source", id="none"),
-        pytest.param(("qnet",), "one goal source", id="q_only"),
-        pytest.param(("goal_cvae", "goal_regressor"), "one goal source", id="two"),
-        pytest.param(("goal_cvae", "action_cvae", "qnet", "goal_regressor"),
-                     "one goal source", id="two_with_q"),
-        pytest.param(("goal_regressor", "action_cvae", "qnet"), "value mode",
+    @pytest.mark.parametrize("components", [
+        pytest.param((), id="none"),
+        pytest.param(("policy", "qnet"), id="q_only"),
+        pytest.param(("policy", "goal_cvae", "goal_reg"), id="two"),
+        pytest.param(("policy", "goal_cvae", "action_cvae", "qnet", "goal_reg"),
+                     id="two_with_q"),
+        pytest.param(("policy", "action_cvae", "qnet", "goal_reg"),
                      id="q_with_regressor"),
     ])
-    def test_rejected_goal_sources(self, sources, match):
-        stubs = {"goal_cvae": StubGoalCVAE(np.zeros((1, 2))),
-                 "action_cvae": StubActionCVAE(), "qnet": StubQ(lambda s: 0.0),
-                 "goal_regressor": StubGoalCVAE(np.zeros((1, 2)))}
-        with pytest.raises(ValueError, match=match):
-            HierarchicalController(StubPolicy(), 5, **{k: stubs[k] for k in sources})
+    def test_rejected_goal_sources(self, components):
+        with pytest.raises(ValueError, match="no variant"):
+            make_policy(stub_models(*components))
 
     def test_bad_t_segment(self):
         with pytest.raises(ValueError, match="t_segment"):
-            HierarchicalController(StubPolicy(), 0,
-                                   goal_cvae=StubGoalCVAE(np.zeros((1, 2))))
+            HierarchicalController(StubPolicy(), 0, fixed(np.zeros((1, 2))))
