@@ -10,10 +10,22 @@ proportionally longer detours before rejoining the central path. A
 demonstration is an ordinary :func:`rollout` of a :class:`WaypointPolicy`,
 which tracks the waypoints with noisy, random-magnitude actions; the same
 class with a fixed step and no noise is the deterministic oracle.
+
+The env step and the follower's action compute on Python floats, because on
+2-element arrays numpy's per-call cost dwarfs the arithmetic. They return
+what the elementwise numpy form (kept as the tests' reference) returns, bit
+for bit, because each operation is the same IEEE operation: a clip is a
+chained comparison, which passes NaN and a value equal to a bound through as
+``np.clip`` does; and a 2-norm is ``sqrt(d.dot(d))`` on a float64 array, as
+``np.linalg.norm`` computes it. That dot product is BLAS's ``ddot``, whose
+rounding depends on the kernel OpenBLAS picks for the CPU (with fused
+multiply-add, ``sqrt(fma(y, y, x * x))``), so ``x * x + y * y`` in Python
+would not match it. Dataset bytes are therefore exact per BLAS kernel.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -21,6 +33,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Trajectory, TrajectoryDataset
+
+
+def _clip(v: float, lo: float, hi: float) -> float:
+    """``np.clip`` of one float for ``lo <= hi``: NaN, and a value equal to a
+    bound (-0.0 against 0.0, say), pass through unchanged."""
+    return lo if v < lo else hi if v > hi else v
+
+
+def _norm(x: float, y: float, scratch: np.ndarray) -> float:
+    """``np.linalg.norm`` of ``(x, y)``, computed as it does: the square root
+    of BLAS's dot product of a float64 array (written into ``scratch``)."""
+    scratch[0] = x
+    scratch[1] = y
+    return math.sqrt(scratch.dot(scratch))
 
 
 class GraphReachEnv:
@@ -35,29 +61,37 @@ class GraphReachEnv:
     def __init__(self, grid_n: int = 5, a_max: float = 0.02, eps_goal: float = 0.05):
         if grid_n < 3 or grid_n % 2 == 0:
             raise ValueError("grid_n must be an odd integer >= 3")
+        if not a_max >= 0.0:
+            raise ValueError("a_max must be >= 0")
         self.grid_n = grid_n
         self.a_max = float(a_max)
         self.eps_goal = float(eps_goal)
-        self.start = np.array([0.5, 1.0])
-        self.goal_center = np.array([0.5, 0.0])
+        self.start = (0.5, 1.0)
+        self.goal_center = (0.5, 0.0)
         self.obs_dim = 2
         self.act_dim = 2
-        self._pos = self.start.copy()
+        self._scratch = np.empty(2)
+        self.reset()
 
     @property
     def env_id(self) -> str:
         return f"graph-reach-n{self.grid_n}-v1"
 
     def reset(self) -> np.ndarray:
-        self._pos = self.start.copy()
-        return self._pos.copy()
+        self._pos = self.start
+        return np.array(self._pos)
 
     def step(self, a) -> tuple[np.ndarray, float, bool]:
-        a = np.clip(np.asarray(a, dtype=np.float64), -self.a_max, self.a_max)
-        self._pos = np.clip(self._pos + a, 0.0, 1.0)
-        success = float(np.linalg.norm(self._pos - self.goal_center)) <= self.eps_goal
+        ax, ay = np.asarray(a, dtype=np.float64).tolist()
+        px, py = self._pos
+        lim = self.a_max
+        px = _clip(px + _clip(ax, -lim, lim), 0.0, 1.0)
+        py = _clip(py + _clip(ay, -lim, lim), 0.0, 1.0)
+        self._pos = (px, py)
+        gx, gy = self.goal_center
+        success = _norm(px - gx, py - gy, self._scratch) <= self.eps_goal
         reward = 1.0 if success else 0.0
-        return self._pos.copy(), reward, success
+        return np.array(self._pos), reward, success
 
 
 # Steps after which the demonstration generator abandons a path.
@@ -265,19 +299,28 @@ class WaypointPolicy:
         self.waypoints = np.asarray(waypoints, dtype=np.float64)
         self.cfg = cfg
         self.a_max = float(a_max)
+        self._points = self.waypoints.tolist()
         self._last = len(self.waypoints) - 1
         self._wp = 1  # waypoints[0] is the start node
+        self._scratch = np.empty(2)
 
     def reset(self) -> None:
         self._wp = 1
 
+    def _to_waypoint(self, sx: float, sy: float) -> tuple[float, float, float]:
+        """The offset from the state to the current waypoint, and its norm."""
+        wx, wy = self._points[self._wp]
+        dx, dy = wx - sx, wy - sy
+        return dx, dy, _norm(dx, dy, self._scratch)
+
     def act(self, s, rng: np.random.Generator) -> np.ndarray:
         cfg = self.cfg
-        while (self._wp < self._last
-               and np.linalg.norm(self.waypoints[self._wp] - s) <= cfg.capture_radius):
+        sx, sy = np.asarray(s, dtype=np.float64).tolist()
+        dx, dy, dist = self._to_waypoint(sx, sy)
+        while self._wp < self._last and dist <= cfg.capture_radius:
             self._wp += 1
-        delta = self.waypoints[self._wp] - s
-        dist = float(np.linalg.norm(delta))
-        eta = rng.uniform(cfg.eta_min, cfg.eta_max)
-        a = delta * (eta / max(dist, 1e-12)) + rng.normal(0.0, cfg.noise_sigma, size=2)
-        return np.clip(a, -self.a_max, self.a_max)
+            dx, dy, dist = self._to_waypoint(sx, sy)
+        k = rng.uniform(cfg.eta_min, cfg.eta_max) / max(dist, 1e-12)
+        nx, ny = rng.normal(0.0, cfg.noise_sigma, size=2).tolist()
+        lim = self.a_max
+        return np.array((_clip(dx * k + nx, -lim, lim), _clip(dy * k + ny, -lim, lim)))

@@ -110,11 +110,11 @@ class PolicyRNN:
         self.norm = norm
         self.goal_conditioned = goal_conditioned
         self.hidden_dim = hidden_dim
-        self.store = ParamStore(dtype)
         in_dim = obs_dim * 2 if goal_conditioned else obs_dim
-        self.enc = Linear(self.store, "enc", in_dim, enc_dim, rng)
-        self.cell = GRUCell(self.store, "gru", enc_dim, hidden_dim, rng)
-        self.head = Linear(self.store, "head", hidden_dim, act_dim, rng)
+        with ParamStore(dtype) as self.store:
+            self.enc = Linear(self.store, "enc", in_dim, enc_dim, rng)
+            self.cell = GRUCell(self.store, "gru", enc_dim, hidden_dim, rng)
+            self.head = Linear(self.store, "head", hidden_dim, act_dim, rng)
         self._caches: dict[tuple[int, int], _StepCaches] = {}
 
     def init_hidden(self, batch: int = 1) -> np.ndarray:
@@ -202,13 +202,11 @@ class ConditionalVAE:
         self.cond = cond
         self.latent_dim = latent_dim
         self.beta = float(beta)
-        self.store = ParamStore()
-        self.encoder = MLP(self.store, "enc",
-                           [target.dim + cond.dim, hidden_dim, hidden_dim, 2 * latent_dim],
-                           rng)
-        self.decoder = MLP(self.store, "dec",
-                           [latent_dim + cond.dim, hidden_dim, hidden_dim, target.dim],
-                           rng)
+        with ParamStore() as self.store:
+            self.encoder = MLP(self.store, "enc", [target.dim + cond.dim, hidden_dim,
+                                                   hidden_dim, 2 * latent_dim], rng)
+            self.decoder = MLP(self.store, "dec", [latent_dim + cond.dim, hidden_dim,
+                                                   hidden_dim, target.dim], rng)
 
     def encode(self, target_n: np.ndarray, cond_n: np.ndarray):
         raw, cache = self.encoder.forward(np.concatenate([target_n, cond_n], axis=-1))
@@ -287,10 +285,10 @@ class QNet:
                  hidden_dim: int = 64, rng: np.random.Generator):
         self.norm = norm
         sizes = [obs_dim + act_dim, hidden_dim, hidden_dim, 1]
-        self.store = ParamStore()
-        self.mlp = MLP(self.store, "q", sizes, rng)
-        self.target_store = ParamStore()
-        self.target_mlp = MLP(self.target_store, "q", sizes, rng)
+        with ParamStore() as self.store:
+            self.mlp = MLP(self.store, "q", sizes, rng)
+        with ParamStore() as self.target_store:
+            self.target_mlp = MLP(self.target_store, "q", sizes, rng)
         polyak_update(self, 1.0)
 
     def _inputs(self, s, a) -> np.ndarray:
@@ -350,8 +348,9 @@ class Regressor:
                  hidden_dim: int = 64, rng: np.random.Generator):
         self.inputs = inputs
         self.target = target
-        self.store = ParamStore()
-        self.mlp = MLP(self.store, name, [inputs.dim, hidden_dim, hidden_dim, target.dim], rng)
+        with ParamStore() as self.store:
+            self.mlp = MLP(self.store, name, [inputs.dim, hidden_dim, hidden_dim, target.dim],
+                           rng)
 
     def predict(self, s) -> np.ndarray:
         return self.target.denorm(self.mlp.predict(self.inputs.norm(s)))

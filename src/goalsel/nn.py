@@ -58,13 +58,30 @@ class ParamStore:
     ``(4, n)`` buffer of the store's ``dtype``, plus Adam's step counter. The
     rows, also bound as ``value``, ``grad``, ``moment1`` and ``moment2``, are
     the flat values, gradients and both Adam moments; each tensor's ``value``
-    and ``grad`` are views of its segment of the first two."""
+    and ``grad`` are views of its segment of the first two.
+
+    A store is filled in a ``with`` block: :meth:`add` keeps each tensor's
+    value until the block ends, which allocates the buffer once, at its final
+    size, and binds the views::
+
+        with ParamStore() as store:
+            layer = Linear(store, "l0", 3, 4, rng)
+    """
 
     def __init__(self, dtype=np.float64):
         self.dtype = np.dtype(dtype)
         self.params: dict[str, Tensor] = {}
         self._step = np.zeros(1, np.int64)
-        self._bind(np.zeros((4, 0), self.dtype))
+        self.buffer = None
+
+    def __enter__(self) -> "ParamStore":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        values = [t.value for t in self.params.values()]
+        self._bind(np.zeros((4, sum(v.size for v in values)), self.dtype))
+        for t, value in zip(self.params.values(), values):
+            t.value[...] = value
 
     def _bind(self, buffer: np.ndarray) -> None:
         """Make ``buffer`` the store's and rebind the row and tensor views."""
@@ -87,16 +104,14 @@ class ParamStore:
         self._step[0] = value
 
     def add(self, name: str, value) -> Tensor:
-        """Append a tensor holding ``value`` (zero gradient and moments)."""
+        """Add a tensor holding ``value`` (zero gradient and moments). Its
+        ``value`` is a copy until the ``with`` block ends, and its ``grad``
+        is ``None``; then both are views of the buffer."""
+        if self.buffer is not None:
+            raise ValueError("the store's buffer is already allocated")
         if name in self.params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        value = np.asarray(value)
-        n = self.buffer.shape[1]
-        buffer = np.zeros((4, n + value.size), self.dtype)
-        buffer[:, :n] = self.buffer
-        buffer[0, n:] = value.reshape(-1)
-        tensor = self.params[name] = Tensor(value, value)  # rebound below
-        self._bind(buffer)
+        tensor = self.params[name] = Tensor(np.array(value, dtype=self.dtype), None)
         return tensor
 
     def __iter__(self):

@@ -1,15 +1,20 @@
+import copy
 import hashlib
 import json
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goalsel.data import save, load
 from goalsel.envs import (
     DEMO_H_MAX,
     DemoGenConfig,
     GraphReachEnv,
+    WaypointPolicy,
+    _norm,
     build_waypoint_path,
     central_waypoints,
     generate_demo,
@@ -19,6 +24,115 @@ from goalsel.envs import (
     rollout,
 )
 from conftest import oracle
+
+
+def reference_step(env, pos, a):
+    """Elementwise numpy oracle of ``GraphReachEnv.step`` from position
+    ``pos``: returns (new position, reward, done)."""
+    a = np.clip(np.asarray(a, dtype=np.float64), -env.a_max, env.a_max)
+    pos = np.clip(np.asarray(pos, dtype=np.float64) + a, 0.0, 1.0)
+    success = float(np.linalg.norm(pos - np.array(env.goal_center))) <= env.eps_goal
+    return pos, (1.0 if success else 0.0), success
+
+
+def reference_act(policy, s, rng):
+    """Elementwise numpy oracle of ``WaypointPolicy.act``; advances
+    ``policy``'s waypoint index as the policy does."""
+    cfg = policy.cfg
+    while (policy._wp < policy._last
+           and np.linalg.norm(policy.waypoints[policy._wp] - s) <= cfg.capture_radius):
+        policy._wp += 1
+    delta = policy.waypoints[policy._wp] - s
+    dist = float(np.linalg.norm(delta))
+    eta = rng.uniform(cfg.eta_min, cfg.eta_max)
+    a = delta * (eta / max(dist, 1e-12)) + rng.normal(0.0, cfg.noise_sigma, size=2)
+    return np.clip(a, -policy.a_max, policy.a_max)
+
+
+A_MAX = 0.02
+# the clip bounds of positions and actions, signed zeros, and non-finite values
+EDGES = [0.0, -0.0, 1.0, A_MAX, -A_MAX, np.nan, np.inf, -np.inf, 5e-324]
+coords = st.one_of(st.floats(-0.1, 1.1), st.sampled_from(EDGES), st.floats())
+actions = st.one_of(st.floats(-2 * A_MAX, 2 * A_MAX), st.sampled_from(EDGES), st.floats())
+# points on and near the goal disc's boundary (radius 0.05 around (0.5, 0)),
+# where ``dist <= eps_goal`` flips
+disc_edge = st.sampled_from([(0.5, 0.05), (0.55, 0.0), (0.45, 0.0), (0.53, 0.04),
+                             (0.47, 0.04), (0.5, np.nextafter(0.05, 1.0)),
+                             (0.5, np.nextafter(0.05, 0.0))])
+positions = st.one_of(st.tuples(coords, coords), disc_edge)
+# waypoint offsets on the capture circle (radius 0.03), axis-aligned or 3-4-5
+capture_offsets = st.sampled_from([(0.03, 0.0), (0.0, -0.03), (-0.018, 0.024),
+                                   (0.018, -0.024), (0.0, 0.0)])
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+class TestScalarStepMatchesNumpy:
+    """The float arithmetic of the env step and the waypoint follower against
+    the elementwise numpy code it replaced, bit for bit."""
+
+    @given(x=coords, y=coords)
+    @settings(max_examples=200, deadline=None)
+    def test_norm_is_linalg_norm(self, x, y):
+        with np.errstate(all="ignore"):
+            assert bits(_norm(x, y, np.empty(2))) == bits(np.linalg.norm(np.array([x, y])))
+
+    @given(pos=positions, steps=st.lists(st.tuples(actions, actions), min_size=1,
+                                         max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_env_step(self, pos, steps):
+        env = GraphReachEnv(a_max=A_MAX)
+        env._pos = np.array(pos)
+        ref = np.array(pos)
+        for a in steps:
+            with np.errstate(all="ignore"):
+                ref, ref_reward, ref_done = reference_step(env, ref, a)
+                s, reward, done = env.step(np.array(a))
+            assert s.dtype == np.float64 and bits(s) == bits(ref)
+            assert (reward, done) == (ref_reward, ref_done)
+
+    @given(s=st.one_of(st.tuples(coords, coords), disc_edge),
+           offsets=st.lists(st.one_of(capture_offsets, st.tuples(coords, coords)),
+                            min_size=2, max_size=5),
+           eta=st.tuples(st.floats(1e-3, A_MAX), st.floats(1e-3, A_MAX)),
+           sigma=st.sampled_from([0.0, 0.003, 0.05]),
+           a_max=st.sampled_from([A_MAX, 0.01, 0.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_waypoint_act(self, s, offsets, eta, sigma, a_max, seed):
+        cfg = DemoGenConfig(eta_min=min(eta), eta_max=max(eta), noise_sigma=sigma)
+        # waypoints offset from the state, several on the capture circle
+        with np.errstate(all="ignore"):
+            waypoints = np.array(s) + np.array(offsets)
+        policy, ref_policy = (WaypointPolicy(waypoints, cfg, a_max) for _ in range(2))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):
+            with np.errstate(all="ignore"):
+                a = policy.act(np.array(s), rng)
+                ref = reference_act(ref_policy, np.array(s), ref_rng)
+            assert a.dtype == np.float64 and bits(a) == bits(ref)
+            assert policy._wp == ref_policy._wp
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_demo_rollouts(self):
+        # whole float64 demonstrations, replayed through the oracles
+        cfg = DemoGenConfig()
+        env = GraphReachEnv()
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            waypoints, _ = build_waypoint_path(cfg, rng)
+            ref_rng = copy.deepcopy(rng)
+            rec = rollout(env, WaypointPolicy(waypoints, cfg, env.a_max), DEMO_H_MAX, rng)
+            ref_policy = WaypointPolicy(waypoints, cfg, env.a_max)
+            states = [np.array(env.start)]
+            for _ in range(rec.length):
+                a = reference_act(ref_policy, states[-1], ref_rng)
+                s, _, done = reference_step(env, states[-1], a)
+                states.append(s)
+            assert done and rec.success
+            assert bits(rec.states) == bits(np.stack(states))
 
 
 class TestEnv:
@@ -83,6 +197,32 @@ class TestEnv:
     def test_grid_n_must_be_odd(self):
         with pytest.raises(ValueError, match="odd"):
             GraphReachEnv(grid_n=4)
+
+    @pytest.mark.parametrize("a_max", [-0.01, np.nan])
+    def test_a_max_must_be_nonnegative(self, a_max):
+        with pytest.raises(ValueError, match="a_max"):
+            GraphReachEnv(a_max=a_max)
+
+    def test_returned_arrays_do_not_alias_the_state(self):
+        # writing into what reset and step return, or into the action after
+        # the step, must not move the next step
+        env, ref = GraphReachEnv(), GraphReachEnv()
+        s = env.reset()
+        ref.reset()
+        for a in [(0.01, -0.015), (-0.005, -0.02), (0.02, -0.01)]:
+            s[...] = np.nan
+            action = np.array(a)
+            s, _, _ = env.step(action)
+            action[...] = 1.0
+            assert np.array_equal(s, ref.step(np.array(a))[0])
+        assert not np.shares_memory(env.reset(), env.reset())
+
+    def test_actions_are_fresh_arrays(self, rng):
+        policy = oracle(central_waypoints(5), 0.015)
+        s = np.array([0.5, 1.0])
+        first = policy.act(s, rng)
+        second = policy.act(s, rng)
+        assert np.array_equal(first, second) and not np.shares_memory(first, second)
 
 
 class TestWaypointPath:

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,29 +26,61 @@ from goalsel.nn import (
 
 class TestParamStore:
     def test_duplicate_name_rejected(self):
-        store = ParamStore()
-        store.add("w", np.zeros(3))
-        with pytest.raises(ValueError, match="duplicate"):
+        with ParamStore() as store:
             store.add("w", np.zeros(3))
+            with pytest.raises(ValueError, match="duplicate"):
+                store.add("w", np.zeros(3))
+
+    def test_add_after_allocation_rejected(self):
+        with ParamStore() as store:
+            store.add("w", np.zeros(3))
+        with pytest.raises(ValueError, match="already allocated"):
+            store.add("v", np.zeros(3))
+        assert list(store.params) == ["w"] and store.buffer.shape == (4, 3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_added_values_land_in_the_buffer(self, rng, dtype):
+        a = rng.normal(size=(3, 2))
+        with ParamStore(dtype) as store:
+            t = store.add("a", a)
+            store.add("b", np.ones(4))
+        a_cast = a.astype(dtype)
+        a[...] = 0.0  # the store keeps its own copy
+        assert store.value.tobytes() == np.concatenate(
+            [a_cast.ravel(), np.ones(4, dtype)]).tobytes()
+        assert np.shares_memory(t.value, store.value) and t.value.shape == (3, 2)
+        assert not store.buffer[1:].any()
+
+    def test_building_peaks_near_the_final_buffer(self, rng):
+        # one allocation at the final size: the values held until the block
+        # ends add a quarter; growing by a copy per tensor would double it
+        tracemalloc.start()
+        try:
+            with ParamStore() as store:
+                MLP(store, "m", [64, 256, 256, 64], rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert store.buffer.nbytes <= peak < 1.4 * store.buffer.nbytes
 
     def test_state_dict_roundtrip(self, rng):
-        store = ParamStore()
-        store.add("a", rng.normal(size=(3, 2)))
-        store.add("b", rng.normal(size=4))
+        with ParamStore() as store:
+            store.add("a", rng.normal(size=(3, 2)))
+            store.add("b", rng.normal(size=4))
         state = store.state_dict()
         store.params["a"].value[...] = 0.0
         store.load_state_dict(state)
         assert np.array_equal(store.params["a"].value, state["a"])
 
     def test_load_shape_mismatch(self):
-        store = ParamStore()
-        store.add("a", np.zeros(3))
+        with ParamStore() as store:
+            store.add("a", np.zeros(3))
         with pytest.raises(ValueError, match="shape mismatch"):
             store.load_state_dict({"a": np.zeros(4)})
 
     def test_assert_finite(self):
-        store = ParamStore()
-        t = store.add("a", np.zeros(2))
+        with ParamStore() as store:
+            t = store.add("a", np.zeros(2))
         t.value[0] = np.inf
         with pytest.raises(FloatingPointError):
             store.assert_finite()
@@ -55,9 +88,9 @@ class TestParamStore:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_share_keeps_contents_and_crosses_fork(self, rng, dtype):
-        store = ParamStore(dtype)
-        store.add("a", rng.normal(size=(3, 2)))
-        store.add("b", rng.normal(size=5))
+        with ParamStore(dtype) as store:
+            store.add("a", rng.normal(size=(3, 2)))
+            store.add("b", rng.normal(size=5))
         store.params["a"].grad[...] = 1.0
         adam_step(store)
         store.params["b"].grad[...] = 2.0
@@ -88,16 +121,16 @@ class TestParamStore:
 
 class TestMLP:
     def test_zero_weights_zero_output(self, rng):
-        store = ParamStore()
-        mlp = MLP(store, "m", [3, 4, 2], rng)
+        with ParamStore() as store:
+            mlp = MLP(store, "m", [3, 4, 2], rng)
         for _, t in store:
             t.value[...] = 0.0
         out, _ = mlp.forward(rng.normal(size=(1, 3)))
         assert np.array_equal(out, np.zeros((1, 2)))
 
     def test_identity_single_layer(self, rng):
-        store = ParamStore()
-        mlp = MLP(store, "m", [3, 3], rng)
+        with ParamStore() as store:
+            mlp = MLP(store, "m", [3, 3], rng)
         store.params["m.l0.W"].value[...] = np.eye(3)
         store.params["m.l0.b"].value[...] = 0.0
         x = rng.normal(size=(1, 3))
@@ -105,8 +138,8 @@ class TestMLP:
 
     def test_matches_hand_matrix_arithmetic(self, rng):
         # 2x2 two-layer net checked against explicit by-hand products
-        store = ParamStore()
-        mlp = MLP(store, "m", [2, 2, 2], rng)
+        with ParamStore() as store:
+            mlp = MLP(store, "m", [2, 2, 2], rng)
         w0 = store.params["m.l0.W"].value
         b0 = store.params["m.l0.b"].value
         w1 = store.params["m.l1.W"].value
@@ -120,8 +153,8 @@ class TestMLP:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_predict_is_forward_bit_for_bit(self, rng, dtype):
-        store = ParamStore(dtype)
-        mlp = MLP(store, "m", [3, 16, 16, 2], rng)
+        with ParamStore(dtype) as store:
+            mlp = MLP(store, "m", [3, 16, 16, 2], rng)
         for _, t in store:
             t.value += rng.normal(0, 0.5, t.shape)
         # row 0 is zero, so every first-layer unit sits at its negative bias
@@ -139,8 +172,8 @@ class TestMLP:
         assert np.array_equal(x, x_before)
 
     def test_backward_params_leaves_backward_param_grads(self, rng):
-        store = ParamStore()
-        mlp = MLP(store, "m", [3, 8, 8, 2], rng)
+        with ParamStore() as store:
+            mlp = MLP(store, "m", [3, 8, 8, 2], rng)
         for _, t in store:
             t.value += rng.normal(0, 0.5, t.shape)
         x = rng.normal(size=(5, 3))
@@ -154,8 +187,8 @@ class TestMLP:
         assert all(t.grad.any() for _, t in store)
 
     def test_shape_mismatch_raises(self, rng):
-        store = ParamStore()
-        mlp = MLP(store, "m", [3, 2], rng)
+        with ParamStore() as store:
+            mlp = MLP(store, "m", [3, 2], rng)
         with pytest.raises(ValueError):
             mlp.forward(np.zeros((1, 5)))
 
@@ -218,8 +251,8 @@ class TestSigmoid:
 
 class TestGRU:
     def test_zero_weights_halve_hidden(self, rng):
-        store = ParamStore()
-        cell = GRUCell(store, "g", 2, 3, rng)
+        with ParamStore() as store:
+            cell = GRUCell(store, "g", 2, 3, rng)
         for _, t in store:
             t.value[...] = 0.0
         h = rng.normal(size=3)
@@ -229,8 +262,8 @@ class TestGRU:
                               np.zeros(3))
 
     def test_saturated_update_gate_ignores_hidden(self, rng):
-        store = ParamStore()
-        cell = GRUCell(store, "g", 2, 3, rng)
+        with ParamStore() as store:
+            cell = GRUCell(store, "g", 2, 3, rng)
         cell.b.value[:3] = 50.0   # saturate the update gate
         cell.Uc.value[...] = 0.0  # candidate independent of hidden
         x = rng.normal(size=2)
@@ -239,16 +272,16 @@ class TestGRU:
         assert np.allclose(out_a, out_b, atol=1e-3)
 
     def test_matches_scalar_reference(self, rng):
-        store = ParamStore()
-        cell = GRUCell(store, "g", 3, 4, rng)
+        with ParamStore() as store:
+            cell = GRUCell(store, "g", 3, 4, rng)
         h = rng.normal(size=4)
         x = rng.normal(size=3)
         assert np.allclose(gru(cell, h, x),
                            _scalar_gru_reference(cell, h, x), atol=1e-12)
 
     def test_batched_matches_single(self, rng):
-        store = ParamStore()
-        cell = GRUCell(store, "g", 3, 4, rng)
+        with ParamStore() as store:
+            cell = GRUCell(store, "g", 3, 4, rng)
         h = rng.normal(size=(5, 4))
         x = rng.normal(size=(5, 3))
         batched = gru_forward(cell, h, x)
@@ -308,9 +341,9 @@ class TestGaussianHead:
 
 class TestAdam:
     def test_zero_grad_is_noop_any_state(self, rng):
-        store = ParamStore()
-        store.add("x", rng.normal(size=3))
-        store.add("y", rng.normal(size=(2, 2)))
+        with ParamStore() as store:
+            store.add("x", rng.normal(size=3))
+            store.add("y", rng.normal(size=(2, 2)))
         # nonzero optimizer state must not move parameters when grads are zero
         store.moment1[...] = 1.0
         store.moment2[...] = 2.0
@@ -339,10 +372,11 @@ class TestAdam:
 
         shapes = {"w": (3, 4), "b": (4,), "u": (4, 2), "c": (1,)}
         stores = [ParamStore(dtype) for _ in range(2)]
-        for name, shape in shapes.items():
-            value = rng.normal(size=shape)
-            for store in stores:
-                store.add(name, value)
+        with stores[0], stores[1]:
+            for name, shape in shapes.items():
+                value = rng.normal(size=shape)
+                for store in stores:
+                    store.add(name, value)
         flat, reference = stores
         moments = {n: (np.zeros_like(t.value), np.zeros_like(t.value))
                    for n, t in reference}
@@ -361,27 +395,27 @@ class TestAdam:
             assert not flat.grad.any()
 
     def test_first_step_magnitude_and_sign(self):
-        store = ParamStore()
-        t = store.add("x", np.array([0.0]))
+        with ParamStore() as store:
+            t = store.add("x", np.array([0.0]))
         t.grad[...] = 3.7
         adam_step(store, lr=1e-3)
         assert np.isclose(t.value[0], -1e-3, rtol=1e-6)
-        store2 = ParamStore()
-        t2 = store2.add("x", np.array([0.0]))
+        with ParamStore() as store2:
+            t2 = store2.add("x", np.array([0.0]))
         t2.grad[...] = -0.2
         adam_step(store2, lr=1e-3)
         assert np.isclose(t2.value[0], 1e-3, rtol=1e-6)
 
     def test_grads_zeroed_after_step(self):
-        store = ParamStore()
-        t = store.add("x", np.array([1.0]))
+        with ParamStore() as store:
+            t = store.add("x", np.array([1.0]))
         t.grad[...] = 1.0
         adam_step(store)
         assert np.all(t.grad == 0.0)
 
     def test_quadratic_convergence_matches_recursion(self):
-        store = ParamStore()
-        t = store.add("x", np.array([1.0]))
+        with ParamStore() as store:
+            t = store.add("x", np.array([1.0]))
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
         # independent scalar recursion
         x, m, v = 1.0, 0.0, 0.0
@@ -399,8 +433,8 @@ class TestAdam:
 
 class TestGradCheck:
     def test_quadratic_loss_exact(self, rng):
-        store = ParamStore()
-        t = store.add("x", rng.normal(size=6))
+        with ParamStore() as store:
+            t = store.add("x", rng.normal(size=6))
         target = rng.normal(size=6)
 
         def loss_fn():
@@ -447,9 +481,9 @@ class TestCheckpoint:
 
 class TestTensor:
     def test_grad_matches_shape(self):
-        store = ParamStore()
-        store.add("a", np.zeros(4))
-        t = store.add("b", np.ones((2, 3)))
+        with ParamStore() as store:
+            store.add("a", np.zeros(4))
+            t = store.add("b", np.ones((2, 3)))
         assert isinstance(t, Tensor)
         assert t.grad.shape == (2, 3)
         assert t.shape == (2, 3)
