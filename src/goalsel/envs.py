@@ -11,16 +11,14 @@ demonstration is an ordinary :func:`rollout` of a :class:`WaypointPolicy`,
 which tracks the waypoints with noisy, random-magnitude actions; the same
 class with a fixed step and no noise is the deterministic oracle.
 
-The env step and the follower's action compute on Python floats, because on
-2-element arrays numpy's per-call cost dwarfs the arithmetic. They return
-what the elementwise numpy form (kept as the tests' reference) returns, bit
-for bit, because each operation is the same IEEE operation: a clip is a
-chained comparison, which passes NaN and a value equal to a bound through as
-``np.clip`` does; and a 2-norm is ``sqrt(d.dot(d))`` on a float64 array, as
-``np.linalg.norm`` computes it. That dot product is BLAS's ``ddot``, whose
-rounding depends on the kernel OpenBLAS picks for the CPU (with fused
-multiply-add, ``sqrt(fma(y, y, x * x))``), so ``x * x + y * y`` in Python
-would not match it. Dataset bytes are therefore exact per BLAS kernel.
+The env step and the follower's action compute on Python floats (on
+2-element arrays numpy's per-call cost dominates) and return, bit for bit,
+what the elementwise numpy form kept in the tests returns: a clip is a chained
+comparison, which passes NaN and a value equal to a bound through as
+``np.clip`` does, and a 2-norm is ``np.linalg.norm``'s ``sqrt(d.dot(d))`` on a
+float64 array. That dot product is the ``ddot`` kernel OpenBLAS picks for the
+CPU (with fused multiply-add, ``sqrt(fma(y, y, x * x))``), which
+``x * x + y * y`` would not match, so dataset bytes are exact per BLAS kernel.
 """
 
 from __future__ import annotations

@@ -203,10 +203,12 @@ class ConditionalVAE:
         self.latent_dim = latent_dim
         self.beta = float(beta)
         with ParamStore() as self.store:
-            self.encoder = MLP(self.store, "enc", [target.dim + cond.dim, hidden_dim,
-                                                   hidden_dim, 2 * latent_dim], rng)
-            self.decoder = MLP(self.store, "dec", [latent_dim + cond.dim, hidden_dim,
-                                                   hidden_dim, target.dim], rng)
+            self.encoder = MLP(self.store, "enc",
+                               [target.dim + cond.dim, hidden_dim, hidden_dim, 2 * latent_dim],
+                               rng)
+            self.decoder = MLP(self.store, "dec",
+                               [latent_dim + cond.dim, hidden_dim, hidden_dim, target.dim],
+                               rng)
 
     def encode(self, target_n: np.ndarray, cond_n: np.ndarray):
         raw, cache = self.encoder.forward(np.concatenate([target_n, cond_n], axis=-1))

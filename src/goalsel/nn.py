@@ -60,12 +60,9 @@ class ParamStore:
     the flat values, gradients and both Adam moments; each tensor's ``value``
     and ``grad`` are views of its segment of the first two.
 
-    A store is filled in a ``with`` block: :meth:`add` keeps each tensor's
-    value until the block ends, which allocates the buffer once, at its final
-    size, and binds the views::
-
-        with ParamStore() as store:
-            layer = Linear(store, "l0", 3, 4, rng)
+    A store is filled in a ``with`` block (``with ParamStore() as store:``):
+    :meth:`add` keeps each tensor's value until the block ends, which
+    allocates the buffer once, at its final size, and binds the views.
     """
 
     def __init__(self, dtype=np.float64):
