@@ -192,8 +192,8 @@ class DemoGenConfig:
             raise ValueError("detour_len_mult must be >= 1")
         if not 0.0 < self.eta_min <= self.eta_max:
             raise ValueError("need 0 < eta_min <= eta_max")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
         spacing = 1.0 / (self.grid_n - 1)
         if not 0.0 < self.capture_radius < spacing / 2.0:
             raise ValueError("capture_radius must lie in (0, grid spacing / 2)")

@@ -57,7 +57,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .binfile import write_atomic
@@ -454,13 +453,15 @@ def _write_manifest(out_dir: Path, digest: str, dataset: TrajectoryDataset,
                     models: ModelSet, start_time: str,
                     end_time: str | None = None) -> None:
     """Record what produced a run: config digest, the sha256 of the dataset
-    file (None for a dataset built in memory), library versions, the dtype of
-    each parameter store, and the start and (once finished) end time."""
+    file (None for a dataset built in memory), library versions (with numpy's
+    BLAS build, whose kernels the dataset and checkpoint bytes depend on), the
+    dtype of each parameter store, and the start and (once finished) end time."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "config_digest": digest,
         "dataset_sha256": dataset.sha256,
         "versions": {"goalsel": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__,
+                     "blas": f"{blas['name']} {blas['version']}",
                      "python": platform.python_version()},
         "dtypes": {prefix: store.dtype.name
                    for prefix, store in models.stores().items()},
@@ -583,6 +584,8 @@ def standard_grad_check_suite(n_instances: int = 20, seed: int = 0) -> dict[str,
     """Finite-difference checks for the four training losses on small random
     instances with frozen sampling noise; returns each loss's max relative
     error over all instances."""
+    if n_instances < 1:
+        raise ValueError(f"n_instances must be >= 1, got {n_instances}")
     from .data import NormStats, Scaler  # local import keeps the module header lean
 
     worst = {"policy": 0.0, "goal_cvae": 0.0, "action_cvae": 0.0, "q": 0.0}

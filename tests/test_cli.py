@@ -2,6 +2,10 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from xml.dom import minidom
 
 import numpy as np
@@ -27,6 +31,18 @@ def tiny_setup(tmp_path_factory):
                "--set", "ckpt_every=30", "--set", "batch_size=16"])
     assert rc == 0
     return root, data_path, run_dir
+
+
+class TestImport:
+    def test_cli_loads_no_scipy(self):
+        # scipy.spatial alone would add about 36 MB to every goalsel process
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys, goalsel.cli; print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.stdout.strip() == "[]"
 
 
 class TestHelp:
@@ -260,3 +276,11 @@ class TestGradCheckCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "policy" in out and "[ok]" in out
+
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_no_instances_is_an_error(self, capsys, instances):
+        rc = main(["grad-check", "--instances", instances])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "[ok]" not in captured.out
+        assert "error: n_instances must be >= 1" in captured.err

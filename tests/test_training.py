@@ -9,7 +9,6 @@ import threading
 
 import numpy as np
 import pytest
-import scipy
 
 import goalsel
 from goalsel import training as training_module
@@ -321,9 +320,11 @@ class TestTrainLoop:
         manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
         assert manifest["config_digest"] == config_digest(cfg)
         assert manifest["dataset_sha256"] is None  # generated in memory
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert manifest["versions"] == {
             "goalsel": goalsel.__version__, "numpy": np.__version__,
-            "scipy": scipy.__version__, "python": platform.python_version()}
+            "blas": f"{blas['name']} {blas['version']}",
+            "python": platform.python_version()}
         assert manifest["dtypes"] == {
             "policy": "float32", "goal_cvae": "float64", "action_cvae": "float64",
             "qnet": "float64", "qnet_target": "float64"}
