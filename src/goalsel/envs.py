@@ -15,7 +15,8 @@ The env step and the follower's action compute on Python floats (on
 2-element arrays numpy's per-call cost dominates) and return, bit for bit,
 what the elementwise numpy form kept in the tests returns: a clip is a chained
 comparison, which passes NaN and a value equal to a bound through as
-``np.clip`` does, and a 2-norm is ``np.linalg.norm``'s ``sqrt(d.dot(d))`` on a
+``np.clip`` does; a sum of two NaNs is the first one, quieted, as numpy's
+array add gives it (Python's ``+`` picks either); and a 2-norm is ``np.linalg.norm``'s ``sqrt(d.dot(d))`` on a
 float64 array. That dot product is the ``ddot`` kernel OpenBLAS picks for the
 CPU (with fused multiply-add, ``sqrt(fma(y, y, x * x))``), which
 ``x * x + y * y`` would not match, so dataset bytes are exact per BLAS kernel.
@@ -37,6 +38,12 @@ def _clip(v: float, lo: float, hi: float) -> float:
     """``np.clip`` of one float for ``lo <= hi``: NaN, and a value equal to a
     bound (-0.0 against 0.0, say), pass through unchanged."""
     return lo if v < lo else hi if v > hi else v
+
+
+def _add(p: float, c: float) -> float:
+    """``p + c`` as numpy's elementwise add gives it: of two NaNs, ``p``."""
+    s = p + c
+    return p + p if s != s and p != p else s
 
 
 def _norm(x: float, y: float, scratch: np.ndarray) -> float:
@@ -83,8 +90,8 @@ class GraphReachEnv:
         ax, ay = np.asarray(a, dtype=np.float64).tolist()
         px, py = self._pos
         lim = self.a_max
-        px = _clip(px + _clip(ax, -lim, lim), 0.0, 1.0)
-        py = _clip(py + _clip(ay, -lim, lim), 0.0, 1.0)
+        px = _clip(_add(px, _clip(ax, -lim, lim)), 0.0, 1.0)
+        py = _clip(_add(py, _clip(ay, -lim, lim)), 0.0, 1.0)
         self._pos = (px, py)
         gx, gy = self.goal_center
         success = _norm(px - gx, py - gy, self._scratch) <= self.eps_goal

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goalsel.data import save, load
@@ -60,6 +60,9 @@ disc_edge = st.sampled_from([(0.5, 0.05), (0.55, 0.0), (0.45, 0.0), (0.53, 0.04)
                              (0.47, 0.04), (0.5, np.nextafter(0.05, 1.0)),
                              (0.5, np.nextafter(0.05, 0.0))])
 positions = st.one_of(st.tuples(coords, coords), disc_edge)
+# NaNs that differ from np.nan only in their payload or sign bit
+NAN_1 = float(np.array(0x7FF8000000000001, dtype=np.uint64).view(np.float64))
+NEG_NAN = -np.nan
 # waypoint offsets on the capture circle (radius 0.03), axis-aligned or 3-4-5
 capture_offsets = st.sampled_from([(0.03, 0.0), (0.0, -0.03), (-0.018, 0.024),
                                    (0.018, -0.024), (0.0, 0.0)])
@@ -81,6 +84,8 @@ class TestScalarStepMatchesNumpy:
 
     @given(pos=positions, steps=st.lists(st.tuples(actions, actions), min_size=1,
                                          max_size=4))
+    @example(pos=(NAN_1, 0.0), steps=[(np.nan, 0.0)])
+    @example(pos=(0.5, np.nan), steps=[(0.0, NEG_NAN), (0.0, NAN_1)])
     @settings(max_examples=150, deadline=None)
     def test_env_step(self, pos, steps):
         env = GraphReachEnv(a_max=A_MAX)
