@@ -16,10 +16,11 @@ The env step and the follower's action compute on Python floats (on
 what the elementwise numpy form kept in the tests returns: a clip is a chained
 comparison, which passes NaN and a value equal to a bound through as
 ``np.clip`` does; a sum of two NaNs is the first one, quieted, as numpy's
-array add gives it (Python's ``+`` picks either); and a 2-norm is ``np.linalg.norm``'s ``sqrt(d.dot(d))`` on a
-float64 array. That dot product is the ``ddot`` kernel OpenBLAS picks for the
-CPU (with fused multiply-add, ``sqrt(fma(y, y, x * x))``), which
-``x * x + y * y`` would not match, so dataset bytes are exact per BLAS kernel.
+array add gives it (Python's ``+`` picks either); and a 2-norm is
+``np.linalg.norm``'s ``sqrt(d.dot(d))`` on a float64 array. That dot product
+is the ``ddot`` kernel OpenBLAS picks for the CPU (with fused multiply-add,
+``sqrt(fma(y, y, x * x))``), which ``x * x + y * y`` would not match, so
+dataset bytes are exact per BLAS kernel.
 """
 
 from __future__ import annotations

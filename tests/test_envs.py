@@ -295,9 +295,9 @@ class TestGenerateDataset:
     @pytest.mark.parametrize("kwargs, field", [
         ({"seed": -1}, "seed"), ({"grid_n": 4}, "grid_n"),
         ({"detour_prob": 1.5}, "detour_prob"), ({"noise_sigma": -0.1}, "noise_sigma"),
+        ({"capture_radius": 0.2}, "capture_radius"),
         ({"noise_sigma": float("nan")}, "noise_sigma"),
         ({"noise_sigma": float("inf")}, "noise_sigma"),
-        ({"capture_radius": 0.2}, "capture_radius"),
     ])
     def test_bad_values_rejected(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
