@@ -117,12 +117,14 @@ def cmd_viz(args) -> int:
         if label in records:
             label = f"{label} ({run})"
         records[label] = report.per_seed[0].episodes
-    svg_path, csv_path = export_trajectories(records, dataset, args.out)
+    svg_path, csv_path = export_trajectories(records, dataset, env, args.out)
     print(f"wrote {svg_path} and {csv_path}")
     return 0
 
 
 def cmd_grad_check(args) -> int:
+    if not 0 < args.tolerance < np.inf:  # also false for nan
+        raise ValueError(f"tolerance must be finite and > 0, got {args.tolerance}")
     worst = standard_grad_check_suite(n_instances=args.instances, seed=args.seed)
     ok = True
     for name, err in worst.items():

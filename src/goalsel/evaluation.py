@@ -48,6 +48,8 @@ class EvalConfig:
             raise ValueError("need at least one seed")
         if min(self.seeds) < 0:
             raise ValueError("seeds must be >= 0")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError("seeds must be distinct")
         if self.n_goals < 1 or self.m_actions < 1:
             raise ValueError("n_goals and m_actions must be >= 1")
 
@@ -273,10 +275,11 @@ def _polyline(points, cls: str) -> str:
 
 
 def export_trajectories(records_by_policy: dict[str, list[EpisodeRecord]],
-                        dataset: TrajectoryDataset, out_dir, *,
+                        dataset: TrajectoryDataset, env, out_dir, *,
                         n_dataset: int = 50, per_policy: int = 5):
     """Write rollout states as CSV plus an SVG overlay of dataset strokes,
-    per-policy rollouts, and start/goal markers. Returns (svg_path, csv_path)."""
+    per-policy rollouts, and ``env``'s start and goal markers. Returns
+    (svg_path, csv_path)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     svg_path = out_dir / "trajectories.svg"
@@ -305,9 +308,9 @@ def export_trajectories(records_by_policy: dict[str, list[EpisodeRecord]],
         text = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         body.append(f'<text x="{lx}" y="{ly}" class="label" '
                     f'fill="{_STROKES[i % len(_STROKES)]}">{text}</text>')
-    sx, sy = svg_point((0.5, 1.0))
-    gx, gy = svg_point((0.5, 0.0))
-    radius = 0.05 * (SVG_SIZE - 2 * SVG_MARGIN)
+    sx, sy = svg_point(env.start)
+    gx, gy = svg_point(env.goal_center)
+    radius = env.eps_goal * (SVG_SIZE - 2 * SVG_MARGIN)
     body.append(f'<circle cx="{sx}" cy="{sy}" r="4" fill="#222"/>')
     body.append(f'<circle cx="{gx}" cy="{gy}" r="{radius:.2f}" fill="none" '
                 'stroke="#222" stroke-dasharray="3,3"/>')

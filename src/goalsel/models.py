@@ -9,8 +9,8 @@ checkpoints and the test-time controller follow from the components in the
 Every model method takes ``(B, ...)`` arrays, one row per batch element, and
 returns ``(B, ...)`` arrays; the recurrent policy's training unroll takes
 ``(B, T, ...)`` windows. A caller with one row adds and drops the batch axis
-itself. The one exception is :meth:`ConditionalVAE.sample`, which draws ``n``
-samples for a single condition.
+itself. The one exception is :meth:`ConditionalVAE.sample`, ``n`` samples for
+one condition: :meth:`~ConditionalVAE.sample_each` over ``n`` copies of it.
 
 All models map inputs and targets through the dataset's two scalers
 (:class:`~goalsel.data.Scaler`: ``norm.state`` and ``norm.action``) and
@@ -19,8 +19,8 @@ normalized space and the VAE KL weights stay scale-free. Each model owns a
 disjoint :class:`~goalsel.nn.ParamStore`; ``loss_and_grad`` methods return the
 scalar loss and accumulate parameter gradients as a side effect. Training runs
 :meth:`~goalsel.nn.MLP.forward`, which keeps the caches its backward pass
-reads; the inference methods (``ConditionalVAE.sample`` and ``sample_each``,
-``QNet.value``, ``Regressor.predict``) run the cache-free
+reads; the inference methods (``ConditionalVAE.sample_each``, ``QNet.value``,
+``Regressor.predict``) run the cache-free
 :meth:`~goalsel.nn.MLP.predict`, which gives the same bits in less time.
 
 The recurrent policy computes in float32 by default, which nearly halves the
@@ -250,17 +250,14 @@ class ConditionalVAE:
         return loss, {"recon": recon, "kl": kl}
 
     def sample(self, cond, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n decoder outputs for one (cond_dim,) condition from i.i.d.
-        standard-normal latents, denormalized; returns (n, target_dim)."""
+        """n samples for one (cond_dim,) condition: :meth:`sample_each` over n
+        copies of it (a copy costs less than ``np.broadcast_to`` per call);
+        returns (n, target_dim)."""
         if n < 1:
             raise ValueError("need at least one sample")
-        z = rng.standard_normal((n, self.latent_dim))
-        cond_n = self.cond.norm(cond)
-        if cond_n.ndim != 1:
+        if np.ndim(cond) != 1:
             raise ValueError("sample() takes a single condition; see sample_each()")
-        cond_n = np.broadcast_to(cond_n[None, :], (n, self.cond.dim))
-        out_n = self.decoder.predict(np.concatenate([z, cond_n], axis=-1))
-        return self.target.denorm(out_n)
+        return self.sample_each(np.asarray(cond)[None].repeat(n, 0), 1, rng)[0]
 
     def sample_each(self, cond, n: int, rng: np.random.Generator) -> np.ndarray:
         """n samples for each of a batch of conditions; returns (n, B, target_dim)."""

@@ -7,27 +7,26 @@ in ``UPDATE_ORDER``: (1) policy imitation on the window with its last state
 as goal, (2) action VAE on the window's final transition, (3) Q regression
 toward ``r + gamma * max_i Q'(s_next, a_i)`` over action-VAE proposals, with
 the absorbing-goal value ``r / (1 - gamma)`` when the window ends a
-trajectory, (4) goal VAE on the (first state, last state) pair. The one
-constraint on the order is that the Q targets sample from the action VAE
-after its update; no two components share parameters or rng draws, so any
-order that keeps the action VAE before the Q-network gives the same bits. A
-variant updates only its components (``models.VARIANTS``); per-component
-noise comes from fixed rng slots so an absent component never perturbs the
-others' draws.
+trajectory, (4) goal VAE on the (first state, last state) pair. The Q targets
+sample from the action VAE after its update, so the two form one unit of
+``UPDATE_UNITS``, run in that order; no two units share parameters or rng
+draws, so any order of the units gives the same bits. A variant updates only
+its components (``models.VARIANTS``); per-component noise comes from fixed rng
+slots so an absent component never perturbs the others' draws.
 
 The policy shares no parameters and no rng draws with the goal-selection
 components, so :func:`train` runs the two halves side by side when it can:
 the process keeps the policy update, and one forked worker process runs the
-other components. Each process claims a component before it updates it, so
-when the policy update is done the process takes over whatever the worker
-has not started; a worker that the machine keeps waiting for a CPU then
-delays a step by at most the component it is in. The worker starts after the
-initial checkpoint and is stopped when training ends or fails. It is used
-only when the model set has a policy and another component, the process may
-run on two or more CPUs, and the process has exactly one OS thread (a BLAS
-thread pool in each process would fight over the cores, and only a
-single-threaded process is safe to fork); otherwise every update runs here.
-Both processes run the same update body (``_update``), so the split is
+other components. Each process claims a unit before it updates its
+components, so when the policy update is done the process takes over every
+unit the worker has not started; a worker that the machine keeps waiting for
+a CPU then delays a step by at most the unit it is in. The worker starts
+after the initial checkpoint and is stopped when training ends or fails. It
+is used only when the model set has a policy and another component, the
+process may run on two or more CPUs, and the process has exactly one OS
+thread (a BLAS thread pool in each process would fight over the cores, and
+only a single-threaded process is safe to fork); otherwise every update runs
+here. Both processes run the same update body (``_update``), so the split is
 bit-exact whichever process runs a component: the stores of every component
 but the policy live in shared memory, Adam step counters included
 (:meth:`~goalsel.nn.ParamStore.share`), and the worker draws each step's
@@ -178,10 +177,13 @@ def _draw(dataset: TrajectoryDataset, cfg: TrainConfig, rng: np.random.Generator
     return batch, rng.spawn(3)
 
 
-# The action cVAE before the Q-net, whose targets sample from it after its
-# update. The split worker claims its components in this order too, so the
-# independent goal model, last, is the one the parent most likely takes over.
-UPDATE_ORDER = ("policy", "bc", "action_cvae", "qnet", "goal_cvae", "goal_reg")
+# The units of a step's updates: the action cVAE and the Q-net, whose targets
+# sample from it after its update, are one. The split worker claims units in
+# this order too, so the independent goal model, last, is the one the parent
+# most likely takes over.
+UPDATE_UNITS = (("policy",), ("bc",), ("action_cvae", "qnet"), ("goal_cvae",),
+                ("goal_reg",))
+UPDATE_ORDER = tuple(name for unit in UPDATE_UNITS for name in unit)
 
 
 def _update(models: ModelSet, name: str, batch: WindowBatch, rngs, cfg: TrainConfig,
@@ -229,7 +231,7 @@ def train_step(models: ModelSet, dataset: TrajectoryDataset, cfg: TrainConfig,
     Returns the losses under their ``METRIC_COLUMNS`` names, in that order.
     With a ``worker`` (which :func:`train` forks), this process updates the
     policy while the worker updates the other components, and this process
-    then takes over every component the worker has not started; ``rng`` must
+    then takes over every unit the worker has not started; ``rng`` must
     be the rng the worker was forked with, since the worker mirrors its
     draws. The seconds of each phase (``TIMING_COLUMNS``) are added to
     ``timings`` if given.
@@ -272,59 +274,48 @@ def _can_fork(models: ModelSet) -> bool:
 
 
 class _Board:
-    """Which components of the current step have been claimed and finished,
-    in shared memory under one lock, so that the parent and the worker each
-    run a component of a step exactly once. A component can be claimed once
-    per step, and ``qnet`` only after the step's ``action_cvae`` update is
-    finished."""
+    """The last step for which each update unit was claimed, in shared memory
+    under one lock, so that the parent and the worker each run a unit of a
+    step exactly once."""
 
     def __init__(self, names, ctx):
-        self.names = tuple(name for name in UPDATE_ORDER
-                           if name in names and name != "policy")
-        n = len(self.names)
-        shared = mmap.mmap(-1, 16 * n)  # views keep it alive
-        # the last step for which each component was claimed, and finished
-        self.claimed = np.frombuffer(shared, np.int64, n, 0)
-        self.finished = np.frombuffer(shared, np.int64, n, 8 * n)
+        self.units = tuple(unit for unit in UPDATE_UNITS if "policy" not in unit
+                           and any(name in names for name in unit))
+        self.claimed = np.frombuffer(mmap.mmap(-1, 8 * len(self.units)), np.int64)
         self.lock = ctx.Lock()
 
-    def claim(self, step: int) -> str | None:
-        """Claim the first component in ``UPDATE_ORDER`` that can run now in
-        ``step``, or return None if there is none."""
+    def claim(self, step: int) -> tuple[str, ...] | None:
+        """Claim the first unit not yet claimed in ``step``, or return None if
+        there is none."""
         with self.lock:
-            for i, name in enumerate(self.names):
-                if self.claimed[i] < step and (
-                        name != "qnet"
-                        or self.finished[self.names.index("action_cvae")] == step):
+            for i, unit in enumerate(self.units):
+                if self.claimed[i] < step:
                     self.claimed[i] = step
-                    return name
+                    return unit
         return None
-
-    def finish(self, name: str, step: int) -> None:
-        with self.lock:
-            self.finished[self.names.index(name)] = step
 
 
 def _run_claims(board: _Board, step: int, models: ModelSet,
                 batch: WindowBatch, rngs, cfg: TrainConfig,
                 timings: dict[str, float]) -> tuple[dict[str, float], bool]:
-    """Claim and update components of ``step`` until none is left that can
-    run now. Returns their losses and whether they were all of the board's
-    components."""
+    """Claim units of ``step`` and update their components that ``models``
+    has, until no unit is left. Returns their losses and whether the units
+    were all of the board's."""
     losses: dict[str, float] = {}
     count = 0
-    while (name := board.claim(step)) is not None:
-        losses.update(_update(models, name, batch, rngs, cfg, timings))
-        board.finish(name, step)
+    while (unit := board.claim(step)) is not None:
+        for name in unit:
+            if name in models:
+                losses.update(_update(models, name, batch, rngs, cfg, timings))
         count += 1
-    return losses, count == len(board.names)
+    return losses, count == len(board.units)
 
 
 def _serve(conn, board: _Board, models: ModelSet, dataset: TrajectoryDataset,
            cfg: TrainConfig, rng: np.random.Generator) -> None:
     """The worker's loop: per step number received, draw the batch and rng
     children that the parent draws from its own copy of ``rng``, run the
-    components it can claim, and reply with the step, their losses and their
+    units it can claim, and reply with the step, their losses and their
     seconds; ``None`` stops it. An exception is sent back as its traceback
     text."""
     try:
@@ -343,11 +334,11 @@ def _serve(conn, board: _Board, models: ModelSet, dataset: TrajectoryDataset,
 class _Worker:
     """The forked process that runs the components other than the policy,
     one step per :meth:`start_step`/:meth:`finish_step` pair of
-    ``train_step``. The parent takes over any component of a step that the
-    worker has not claimed by the time the policy update is done, so a worker
-    that the machine leaves waiting for a CPU delays the step by at most the
-    component it is in, and a worker that falls behind catches up by drawing
-    the batches of the steps it missed."""
+    ``train_step``. The parent takes over any unit of a step that the worker
+    has not claimed by the time the policy update is done, so a worker that
+    the machine leaves waiting for a CPU delays the step by at most the unit
+    it is in, and a worker that falls behind catches up by drawing the
+    batches of the steps it missed."""
 
     def __init__(self, models: ModelSet, dataset: TrajectoryDataset,
                  cfg: TrainConfig, rng: np.random.Generator):

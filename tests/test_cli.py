@@ -284,3 +284,11 @@ class TestGradCheckCommand:
         captured = capsys.readouterr()
         assert "[ok]" not in captured.out
         assert "error: n_instances must be >= 1" in captured.err
+
+    @pytest.mark.parametrize("tolerance", ["inf", "nan", "0", "-1"])
+    def test_meaningless_tolerance_is_an_error(self, capsys, tolerance):
+        rc = main(["grad-check", "--instances", "1", "--tolerance", tolerance])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "[ok]" not in captured.out and "[FAIL]" not in captured.out
+        assert "error: tolerance must be finite and > 0" in captured.err

@@ -96,6 +96,7 @@ class TestEvaluate:
         ({"n_episodes": 0}, "n_episodes"), ({"h_max": 0}, "h_max"),
         ({"gamma": 1.0}, "gamma"), ({"seeds": ()}, "seed"), ({"seeds": (0, -3)}, "seeds"),
         ({"n_goals": 0}, "n_goals"), ({"m_actions": 0}, "m_actions"),
+        ({"seeds": (1, 1)}, "seeds"),
     ])
     def test_bad_values_rejected(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
@@ -242,7 +243,8 @@ class TestExport:
 
     def test_empty_records_dataset_only(self, small_demo_set, tmp_path):
         dataset, _ = small_demo_set
-        svg_path, csv_path = export_trajectories({}, dataset, tmp_path)
+        svg_path, csv_path = export_trajectories({}, dataset, make_env(dataset.env_id),
+                                                 tmp_path)
         svg = svg_path.read_text()
         assert svg.count('class="dataset"') == min(50, len(dataset))
         assert 'class="p0"' not in svg
@@ -253,7 +255,7 @@ class TestExport:
         env = make_env(dataset.env_id)
         records = [rollout(env, ReplayPolicy(dataset), 800,
                            np.random.default_rng(i)) for i in range(2)]
-        _, csv_path = export_trajectories({"replay": records}, dataset, tmp_path)
+        _, csv_path = export_trajectories({"replay": records}, dataset, env, tmp_path)
         rows = csv_path.read_text().splitlines()
         assert len(rows) - 1 == sum(len(r.states) for r in records)
 
@@ -261,7 +263,7 @@ class TestExport:
         dataset, _ = small_demo_set
         env = make_env(dataset.env_id)
         records = [rollout(env, ReplayPolicy(dataset), 40, np.random.default_rng(0))]
-        _, csv_path = export_trajectories({"replay": records}, dataset, tmp_path)
+        _, csv_path = export_trajectories({"replay": records}, dataset, env, tmp_path)
         with open(csv_path, newline="") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == len(records[0].states)
@@ -272,6 +274,16 @@ class TestExport:
         dataset, _ = small_demo_set
         env = make_env(dataset.env_id)
         rec = [rollout(env, ZeroPolicy(), 5, np.random.default_rng(0))]
-        svg_path, _ = export_trajectories({"a": rec, "b": rec}, dataset, tmp_path)
+        svg_path, _ = export_trajectories({"a": rec, "b": rec}, dataset, env, tmp_path)
         svg = svg_path.read_text()
         assert 'class="p0"' in svg and 'class="p1"' in svg
+
+    def test_markers_follow_the_env(self, small_demo_set, tmp_path):
+        dataset, _ = small_demo_set
+        env = GraphReachEnv(eps_goal=0.1)
+        env.start, env.goal_center = (0.25, 0.75), (0.75, 0.25)
+        svg = export_trajectories({}, dataset, env, tmp_path)[0].read_text()
+        (sx, sy), (gx, gy) = svg_point(env.start), svg_point(env.goal_center)
+        radius = 0.1 * (SVG_SIZE - 2 * SVG_MARGIN)
+        assert f'<circle cx="{sx}" cy="{sy}" r="4" fill="#222"/>' in svg
+        assert f'<circle cx="{gx}" cy="{gy}" r="{radius:.2f}" fill="none"' in svg

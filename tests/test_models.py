@@ -394,6 +394,22 @@ class TestSampling:
         assert out.shape == (17, 3)
         assert np.all(np.isfinite(out))
 
+    @pytest.mark.parametrize("n", [1, 10, 100])
+    def test_sample_is_sample_each_over_copies_of_one_condition(self, rng, n):
+        norm = random_norm(rng, obs_dim=3, act_dim=2)
+        cvae = ConditionalVAE(norm.action, norm.state, 4, 0.05, hidden_dim=6, rng=rng)
+        jitter_params(cvae.store, rng)
+        s = rng.normal(0, 1, 3)
+        out = cvae.sample(s, n, np.random.default_rng(7))
+        each = cvae.sample_each(np.tile(s, (n, 1)), 1, np.random.default_rng(7))[0]
+        # the one-condition decode that sample() ran before it called sample_each()
+        z = np.random.default_rng(7).standard_normal((n, 4))
+        cond_n = np.broadcast_to(cvae.cond.norm(s)[None, :], (n, cvae.cond.dim))
+        decoded = cvae.target.denorm(cvae.decoder.predict(np.concatenate([z, cond_n],
+                                                                         axis=-1)))
+        assert out.shape == each.shape == decoded.shape == (n, 2)
+        assert out.tobytes() == each.tobytes() == decoded.tobytes()
+
     def test_sample_each_nests_sample(self, rng):
         norm = flat_norm()
         cvae = ConditionalVAE(norm.action, norm.state, 2, 0.05, hidden_dim=5, rng=rng)

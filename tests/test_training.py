@@ -13,10 +13,12 @@ import pytest
 import goalsel
 from goalsel import training as training_module
 from goalsel.config import config_digest
-from goalsel.models import ConditionalVAE, PolicyRNN, QNet, build_models
+from goalsel.models import COMPONENTS, ConditionalVAE, PolicyRNN, QNet, build_models
 from goalsel.training import (
     METRIC_COLUMNS,
     TIMING_COLUMNS,
+    UPDATE_ORDER,
+    UPDATE_UNITS,
     TrainConfig,
     q_targets_batch,
     read_metrics,
@@ -209,6 +211,13 @@ class TestTrainStep:
         for part in ("policy", "goal_cvae"):
             for name, t in full[part].store:
                 assert np.array_equal(t.grad, ablated[part].store.params[name].grad)
+
+    def test_update_units_hold_each_component_once(self):
+        names = [name for unit in UPDATE_UNITS for name in unit]
+        assert sorted(names) == sorted(COMPONENTS)
+        assert tuple(names) == UPDATE_ORDER
+        # the Q targets sample from the action cVAE after its update
+        assert ("action_cvae", "qnet") in UPDATE_UNITS
 
     def test_q_all_transitions_flag(self, small_demo_set):
         dataset, _ = small_demo_set
@@ -492,13 +501,12 @@ class TestSplitWorker:
     def test_board_claims_each_component_once_per_step(self):
         board = training_module._Board(("policy", "goal_cvae", "action_cvae", "qnet"),
                                        multiprocessing.get_context("fork"))
-        assert board.claim(1) == "action_cvae"
-        assert board.claim(1) == "goal_cvae"  # qnet waits for the action cVAE
-        assert board.claim(1) is None
-        board.finish("action_cvae", 1)
-        assert board.claim(1) == "qnet"
-        assert board.claim(1) is None
-        assert board.claim(2) == "action_cvae"
+        assert len(board.claimed) == 2  # one claimed step per unit
+        for step in (1, 2):  # a new step reopens every unit
+            assert board.claim(step) == ("action_cvae", "qnet")  # one claim for both
+            assert board.claim(step) == ("goal_cvae",)
+            assert board.claim(step) is None
+        assert board.claim(1) is None  # an earlier step stays closed
 
     @pytest.mark.parametrize("variant", ["bcq", "bc", "bc_rnn"])
     def test_gate_shut_without_policy_and_partner(self, small_demo_set, variant):

@@ -31,16 +31,16 @@ HOST_KEYS = ("git_commit", "cpu_model", "nproc", "cpu_affinity", "python", "nump
 SEEDS = (1, 2, 3)
 
 
-def run_one(workload: str, seed: int, seconds: int) -> dict:
-    """Run one untraced benchmark and return its result record."""
-    result = ROOT / "bench" / "out" / f"result_{workload}_seed{seed}_trace0.json"
+def run_one(workload: str, seed: int, seconds: int, checkout: Path = ROOT) -> dict:
+    """Run one untraced benchmark of ``checkout`` and return its result record."""
+    result = checkout / "bench" / "out" / f"result_{workload}_seed{seed}_trace0.json"
     result.unlink(missing_ok=True)
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds),
-                           "--trace", "0"], cwd=ROOT, capture_output=True, text=True)
+                           "--trace", "0"], cwd=checkout, capture_output=True, text=True)
     if not result.exists():
-        raise RuntimeError(f"bench/run.py wrote no result for {workload} seed {seed} "
-                           f"(exit {proc.returncode}):\n{proc.stderr}")
+        raise RuntimeError(f"{checkout}/bench/run.py wrote no result for {workload} "
+                           f"seed {seed} (exit {proc.returncode}):\n{proc.stderr}")
     return json.loads(result.read_text())
 
 
