@@ -50,12 +50,14 @@ def _load_config(cls, path, sets, extra_overrides=None):
 
 
 def cmd_gen_data(args) -> int:
+    out = Path(args.out)
+    if out.suffix == ".json":
+        raise ValueError(f"--out {out} is the path of its own .json sidecar")
     cfg = _load_config(DemoGenConfig, args.config, args.set)
     dataset, decisions = generate_dataset(cfg)
     if args.filter_best is not None:
         dataset, kept = filter_best_fraction(dataset, args.filter_best)
         decisions = [decisions[i] for i in kept]
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save(dataset, out)
     sidecar = {

@@ -116,8 +116,7 @@ class BCQController:
     def act(self, s, rng: np.random.Generator) -> np.ndarray:
         s = np.asarray(s, dtype=np.float64)
         proposals = self.action_cvae.sample(s, self.m_actions, rng)
-        tiled = np.broadcast_to(s[None, :], (self.m_actions, s.shape[0]))
-        q = self.qnet.value(tiled, proposals)
+        q = self.qnet.value(s[None].repeat(self.m_actions, 0), proposals)
         return proposals[int(np.argmax(q))]
 
 

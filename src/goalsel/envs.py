@@ -15,12 +15,10 @@ The env step and the follower's action compute on Python floats (on
 2-element arrays numpy's per-call cost dominates) and return, bit for bit,
 what the elementwise numpy form kept in the tests returns: a clip is a chained
 comparison, which passes NaN and a value equal to a bound through as
-``np.clip`` does; a sum of two NaNs is the first one, quieted, as numpy's
-array add gives it (Python's ``+`` picks either); and a 2-norm is
-``np.linalg.norm``'s ``sqrt(d.dot(d))`` on a float64 array. That dot product
-is the ``ddot`` kernel OpenBLAS picks for the CPU (with fused multiply-add,
-``sqrt(fma(y, y, x * x))``), which ``x * x + y * y`` would not match, so
-dataset bytes are exact per BLAS kernel.
+``np.clip`` does; and a sum of two NaNs is the first one, quieted, as numpy's
+array add gives it (Python's ``+`` picks either). A 2-norm is
+``sqrt(x * x + y * y)``: each operation is rounded on its own, so no BLAS
+kernel and no fused multiply-add enters.
 """
 
 from __future__ import annotations
@@ -47,12 +45,10 @@ def _add(p: float, c: float) -> float:
     return p + p if s != s and p != p else s
 
 
-def _norm(x: float, y: float, scratch: np.ndarray) -> float:
-    """``np.linalg.norm`` of ``(x, y)``, computed as it does: the square root
-    of BLAS's dot product of a float64 array (written into ``scratch``)."""
-    scratch[0] = x
-    scratch[1] = y
-    return math.sqrt(scratch.dot(scratch))
+def _norm(x: float, y: float) -> float:
+    """The 2-norm of ``(x, y)``, each operation rounded on its own (of two
+    NaNs, Python's ``+`` keeps either)."""
+    return math.sqrt(x * x + y * y)
 
 
 class GraphReachEnv:
@@ -76,7 +72,6 @@ class GraphReachEnv:
         self.goal_center = (0.5, 0.0)
         self.obs_dim = 2
         self.act_dim = 2
-        self._scratch = np.empty(2)
         self.reset()
 
     @property
@@ -95,7 +90,7 @@ class GraphReachEnv:
         py = _clip(_add(py, _clip(ay, -lim, lim)), 0.0, 1.0)
         self._pos = (px, py)
         gx, gy = self.goal_center
-        success = _norm(px - gx, py - gy, self._scratch) <= self.eps_goal
+        success = _norm(px - gx, py - gy) <= self.eps_goal
         reward = 1.0 if success else 0.0
         return np.array(self._pos), reward, success
 
@@ -308,7 +303,6 @@ class WaypointPolicy:
         self._points = self.waypoints.tolist()
         self._last = len(self.waypoints) - 1
         self._wp = 1  # waypoints[0] is the start node
-        self._scratch = np.empty(2)
 
     def reset(self) -> None:
         self._wp = 1
@@ -317,7 +311,7 @@ class WaypointPolicy:
         """The offset from the state to the current waypoint, and its norm."""
         wx, wy = self._points[self._wp]
         dx, dy = wx - sx, wy - sy
-        return dx, dy, _norm(dx, dy, self._scratch)
+        return dx, dy, _norm(dx, dy)
 
     def act(self, s, rng: np.random.Generator) -> np.ndarray:
         cfg = self.cfg

@@ -377,11 +377,9 @@ class ModelSet(dict):
         return out
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        flat: dict[str, np.ndarray] = {}
-        for prefix, store in self.stores().items():
-            for name, tensor in store:
-                flat[f"{prefix}/{name}"] = tensor.value.copy()
-        return flat
+        return {f"{prefix}/{name}": value
+                for prefix, store in self.stores().items()
+                for name, value in store.state_dict().items()}
 
     def load_state_dict(self, flat: dict[str, np.ndarray]) -> None:
         """Load prefixed tensors; tensors of a component this set lacks are an

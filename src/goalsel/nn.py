@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binfile import Reader, Writer
+from .binfile import FormatError, Reader, Writer
 
 LOG_SIGMA_MIN = -5.0
 LOG_SIGMA_MAX = 2.0
@@ -452,6 +452,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
         name = r.text()
+        if name in tensors:
+            raise FormatError(f"tensor {name!r} repeated in checkpoint file")
         tensors[name] = r.f32(tuple(r.u32() for _ in range(r.u32())))
     r.finish()
     return tensors, config_hash

@@ -445,8 +445,8 @@ def _write_manifest(out_dir: Path, digest: str, dataset: TrajectoryDataset,
                     end_time: str | None = None) -> None:
     """Record what produced a run: config digest, the sha256 of the dataset
     file (None for a dataset built in memory), library versions (with numpy's
-    BLAS build, whose kernels the dataset and checkpoint bytes depend on), the
-    dtype of each parameter store, and the start and (once finished) end time."""
+    BLAS build, whose kernels the checkpoint bytes depend on), the dtype of
+    each parameter store, and the start and (once finished) end time."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "config_digest": digest,
@@ -537,9 +537,7 @@ def train(dataset: TrajectoryDataset, cfg: TrainConfig, out_dir) -> TrainResult:
                     faults = 0
                     logged = i
                 if i % cfg.ckpt_every == 0 or i == cfg.n_iter:
-                    path = _checkpoint(models, out_dir, i, digest)
-                    if path != checkpoints[-1]:
-                        checkpoints.append(path)
+                    checkpoints.append(_checkpoint(models, out_dir, i, digest))
     finally:
         if worker is not None:
             worker.stop()

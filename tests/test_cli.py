@@ -92,6 +92,13 @@ class TestGenData:
                    "--set", "bogus_key=1"])
         assert rc == 1
 
+    def test_json_out_is_rejected(self, tmp_path, capsys):
+        # the sidecar's path would be the dataset's own
+        out = tmp_path / "d.json"
+        assert main(["gen-data", "--out", str(out), "--set", "n_demos=3"]) == 1
+        assert "sidecar" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_override_format_fails(self, tmp_path):
         rc = main(["gen-data", "--out", str(tmp_path / "d.bin"),
                    "--set", "n_demos"])

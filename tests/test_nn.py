@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from goalsel.binfile import FormatError
+from goalsel.binfile import FormatError, Writer
 from goalsel.nn import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     GRUCell,
     MLP,
     GaussianHead,
@@ -476,6 +478,20 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(FormatError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_repeated_tensor_name(self, tmp_path):
+        w = Writer(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+        w.text("h")
+        w.u32(2)
+        for fill in (0.0, 1.0):
+            w.text("q/a")
+            w.u32(1)
+            w.u32(2)
+            w.f32(np.full(2, fill, dtype=np.float32))
+        path = tmp_path / "c.bin"
+        w.write(path)
+        with pytest.raises(FormatError, match="'q/a' repeated"):
             load_checkpoint(path)
 
 
