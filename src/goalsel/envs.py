@@ -17,8 +17,8 @@ what the elementwise numpy form kept in the tests returns: a clip is a chained
 comparison, which passes NaN and a value equal to a bound through as
 ``np.clip`` does; and a sum of two NaNs is the first one, quieted, as numpy's
 array add gives it (Python's ``+`` picks either). A 2-norm is
-``sqrt(x * x + y * y)``: each operation is rounded on its own, so no BLAS
-kernel and no fused multiply-add enters.
+``sqrt(x * x + y * y)`` with that add: each operation is rounded on its own, so
+no BLAS kernel and no fused multiply-add enters.
 """
 
 from __future__ import annotations
@@ -46,9 +46,8 @@ def _add(p: float, c: float) -> float:
 
 
 def _norm(x: float, y: float) -> float:
-    """The 2-norm of ``(x, y)``, each operation rounded on its own (of two
-    NaNs, Python's ``+`` keeps either)."""
-    return math.sqrt(x * x + y * y)
+    """The 2-norm of ``(x, y)``, each operation rounded on its own."""
+    return math.sqrt(_add(x * x, y * y))
 
 
 class GraphReachEnv:
