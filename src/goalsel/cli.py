@@ -6,8 +6,9 @@ Errors exit nonzero without writing partial outputs.
 
 BLAS is pinned to one thread unless the environment says otherwise: the
 models' products are too small to gain from a thread pool, and a
-single-threaded process lets training run the goal-selection updates in a
-forked worker beside the policy update (see :mod:`goalsel.training`).
+single-threaded process lets training share each step with a forked worker:
+the updates other than the policy's, and half of the Q targets' action
+proposals (see :mod:`goalsel.training`).
 """
 
 from __future__ import annotations

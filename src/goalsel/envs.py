@@ -15,8 +15,9 @@ The env step and the follower's action compute on Python floats (on
 2-element arrays numpy's per-call cost dominates) and return, bit for bit,
 what the elementwise numpy form kept in the tests returns: a clip is a chained
 comparison, which passes NaN and a value equal to a bound through as
-``np.clip`` does; and a sum of two NaNs is the first one, quieted, as numpy's
-array add gives it (Python's ``+`` picks either). A 2-norm is
+``np.clip`` does; and a sum or product of two NaNs is the first one, quieted,
+as numpy's array add and multiply give it (Python's ``+`` and ``*`` pick
+either). A 2-norm is
 ``sqrt(x * x + y * y)`` with that add: each operation is rounded on its own, so
 no BLAS kernel and no fused multiply-add enters.
 """
@@ -42,6 +43,12 @@ def _clip(v: float, lo: float, hi: float) -> float:
 def _add(p: float, c: float) -> float:
     """``p + c`` as numpy's elementwise add gives it: of two NaNs, ``p``."""
     s = p + c
+    return p + p if s != s and p != p else s
+
+
+def _mul(p: float, c: float) -> float:
+    """``p * c`` as numpy's elementwise multiply gives it: of two NaNs, ``p``."""
+    s = p * c
     return p + p if s != s and p != p else s
 
 
@@ -322,4 +329,5 @@ class WaypointPolicy:
         k = rng.uniform(cfg.eta_min, cfg.eta_max) / max(dist, 1e-12)
         nx, ny = rng.normal(0.0, cfg.noise_sigma, size=2).tolist()
         lim = self.a_max
-        return np.array((_clip(dx * k + nx, -lim, lim), _clip(dy * k + ny, -lim, lim)))
+        return np.array((_clip(_mul(dx, k) + nx, -lim, lim),
+                         _clip(_mul(dy, k) + ny, -lim, lim)))

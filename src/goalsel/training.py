@@ -15,27 +15,36 @@ its components (``models.VARIANTS``); per-component noise comes from fixed rng
 slots so an absent component never perturbs the others' draws.
 
 The policy shares no parameters and no rng draws with the goal-selection
-components, so :func:`train` runs the two halves side by side when it can:
-the process keeps the policy update, and one forked worker process runs the
-other components. Each process claims a unit before it updates its
-components, so when the policy update is done the process takes over every
-unit the worker has not started; a worker that the machine keeps waiting for
-a CPU then delays a step by at most the unit it is in. The worker starts
-after the initial checkpoint and is stopped when training ends or fails. It
-is used only when the model set has a policy and another component, the
-process may run on two or more CPUs, and the process has exactly one OS
-thread (a BLAS thread pool in each process would fight over the cores, and
-only a single-threaded process is safe to fork); otherwise every update runs
-here. Both processes run the same update body (``_update``), so the split is
-bit-exact whichever process runs a component: the stores of every component
-but the policy live in shared memory, Adam step counters included
-(:meth:`~goalsel.nn.ParamStore.share`), and the worker draws each step's
-batch and rng children from its fork-time copies of the dataset and the step
-rng, the same draws the parent makes. Checkpoints, ``metrics.csv`` and the
-returned models are byte-identical to a serial run. Per-component step times
-and this process's minor page faults per step go to ``timings.csv`` beside
-``metrics.csv``; ``manifest.json`` records the config digest and the sha256
-of the dataset file.
+components, so :func:`train` runs them side by side when it can: the process
+keeps the policy update, and one forked worker process runs the other
+components. Each process claims a unit before it updates its components, so
+when the policy update is done the process takes over every unit the worker
+has not started; a worker that the machine keeps waiting for a CPU then
+delays a step by at most the unit it is in. Each step also has one more
+claimable item, the second half of the Q targets' action proposals
+(``models.proposal_halves``): the process that updated the action cVAE opens
+it and computes the first half; the other process, once it has no unit left,
+waits for it to open and claims it, and the opener runs it itself if it is
+still unclaimed when the first half is done. A claimed half's maxima come
+back in shared memory. A serial run computes both halves in turn on the same
+code path. The worker starts after the initial checkpoint and is stopped
+when training ends or fails. It is used only when the model set has two
+components or more (so ``bcq`` forks too), the process may run on two or
+more CPUs, and the process has exactly one OS thread (a BLAS thread pool in
+each process would fight over the cores, and only a single-threaded process
+is safe to fork); otherwise every update runs here. The two processes are
+pinned to two distinct CPUs of this process's affinity mask, since the
+kernel may otherwise run both on one, and the mask is restored when the
+worker stops. Both processes run the same update body (``_update``), so the
+split is bit-exact whichever process runs a component or a half: the stores
+of every component but the policy live in shared memory, Adam step counters
+included (:meth:`~goalsel.nn.ParamStore.share`), and the worker draws each
+step's batch and rng children from its fork-time copies of the dataset and
+the step rng, the same draws the parent makes. Checkpoints, ``metrics.csv``
+and the returned models are byte-identical to a serial run. Per-component
+step times and this process's minor page faults per step go to
+``timings.csv`` beside ``metrics.csv``; ``manifest.json`` records the config
+digest and the sha256 of the dataset file.
 """
 
 from __future__ import annotations
@@ -68,6 +77,7 @@ from .models import (
     QNet,
     build_models,
     polyak_update,
+    proposal_halves,
     proposal_value,
 )
 from .nn import adam_step, grad_check, save_checkpoint
@@ -80,6 +90,9 @@ METRIC_COLUMNS = ("iter", "loss_policy", "loss_goal_recon", "loss_goal_kl",
 TIMING_COLUMNS = ("iter", "sample", "policy", "goal_cvae", "goal_reg", "action_cvae",
                   "q", "wait", "faults")
 WORKER_STOP_TIMEOUT_S = 10.0
+# A wait on the other training process spins this long before it blocks: a
+# blocked process took 44 us (median) to 407 us (p90) to wake on a KVM host.
+SPIN_S = 0.002
 
 
 @dataclass(frozen=True)
@@ -142,14 +155,14 @@ class TrainConfig:
 
 def q_targets_batch(qnet: QNet, action_cvae: ConditionalVAE, s_next, r,
                     is_terminal, gamma: float, n_proposals: int,
-                    rng: np.random.Generator) -> np.ndarray:
+                    rng: np.random.Generator, second_half=None) -> np.ndarray:
     """Bootstrap targets for a batch of transitions.
 
     Non-terminal: ``r + gamma * max_i Q'(s_next, a_i)`` over ``n_proposals``
     action-VAE proposals at each ``s_next``, scored by the target Q-network.
     Terminal: the absorbing-goal value ``r / (1 - gamma)``. The tests check
     it against a scalar oracle that enumerates the proposals one transition
-    at a time.
+    at a time. ``second_half`` goes to :func:`~goalsel.models.proposal_value`.
     """
     if n_proposals < 1:
         raise ValueError("need at least one action proposal")
@@ -157,7 +170,7 @@ def q_targets_batch(qnet: QNet, action_cvae: ConditionalVAE, s_next, r,
     r = np.asarray(r, dtype=np.float64)
     is_terminal = np.asarray(is_terminal, dtype=bool)
     best = proposal_value(qnet, action_cvae, s_next, n_proposals, rng,
-                          use_target=True)
+                          use_target=True, second_half=second_half)
     out = r + gamma * best
     out[is_terminal] = r[is_terminal] / (1.0 - gamma)
     return out
@@ -187,10 +200,11 @@ UPDATE_ORDER = tuple(name for unit in UPDATE_UNITS for name in unit)
 
 
 def _update(models: ModelSet, name: str, batch: WindowBatch, rngs, cfg: TrainConfig,
-            timings: dict[str, float]) -> dict[str, float]:
+            timings: dict[str, float], second_half=None) -> dict[str, float]:
     """Component ``name``'s update: its loss and gradients, its Adam step and,
-    for the Q-net, the polyak update of its target. Returns its losses and
-    adds its seconds to ``timings``."""
+    for the Q-net, the polyak update of its target, whose targets take
+    ``second_half`` (:func:`q_targets_batch`). Returns its losses and adds its
+    seconds to ``timings``."""
     goal_rng, action_rng, proposal_rng = rngs
     model = models[name]
     with _timed(timings, {"bc": "policy", "qnet": "q"}.get(name, name)):
@@ -208,7 +222,8 @@ def _update(models: ModelSet, name: str, batch: WindowBatch, rngs, cfg: TrainCon
         elif name == "qnet":
             s, a, r, s_next, terminal = _q_transitions(batch, cfg)
             targets = q_targets_batch(model, models["action_cvae"], s_next, r, terminal,
-                                      cfg.gamma, cfg.m_proposals, proposal_rng)
+                                      cfg.gamma, cfg.m_proposals, proposal_rng,
+                                      second_half)
             losses = dict(zip(("loss_q", "q_mean"), model.loss_and_grad(s, a, targets)))
         elif name == "goal_cvae":
             _, parts = model.loss_and_grad(batch.states[:, -1], batch.states[:, 0],
@@ -231,29 +246,35 @@ def train_step(models: ModelSet, dataset: TrajectoryDataset, cfg: TrainConfig,
     Returns the losses under their ``METRIC_COLUMNS`` names, in that order.
     With a ``worker`` (which :func:`train` forks), this process updates the
     policy while the worker updates the other components, and this process
-    then takes over every unit the worker has not started; ``rng`` must
+    then takes over every unit the worker has not started and serves the
+    second half of the Q targets if it is still open; ``rng`` must
     be the rng the worker was forked with, since the worker mirrors its
     draws. The seconds of each phase (``TIMING_COLUMNS``) are added to
     ``timings`` if given.
     """
     timings = {} if timings is None else timings
-    if worker is not None:
-        if rng is not worker.rng:
-            raise ValueError("a training worker mirrors the draws of the rng it "
-                             "was forked with; train_step got another rng")
-        step = worker.start_step()
+    if worker is not None and rng is not worker.rng:
+        raise ValueError("a training worker mirrors the draws of the rng it "
+                         "was forked with; train_step got another rng")
     with _timed(timings, "sample"):
         batch, rngs = _draw(dataset, cfg, rng)
+    if worker is not None:  # after the draw, so that without a policy this
+        step = worker.start_step()  # process claims the first unit
     losses: dict[str, float] = {}
     for name in UPDATE_ORDER if worker is None else ("policy",):
         if name in models:
             losses.update(_update(models, name, batch, rngs, cfg, timings))
     if worker is not None:
-        taken, ran_all = _run_claims(worker.board, step, models, batch, rngs, cfg,
-                                     timings)
+        try:
+            taken, count = _run_claims(worker.board, step, models, batch, rngs, cfg,
+                                       timings)
+        except _Stopped:  # the worker failed or exited: raise its error
+            worker.finish_step(wait=True)
+            raise
         losses.update(taken)
         with _timed(timings, "wait"):
-            worker_losses, worker_timings = worker.finish_step(step, wait=not ran_all)
+            worker_losses, worker_timings = worker.finish_step(
+                wait=count < len(worker.board.units))
         losses.update(worker_losses)
         for key, seconds in worker_timings.items():
             timings[key] = timings.get(key, 0.0) + seconds
@@ -261,10 +282,11 @@ def train_step(models: ModelSet, dataset: TrajectoryDataset, cfg: TrainConfig,
 
 
 def _can_fork(models: ModelSet) -> bool:
-    """Whether :func:`train` runs the non-policy components in a forked
-    worker: the model set has a policy and another component, the process may
-    run on two or more CPUs, and it has exactly one OS thread."""
-    if "policy" not in models or len(models) < 2:
+    """Whether :func:`train` runs part of each step in a forked worker: the
+    model set has two components or more (beside the policy, or the action
+    cVAE and Q-net, whose Q targets split in two halves), the process may run
+    on two or more CPUs, and it has exactly one OS thread."""
+    if len(models) < 2:
         return False
     try:
         return (len(os.sched_getaffinity(0)) >= 2
@@ -273,16 +295,38 @@ def _can_fork(models: ModelSet) -> bool:
         return False
 
 
+class _Stopped(RuntimeError):
+    """A wait on the board ended: training stops or the other process exited."""
+
+
+def _shared(n: int, dtype=np.int64) -> np.ndarray:
+    """n zeros of an 8-byte dtype in memory that a forked process shares."""
+    return np.frombuffer(mmap.mmap(-1, 8 * n), dtype)
+
+
+# ``_Board.half``: the last step at which the second half was opened, claimed
+# and awaited, the length of its result, and the stop flag
+_OPENED, _CLAIMED, _AWAITED, _ROWS, _STOPPED = range(5)
+
+
 class _Board:
     """The last step for which each update unit was claimed, in shared memory
     under one lock, so that the parent and the worker each run a unit of a
-    step exactly once."""
+    step exactly once; likewise the second half of each step's Q-target
+    proposals, whose result (at most ``rows`` values) it passes back. A wait
+    takes a semaphore, which :meth:`stop` also releases, and ends if
+    ``partner_alive()`` turns false."""
 
-    def __init__(self, names, ctx):
+    def __init__(self, names, rows: int, ctx):
         self.units = tuple(unit for unit in UPDATE_UNITS if "policy" not in unit
                            and any(name in names for name in unit))
-        self.claimed = np.frombuffer(mmap.mmap(-1, 8 * len(self.units)), np.int64)
+        self.has_half = "qnet" in names
+        self.claimed, self.half = _shared(len(self.units)), _shared(5)
+        self.values = _shared(rows, np.float64)
         self.lock = ctx.Lock()
+        self.opened, self.done = ctx.Semaphore(0), ctx.Semaphore(0)
+        parent = os.getpid()  # the worker's view; the parent's is set in _Worker
+        self.partner_alive = lambda: os.getppid() == parent
 
     def claim(self, step: int) -> tuple[str, ...] | None:
         """Claim the first unit not yet claimed in ``step``, or return None if
@@ -294,39 +338,108 @@ class _Board:
                     return unit
         return None
 
+    def claim_half(self, step: int) -> bool:
+        """Claim ``step``'s second half if it is open and unclaimed."""
+        with self.lock:
+            if self.half[_OPENED] < step or self.half[_CLAIMED] >= step:
+                return False
+            self.half[_CLAIMED] = step
+            return True
+
+    def open_half(self, step: int) -> None:
+        with self.lock:
+            self.half[_OPENED] = step
+            if self.half[_AWAITED] == step:
+                self.opened.release()
+
+    def second_half(self, step: int, compute) -> np.ndarray:
+        """The opener's half: ``compute()``, or the result of the other
+        process if that has claimed it."""
+        if self.claim_half(step):
+            return compute()
+        self._wait(self.done)
+        return self.values[:self.half[_ROWS]]
+
+    def serve_half(self, step: int, prepare) -> None:
+        """For a process with no unit left: unless ``step``'s second half is
+        claimed, take ``compute = prepare()``, wait for the half to open and
+        run ``compute`` if the half is still unclaimed."""
+        with self.lock:
+            if not self.has_half or self.half[_CLAIMED] >= step:
+                return
+            closed = self.half[_OPENED] < step
+            self.half[_AWAITED] = step
+        compute = prepare()
+        if closed:
+            self._wait(self.opened)
+        if self.claim_half(step):
+            values = compute()
+            self.values[:len(values)], self.half[_ROWS] = values, len(values)
+            self.done.release()
+
+    def _wait(self, semaphore) -> None:
+        """Take ``semaphore``, spinning for up to ``SPIN_S`` before blocking."""
+        spin_until = time.perf_counter() + SPIN_S
+        while not semaphore.acquire(False):
+            if time.perf_counter() > spin_until:
+                while not semaphore.acquire(timeout=WORKER_STOP_TIMEOUT_S):
+                    if not self.partner_alive():
+                        raise _Stopped("training worker exited")
+                break
+        if self.half[_STOPPED]:
+            raise _Stopped("training stopped")
+
+    def stop(self) -> None:
+        """End every wait on the board, now and later."""
+        self.half[_STOPPED] = 1
+        self.opened.release()
+        self.done.release()
+
 
 def _run_claims(board: _Board, step: int, models: ModelSet,
                 batch: WindowBatch, rngs, cfg: TrainConfig,
-                timings: dict[str, float]) -> tuple[dict[str, float], bool]:
+                timings: dict[str, float]) -> tuple[dict[str, float], int]:
     """Claim units of ``step`` and update their components that ``models``
-    has, until no unit is left. Returns their losses and whether the units
-    were all of the board's."""
+    has, until no unit is left, then serve the second half of the Q targets.
+    Returns their losses and the number of units claimed."""
     losses: dict[str, float] = {}
     count = 0
     while (unit := board.claim(step)) is not None:
         for name in unit:
             if name in models:
-                losses.update(_update(models, name, batch, rngs, cfg, timings))
+                if name == "qnet":
+                    board.open_half(step)
+                losses.update(_update(models, name, batch, rngs, cfg, timings,
+                                      lambda compute: board.second_half(step, compute)))
         count += 1
-    return losses, count == len(board.units)
+
+    def prepare():  # the proposal draw needs no updated parameters
+        return proposal_halves(models["qnet"], models["action_cvae"],
+                               _q_transitions(batch, cfg)[3], cfg.m_proposals,
+                               rngs[2], use_target=True)[1]
+
+    board.serve_half(step, prepare)
+    return losses, count
 
 
 def _serve(conn, board: _Board, models: ModelSet, dataset: TrajectoryDataset,
            cfg: TrainConfig, rng: np.random.Generator) -> None:
     """The worker's loop: per step number received, draw the batch and rng
-    children that the parent draws from its own copy of ``rng``, run the
-    units it can claim, and reply with the step, their losses and their
-    seconds; ``None`` stops it. An exception is sent back as its traceback
-    text."""
+    children that the parent draws from its own copy of ``rng``, run what it
+    can claim and, if that was a unit, reply with their losses and seconds;
+    ``None`` stops it. An exception stops the board and is sent back as its
+    traceback text."""
     try:
         while (step := conn.recv()) is not None:
             timings: dict[str, float] = {}
             batch, rngs = _draw(dataset, cfg, rng)
-            losses, _ = _run_claims(board, step, models, batch, rngs, cfg, timings)
-            conn.send(("ok", step, losses, timings))
-    except EOFError:  # the parent has gone
+            losses, count = _run_claims(board, step, models, batch, rngs, cfg, timings)
+            if count:  # then the parent, which did not run every unit, waits
+                conn.send(("ok", losses, timings))
+    except (EOFError, _Stopped):  # the parent has gone or stops training
         pass
     except Exception:  # the worker's boundary: report to the parent, then exit
+        board.stop()
         with contextlib.suppress(OSError):
             conn.send(("error", traceback.format_exc()))
 
@@ -338,7 +451,9 @@ class _Worker:
     has not claimed by the time the policy update is done, so a worker that
     the machine leaves waiting for a CPU delays the step by at most the unit
     it is in, and a worker that falls behind catches up by drawing the
-    batches of the steps it missed."""
+    batches of the steps it missed. The two processes are pinned to distinct
+    CPUs of the parent's mask, as the kernel may otherwise keep both on one;
+    :meth:`stop` restores the mask."""
 
     def __init__(self, models: ModelSet, dataset: TrajectoryDataset,
                  cfg: TrainConfig, rng: np.random.Generator):
@@ -348,7 +463,7 @@ class _Worker:
             if prefix != "policy":
                 store.share()
         ctx = multiprocessing.get_context("fork")
-        self.board = _Board(tuple(models), ctx)
+        self.board = _Board(tuple(models), cfg.batch_size * cfg.sample_t, ctx)
         self.conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(target=_serve, name="goalsel-train-worker",
                                    args=(child_conn, self.board, models, dataset, cfg,
@@ -356,6 +471,11 @@ class _Worker:
                                    daemon=True)
         self.process.start()
         child_conn.close()
+        self.board.partner_alive = self.process.is_alive
+        self.mask = os.sched_getaffinity(0)
+        cpus = sorted(self.mask)
+        os.sched_setaffinity(self.process.pid, {cpus[-1]})
+        os.sched_setaffinity(0, {cpus[0]})
 
     def start_step(self) -> int:
         """Send the worker the next step; returns its number."""
@@ -363,7 +483,11 @@ class _Worker:
         self.conn.send(self.step)
         return self.step
 
-    def _receive(self):
+    def finish_step(self, wait: bool) -> tuple[dict[str, float], dict[str, float]]:
+        """The worker's losses and component seconds for the step, for which it
+        replies (and the parent waits) only if it ran a unit of it."""
+        if not wait:
+            return {}, {}
         try:
             kind, *payload = self.conn.recv()
         except EOFError:
@@ -372,28 +496,22 @@ class _Worker:
             raise RuntimeError(f"training worker failed:\n{payload[0]}")
         return payload
 
-    def finish_step(self, step: int, wait: bool) -> tuple[dict[str, float],
-                                                          dict[str, float]]:
-        """The worker's losses and component seconds for ``step``, waiting for
-        its reply if ``wait``. Replies to earlier steps, for which the parent
-        ran every component and so did not wait, are read and dropped."""
-        while wait or self.conn.poll():
-            replied, losses, timings = self._receive()
-            if replied == step:
-                return losses, timings
-        return {}, {}
-
     def stop(self) -> None:
-        """Stop the worker, whatever state it is in."""
-        with contextlib.suppress(OSError, EOFError):  # the worker may be gone
-            self.conn.send(None)
-            while self.conn.poll(WORKER_STOP_TIMEOUT_S):
-                self.conn.recv()
-        self.process.join(WORKER_STOP_TIMEOUT_S)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join()
-        self.conn.close()
+        """Stop the worker, whatever state it is in, and restore this
+        process's CPU mask."""
+        try:
+            self.board.stop()
+            with contextlib.suppress(OSError, EOFError):  # the worker may be gone
+                self.conn.send(None)
+                while self.conn.poll(WORKER_STOP_TIMEOUT_S):
+                    self.conn.recv()
+            self.process.join(WORKER_STOP_TIMEOUT_S)
+            if self.process.is_alive():
+                self.process.terminate()
+                self.process.join()
+            self.conn.close()
+        finally:
+            os.sched_setaffinity(0, self.mask)
 
 
 def _q_transitions(batch: WindowBatch, cfg: TrainConfig):

@@ -117,6 +117,9 @@ class TestScalarStepMatchesNumpy:
            sigma=st.sampled_from([0.0, 0.003, 0.05]),
            a_max=st.sampled_from([A_MAX, 0.01, 0.0]),
            seed=st.integers(0, 2**32 - 1))
+    # two NaN offset coordinates: the product keeps the first, as numpy does
+    @example(s=(0.5, 0.5), offsets=[(0.0, 0.0), (NAN_1, np.nan)], eta=(A_MAX, A_MAX),
+             sigma=0.0, a_max=A_MAX, seed=0)
     @settings(max_examples=150, deadline=None)
     def test_waypoint_act(self, s, offsets, eta, sigma, a_max, seed):
         cfg = DemoGenConfig(eta_min=min(eta), eta_max=max(eta), noise_sigma=sigma)

@@ -6,6 +6,7 @@ import os
 import platform
 import re
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +14,14 @@ import pytest
 import goalsel
 from goalsel import training as training_module
 from goalsel.config import config_digest
-from goalsel.models import COMPONENTS, ConditionalVAE, PolicyRNN, QNet, build_models
+from goalsel.models import (
+    COMPONENTS,
+    VARIANTS,
+    ConditionalVAE,
+    PolicyRNN,
+    QNet,
+    build_models,
+)
 from goalsel.training import (
     METRIC_COLUMNS,
     TIMING_COLUMNS,
@@ -369,19 +377,19 @@ def gate(monkeypatch, is_open):
     monkeypatch.setattr(training_module, "_can_fork", lambda models: is_open)
 
 
-def claims_only(monkeypatch, side):
-    """Let only the ``side`` process ("parent" or "worker") claim the
-    goal-selection components, or at each step the one that "alternate"
-    picks (the worker at odd steps). Patched before the fork, so the worker
-    inherits it."""
+def claims_only(monkeypatch, side, method="claim"):
+    """Let only the ``side`` process ("parent" or "worker") claim the update
+    units (or, with ``method="claim_half"``, the second half of the Q
+    targets), or at each step the one that "alternate" picks (the worker at
+    odd steps). Patched before the fork, so the worker inherits it."""
     parent = os.getpid()
-    real = training_module._Board.claim
+    real = getattr(training_module._Board, method)
 
     def claim(self, step):
         by_worker = side == "worker" or side == "alternate" and step % 2 == 1
         return real(self, step) if (os.getpid() == parent) != by_worker else None
 
-    monkeypatch.setattr(training_module._Board, "claim", claim)
+    monkeypatch.setattr(training_module._Board, method, claim)
 
 
 def read_timings(run_dir):
@@ -390,19 +398,29 @@ def read_timings(run_dir):
 
 
 class TestSplitWorker:
-    @pytest.mark.parametrize("variant", ["iris", "iris_no_q"])
+    @pytest.fixture(autouse=True)
+    def cpu_mask_kept(self):
+        # the pinned split leaves this process's CPU mask as it found it, after
+        # normal and failed runs alike
+        mask = os.sched_getaffinity(0)
+        yield
+        assert os.sched_getaffinity(0) == mask
+
+    @pytest.mark.parametrize("variant", ["iris", "iris_no_q", "bcq", "iris_no_goal_vae"])
     def test_split_matches_serial(self, small_demo_set, tmp_path, monkeypatch,
                                   variant):
         self.check_split_matches_serial(small_demo_set, tmp_path, monkeypatch, variant)
 
     @pytest.mark.parametrize("variant,side", [
         ("iris", "worker"), ("iris", "parent"), ("iris", "alternate"),
-        ("iris_no_q", "alternate")])
+        ("iris_no_q", "alternate"),
+        ("bcq", "worker"), ("bcq", "parent"), ("bcq", "alternate")])
     def test_split_matches_serial_whoever_claims(self, small_demo_set, tmp_path,
                                                  monkeypatch, variant, side):
         # the parent waits for the worker, takes over every component, or both
-        # in turn
-        claims_only(monkeypatch, side)
+        # in turn; for bcq, the side runs the second half of the Q targets,
+        # whichever process updates the action cVAE
+        claims_only(monkeypatch, side, "claim_half" if variant == "bcq" else "claim")
         self.check_split_matches_serial(small_demo_set, tmp_path, monkeypatch, variant)
 
     @staticmethod
@@ -431,9 +449,8 @@ class TestSplitWorker:
             assert tuple(header) == TIMING_COLUMNS
             assert [r[0] for r in rows] == ["2", "4", "6"]
             filled = {col for r in rows for col, cell in zip(header, r) if cell}
-            expected = {"iter", "sample", "policy", "goal_cvae", "faults"}
-            if variant == "iris":
-                expected |= {"action_cvae", "q"}
+            expected = {"iter", "sample", "faults"} | {
+                {"bc": "policy", "qnet": "q"}.get(name, name) for name in VARIANTS[variant]}
             if mode == "split":
                 expected.add("wait")
             assert filled == expected
@@ -454,6 +471,50 @@ class TestSplitWorker:
         assert multiprocessing.active_children() == []
         manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
         assert manifest["end_time"] is None
+
+    def test_worker_failure_in_its_half_raised_in_parent(self, small_demo_set, tmp_path,
+                                                          monkeypatch):
+        # the parent updates the action cVAE and waits for the worker's half
+        dataset, _ = small_demo_set
+        parent = os.getpid()
+        real = QNet.value
+
+        def value(self, *args, **kwargs):
+            if os.getpid() != parent:
+                raise ArithmeticError("half exploded")
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(QNet, "value", value)
+        claims_only(monkeypatch, "parent")
+        claims_only(monkeypatch, "worker", "claim_half")
+        gate(monkeypatch, True)
+        started = time.perf_counter()
+        with pytest.raises(RuntimeError, match="half exploded"):
+            train(dataset, tiny_config("bcq"), tmp_path / "r")
+        assert time.perf_counter() - started < training_module.WORKER_STOP_TIMEOUT_S / 4
+        assert multiprocessing.active_children() == []
+
+    def test_parent_failure_in_bcq_step_stops_waiting_worker(self, small_demo_set,
+                                                              tmp_path, monkeypatch):
+        # the worker, with no unit to claim, waits for a half that never opens
+        dataset, _ = small_demo_set
+        real = ConditionalVAE.loss_and_grad
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise FloatingPointError("step failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ConditionalVAE, "loss_and_grad", failing)
+        claims_only(monkeypatch, "parent")
+        gate(monkeypatch, True)
+        started = time.perf_counter()
+        with pytest.raises(FloatingPointError, match="step failed"):
+            train(dataset, tiny_config("bcq"), tmp_path / "r")
+        assert time.perf_counter() - started < training_module.WORKER_STOP_TIMEOUT_S / 4
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("where", ["train_step", "policy", "q"])
     def test_parent_failure_stops_worker(self, small_demo_set, tmp_path,
@@ -498,22 +559,55 @@ class TestSplitWorker:
             worker.stop()
         assert multiprocessing.active_children() == []
 
+    def test_worker_pins_both_processes_to_distinct_cpus(self, small_demo_set):
+        dataset, _ = small_demo_set
+        mask = os.sched_getaffinity(0)
+        if len(mask) < 2:
+            pytest.skip("needs two CPUs")
+        models = build_models("bcq", 2, 2, dataset.norm_stats, hidden_dim=8,
+                              rng=np.random.default_rng(0))
+        worker = training_module._Worker(models, dataset, tiny_config("bcq"),
+                                         np.random.default_rng(0))
+        try:
+            here, there = os.sched_getaffinity(0), os.sched_getaffinity(worker.process.pid)
+        finally:
+            worker.stop()
+        assert len(here) == len(there) == 1 and here | there <= mask and here != there
+
     def test_board_claims_each_component_once_per_step(self):
         board = training_module._Board(("policy", "goal_cvae", "action_cvae", "qnet"),
-                                       multiprocessing.get_context("fork"))
+                                       4, multiprocessing.get_context("fork"))
         assert len(board.claimed) == 2  # one claimed step per unit
         for step in (1, 2):  # a new step reopens every unit
             assert board.claim(step) == ("action_cvae", "qnet")  # one claim for both
+            assert not board.claim_half(step)  # the half opens after the cVAE update
+            board.open_half(step)
+            assert board.claim_half(step)
+            assert not board.claim_half(step)  # claimed once
             assert board.claim(step) == ("goal_cvae",)
             assert board.claim(step) is None
         assert board.claim(1) is None  # an earlier step stays closed
+        assert not board.claim_half(1)
+        board.serve_half(2, lambda: 1 / 0)  # claimed: not run again
+        # the opener gets a half that the other process served
+        board.open_half(3)
+        board.serve_half(3, lambda: lambda: np.arange(3.0))
+        assert board.second_half(3, lambda: 1 / 0).tolist() == [0.0, 1.0, 2.0]
 
-    @pytest.mark.parametrize("variant", ["bcq", "bc", "bc_rnn"])
+    @pytest.mark.parametrize("variant", ["bc", "bc_rnn"])
     def test_gate_shut_without_policy_and_partner(self, small_demo_set, variant):
         dataset, _ = small_demo_set
         models = build_models(variant, 2, 2, dataset.norm_stats, hidden_dim=8,
                               rng=np.random.default_rng(0))
         assert not training_module._can_fork(models)
+
+    def test_gate_opens_for_bcq(self, small_demo_set, monkeypatch):
+        # the two processes split the Q targets' proposals
+        dataset, _ = small_demo_set
+        models = build_models("bcq", 2, 2, dataset.norm_stats, hidden_dim=8,
+                              rng=np.random.default_rng(0))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert training_module._can_fork(models)
 
     def test_gate_shut_on_one_cpu_or_second_thread(self, small_demo_set,
                                                    monkeypatch):
