@@ -7,8 +7,11 @@ Errors exit nonzero without writing partial outputs.
 BLAS is pinned to one thread unless the environment says otherwise: the
 models' products are too small to gain from a thread pool, and a
 single-threaded process lets training share each step with a forked worker:
-the updates other than the policy's, and half of the Q targets' action
-proposals (see :mod:`goalsel.training`).
+the updates other than the policy's, or for ``bcq`` half of the Q targets'
+action proposals (see :mod:`goalsel.training`). Under a one-CPU mask
+(``taskset -c N goalsel train ...``) training runs serially, with the same
+outputs. Pin each run of a sweep to its own CPU that way: split runs side by
+side all pin their parent process to the first CPU of their mask.
 """
 
 from __future__ import annotations
@@ -152,7 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", help="train a policy variant offline")
+    p = sub.add_parser(
+        "train", help="train a policy variant offline",
+        description="Train a policy variant offline. On two or more CPUs each step "
+                    "is shared with a forked worker; under a one-CPU mask (taskset "
+                    "-c N) training runs serially, with the same outputs. Pin each "
+                    "run of a sweep to its own CPU that way.")
     p.add_argument("--config", help="flat JSON TrainConfig")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True, help="run directory")

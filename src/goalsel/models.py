@@ -325,39 +325,48 @@ def polyak_update(qnet: QNet, tau: float) -> QNet:
     return qnet
 
 
-def proposal_halves(qnet: QNet, action_cvae: ConditionalVAE, s, m: int,
-                    rng: np.random.Generator, use_target: bool):
-    """Two functions that return ``max_j Q(s, a_j)`` over the proposals ``[0,
-    h)`` and ``[h, m)``, ``h = ceil(m / 2)``, of one ``(m, B, latent)`` normal
-    draw of ``rng`` (the second is ``-inf`` when ``m`` is 1).
+def proposal_noise(action_cvae: ConditionalVAE, s, m: int, rng: np.random.Generator):
+    """The ``(m, B, latent)`` normal draw of ``rng`` from which
+    :func:`proposal_value` decodes ``m`` action proposals at each row of ``s``,
+    and ``h = ceil(m / 2)``, where a split :func:`proposal_value`'s second half
+    starts."""
+    return rng.standard_normal((m, len(s), action_cvae.latent_dim)), -(-m // 2)
+
+
+def proposal_max(qnet: QNet, action_cvae: ConditionalVAE, s, eps,
+                 use_target: bool) -> np.ndarray:
+    """``max_j Q(s, a_j)`` over the proposals that ``action_cvae`` decodes from
+    the ``(n, B, latent)`` noise ``eps`` at each row of ``s`` (``-inf`` when n
+    is 0).
 
     One Q forward per proposal index: on a 2-CPU host, one forward over all
-    m * B rows of a 128-row training batch measured slower than m forwards.
+    n * B rows of a 128-row training batch measured slower than n forwards.
     """
-    z = rng.standard_normal((m, len(s), action_cvae.latent_dim))
-    h = -(-m // 2)
-
-    def half(eps):
-        best = np.full(len(s), -np.inf)
-        for a in action_cvae.sample_each(s, len(eps), eps=eps):
-            best = np.maximum(best, qnet.value(s, a, use_target=use_target))
-        return best
-
-    return (lambda: half(z[:h])), (lambda: half(z[h:]))
+    best = np.full(len(s), -np.inf)
+    for a in action_cvae.sample_each(s, len(eps), eps=eps):
+        best = np.maximum(best, qnet.value(s, a, use_target=use_target))
+    return best
 
 
 def proposal_value(qnet: QNet, action_cvae: ConditionalVAE, s, m: int,
                    rng: np.random.Generator, use_target: bool,
                    second_half=None) -> np.ndarray:
     """BCQ state value ``V(s) = max_j Q(s, a_j)`` over ``m`` action-VAE
-    proposals ``a_j`` drawn at each row of the (B, obs_dim) batch ``s``: the
-    larger of the two :func:`proposal_halves`, which is the running max over
-    all ``m`` bit for bit. The second half runs here after the first, or as
-    ``second_half(compute)`` decides when given.
+    proposals ``a_j`` at each row of the (B, obs_dim) batch ``s``, decoded
+    from one :func:`proposal_noise` draw.
+
+    A ``second_half`` hook splits the proposals at ``h``: it is called before
+    the draw and the first half ``[0, h)`` run here, starts the max over
+    ``[h, m)`` of the same draw elsewhere, and returns a function that waits
+    for those maxima. Their ``np.maximum`` with the first half's is the max
+    over all ``m`` bit for bit.
     """
-    first, second = proposal_halves(qnet, action_cvae, s, m, rng, use_target)
-    best = first()
-    return np.maximum(best, second() if second_half is None else second_half(second))
+    # the hook goes first, so that the second half starts during this draw
+    maxima = None if second_half is None else second_half()
+    eps, h = proposal_noise(action_cvae, s, m, rng)
+    if maxima is None:
+        return proposal_max(qnet, action_cvae, s, eps, use_target)
+    return np.maximum(proposal_max(qnet, action_cvae, s, eps[:h], use_target), maxima())
 
 
 class Regressor:

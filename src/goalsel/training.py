@@ -8,49 +8,42 @@ as goal, (2) action VAE on the window's final transition, (3) Q regression
 toward ``r + gamma * max_i Q'(s_next, a_i)`` over action-VAE proposals, with
 the absorbing-goal value ``r / (1 - gamma)`` when the window ends a
 trajectory, (4) goal VAE on the (first state, last state) pair. The Q targets
-sample from the action VAE after its update, so the two form one unit of
-``UPDATE_UNITS``, run in that order; no two units share parameters or rng
-draws, so any order of the units gives the same bits. A variant updates only
-its components (``models.VARIANTS``); per-component noise comes from fixed rng
+sample from the action VAE after its update. A variant updates only its
+components (``models.VARIANTS``); per-component noise comes from fixed rng
 slots so an absent component never perturbs the others' draws.
 
-The policy shares no parameters and no rng draws with the goal-selection
-components, so :func:`train` runs them side by side when it can: the process
-keeps the policy update, and one forked worker process runs the other
-components. Each process claims a unit before it updates its components, so
-when the policy update is done the process takes over every unit the worker
-has not started; a worker that the machine keeps waiting for a CPU then
-delays a step by at most the unit it is in. Each step also has one more
-claimable item, the second half of the Q targets' action proposals
-(``models.proposal_halves``): the process that updated the action cVAE opens
-it and computes the first half; the other process, once it has no unit left,
-waits for it to open and claims it, and the opener runs it itself if it is
-still unclaimed when the first half is done. A claimed half's maxima come
-back in shared memory. A serial run computes both halves in turn on the same
-code path. The worker starts after the initial checkpoint and is stopped
-when training ends or fails. It is used only when the model set has two
-components or more (so ``bcq`` forks too), the process may run on two or
-more CPUs, and the process has exactly one OS thread (a BLAS thread pool in
-each process would fight over the cores, and only a single-threaded process
-is safe to fork); otherwise every update runs here. The two processes are
-pinned to two distinct CPUs of this process's affinity mask, since the
-kernel may otherwise run both on one, and the mask is restored when the
-worker stops. Both processes run the same update body (``_update``), so the
-split is bit-exact whichever process runs a component or a half: the stores
-of every component but the policy live in shared memory, Adam step counters
-included (:meth:`~goalsel.nn.ParamStore.share`), and the worker draws each
-step's batch and rng children from its fork-time copies of the dataset and
-the step rng, the same draws the parent makes. Checkpoints, ``metrics.csv``
-and the returned models are byte-identical to a serial run. Per-component
-step times and this process's minor page faults per step go to
-``timings.csv`` beside ``metrics.csv``; ``manifest.json`` records the config
-digest and the sha256 of the dataset file.
+:func:`train` splits each step between this process and one forked worker
+when it can, with roles fixed by the model set. With a policy, which shares
+no parameters and no rng draws with the other components, this process
+updates the policy and the worker updates the rest, computing the Q targets
+in place as a serial run does, and replies with their losses and seconds.
+Without one (``bcq``), this process updates the action cVAE and the Q-net,
+and the worker computes the second half of the Q targets' action proposals
+(``models.proposal_value``): it waits for this process to open the half,
+writes the maxima to shared memory and signals that they are done. The
+worker starts after the initial checkpoint and is stopped when training ends
+or fails. It is used only when the model set has two components or more, the
+process may run on two or more CPUs, and the process has exactly one OS
+thread (a BLAS thread pool in each process would fight over the cores, and
+only a single-threaded process is safe to fork); otherwise every update runs
+here. The two processes are pinned to two distinct CPUs of this process's
+affinity mask, since the kernel may otherwise run both on one, and the mask
+is restored when the worker stops. Both processes run the same update body
+(``_update``): the stores of every component but the policy live in shared
+memory, Adam step counters included (:meth:`~goalsel.nn.ParamStore.share`),
+and the worker draws each step's batch and rng children from its fork-time
+copies of the dataset and the step rng, the same draws this process makes.
+Checkpoints, ``metrics.csv`` and the returned models are byte-identical to a
+serial run. Per-component step times and this process's minor page faults
+per step go to ``timings.csv`` beside ``metrics.csv``; ``manifest.json``
+records the config digest and the sha256 of the dataset file.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import json
 import math
 import mmap
@@ -77,7 +70,8 @@ from .models import (
     QNet,
     build_models,
     polyak_update,
-    proposal_halves,
+    proposal_max,
+    proposal_noise,
     proposal_value,
 )
 from .nn import adam_step, grad_check, save_checkpoint
@@ -85,8 +79,9 @@ from .nn import adam_step, grad_check, save_checkpoint
 METRIC_COLUMNS = ("iter", "loss_policy", "loss_goal_recon", "loss_goal_kl",
                   "loss_action_recon", "loss_action_kl", "loss_q", "q_mean")
 # Mean ms per step: window sampling, each component's update (``q`` is the
-# targets plus the Q update), and the parent's wait for the worker; then the
-# minor page faults per step of this process, within ``train_step``.
+# targets plus the Q update), and the parent's wait for the worker (its reply,
+# or the Q targets' second half, which ``q`` includes); then the minor page
+# faults per step of this process, within ``train_step``.
 TIMING_COLUMNS = ("iter", "sample", "policy", "goal_cvae", "goal_reg", "action_cvae",
                   "q", "wait", "faults")
 WORKER_STOP_TIMEOUT_S = 10.0
@@ -190,13 +185,8 @@ def _draw(dataset: TrajectoryDataset, cfg: TrainConfig, rng: np.random.Generator
     return batch, rng.spawn(3)
 
 
-# The units of a step's updates: the action cVAE and the Q-net, whose targets
-# sample from it after its update, are one. The split worker claims units in
-# this order too, so the independent goal model, last, is the one the parent
-# most likely takes over.
-UPDATE_UNITS = (("policy",), ("bc",), ("action_cvae", "qnet"), ("goal_cvae",),
-                ("goal_reg",))
-UPDATE_ORDER = tuple(name for unit in UPDATE_UNITS for name in unit)
+# The Q-net follows the action cVAE: its targets sample from it after its update.
+UPDATE_ORDER = ("policy", "bc", "action_cvae", "qnet", "goal_cvae", "goal_reg")
 
 
 def _update(models: ModelSet, name: str, batch: WindowBatch, rngs, cfg: TrainConfig,
@@ -245,12 +235,11 @@ def train_step(models: ModelSet, dataset: TrajectoryDataset, cfg: TrainConfig,
 
     Returns the losses under their ``METRIC_COLUMNS`` names, in that order.
     With a ``worker`` (which :func:`train` forks), this process updates the
-    policy while the worker updates the other components, and this process
-    then takes over every unit the worker has not started and serves the
-    second half of the Q targets if it is still open; ``rng`` must
-    be the rng the worker was forked with, since the worker mirrors its
-    draws. The seconds of each phase (``TIMING_COLUMNS``) are added to
-    ``timings`` if given.
+    policy while the worker updates the other components, or, without a
+    policy, updates them all while the worker computes the second half of
+    the Q targets; ``rng`` must be the rng the worker was forked with, since
+    the worker mirrors its draws. The seconds of each phase
+    (``TIMING_COLUMNS``) are added to ``timings`` if given.
     """
     timings = {} if timings is None else timings
     if worker is not None and rng is not worker.rng:
@@ -258,23 +247,20 @@ def train_step(models: ModelSet, dataset: TrajectoryDataset, cfg: TrainConfig,
                          "was forked with; train_step got another rng")
     with _timed(timings, "sample"):
         batch, rngs = _draw(dataset, cfg, rng)
-    if worker is not None:  # after the draw, so that without a policy this
-        step = worker.start_step()  # process claims the first unit
-    losses: dict[str, float] = {}
-    for name in UPDATE_ORDER if worker is None else ("policy",):
-        if name in models:
-            losses.update(_update(models, name, batch, rngs, cfg, timings))
+    names, second_half = UPDATE_ORDER, None
     if worker is not None:
-        try:
-            taken, count = _run_claims(worker.board, step, models, batch, rngs, cfg,
-                                       timings)
-        except _Stopped:  # the worker failed or exited: raise its error
-            worker.finish_step(wait=True)
-            raise
-        losses.update(taken)
+        worker.conn.send(True)  # go
+        if worker.half is None:
+            names = ("policy",)
+        else:
+            second_half = functools.partial(worker.open_half, timings)
+    losses: dict[str, float] = {}
+    for name in names:
+        if name in models:
+            losses.update(_update(models, name, batch, rngs, cfg, timings, second_half))
+    if worker is not None and worker.half is None:
         with _timed(timings, "wait"):
-            worker_losses, worker_timings = worker.finish_step(
-                wait=count < len(worker.board.units))
+            worker_losses, worker_timings = worker.reply()
         losses.update(worker_losses)
         for key, seconds in worker_timings.items():
             timings[key] = timings.get(key, 0.0) + seconds
@@ -296,7 +282,7 @@ def _can_fork(models: ModelSet) -> bool:
 
 
 class _Stopped(RuntimeError):
-    """A wait on the board ended: training stops or the other process exited."""
+    """A wait on the half ended: training stops or the other process exited."""
 
 
 def _shared(n: int, dtype=np.int64) -> np.ndarray:
@@ -304,80 +290,30 @@ def _shared(n: int, dtype=np.int64) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * n), dtype)
 
 
-# ``_Board.half``: the last step at which the second half was opened, claimed
-# and awaited, the length of its result, and the stop flag
-_OPENED, _CLAIMED, _AWAITED, _ROWS, _STOPPED = range(5)
+class _Half:
+    """The handoff of the Q targets' second half from the parent of a split
+    run without a policy to its worker: the worker's ``rows`` maxima and a
+    stop flag in shared memory, and two semaphores, ``opened`` by the parent
+    and ``done`` by the worker. A wait takes a semaphore, which :meth:`stop`
+    also releases, and ends if ``partner_alive()`` turns false."""
 
-
-class _Board:
-    """The last step for which each update unit was claimed, in shared memory
-    under one lock, so that the parent and the worker each run a unit of a
-    step exactly once; likewise the second half of each step's Q-target
-    proposals, whose result (at most ``rows`` values) it passes back. A wait
-    takes a semaphore, which :meth:`stop` also releases, and ends if
-    ``partner_alive()`` turns false."""
-
-    def __init__(self, names, rows: int, ctx):
-        self.units = tuple(unit for unit in UPDATE_UNITS if "policy" not in unit
-                           and any(name in names for name in unit))
-        self.has_half = "qnet" in names
-        self.claimed, self.half = _shared(len(self.units)), _shared(5)
-        self.values = _shared(rows, np.float64)
-        self.lock = ctx.Lock()
+    def __init__(self, rows: int, ctx):
+        self.values, self.stopped = _shared(rows, np.float64), _shared(1)
         self.opened, self.done = ctx.Semaphore(0), ctx.Semaphore(0)
         parent = os.getpid()  # the worker's view; the parent's is set in _Worker
         self.partner_alive = lambda: os.getppid() == parent
 
-    def claim(self, step: int) -> tuple[str, ...] | None:
-        """Claim the first unit not yet claimed in ``step``, or return None if
-        there is none."""
-        with self.lock:
-            for i, unit in enumerate(self.units):
-                if self.claimed[i] < step:
-                    self.claimed[i] = step
-                    return unit
-        return None
+    def serve(self, models: ModelSet, batch: WindowBatch, rngs, cfg: TrainConfig) -> None:
+        """The worker's step: draw the proposals' noise (it needs no updated
+        parameters), wait for the half to open, then write its maxima."""
+        s_next = _q_transitions(batch, cfg)[3]
+        eps, h = proposal_noise(models["action_cvae"], s_next, cfg.m_proposals, rngs[2])
+        self.wait(self.opened)
+        self.values[:] = proposal_max(models["qnet"], models["action_cvae"], s_next,
+                                      eps[h:], use_target=True)
+        self.done.release()
 
-    def claim_half(self, step: int) -> bool:
-        """Claim ``step``'s second half if it is open and unclaimed."""
-        with self.lock:
-            if self.half[_OPENED] < step or self.half[_CLAIMED] >= step:
-                return False
-            self.half[_CLAIMED] = step
-            return True
-
-    def open_half(self, step: int) -> None:
-        with self.lock:
-            self.half[_OPENED] = step
-            if self.half[_AWAITED] == step:
-                self.opened.release()
-
-    def second_half(self, step: int, compute) -> np.ndarray:
-        """The opener's half: ``compute()``, or the result of the other
-        process if that has claimed it."""
-        if self.claim_half(step):
-            return compute()
-        self._wait(self.done)
-        return self.values[:self.half[_ROWS]]
-
-    def serve_half(self, step: int, prepare) -> None:
-        """For a process with no unit left: unless ``step``'s second half is
-        claimed, take ``compute = prepare()``, wait for the half to open and
-        run ``compute`` if the half is still unclaimed."""
-        with self.lock:
-            if not self.has_half or self.half[_CLAIMED] >= step:
-                return
-            closed = self.half[_OPENED] < step
-            self.half[_AWAITED] = step
-        compute = prepare()
-        if closed:
-            self._wait(self.opened)
-        if self.claim_half(step):
-            values = compute()
-            self.values[:len(values)], self.half[_ROWS] = values, len(values)
-            self.done.release()
-
-    def _wait(self, semaphore) -> None:
+    def wait(self, semaphore) -> None:
         """Take ``semaphore``, spinning for up to ``SPIN_S`` before blocking."""
         spin_until = time.perf_counter() + SPIN_S
         while not semaphore.acquire(False):
@@ -386,108 +322,78 @@ class _Board:
                     if not self.partner_alive():
                         raise _Stopped("training worker exited")
                 break
-        if self.half[_STOPPED]:
+        if self.stopped[0]:
             raise _Stopped("training stopped")
 
     def stop(self) -> None:
-        """End every wait on the board, now and later."""
-        self.half[_STOPPED] = 1
+        """End every wait on the half, now and later."""
+        self.stopped[0] = 1
         self.opened.release()
         self.done.release()
 
 
-def _run_claims(board: _Board, step: int, models: ModelSet,
-                batch: WindowBatch, rngs, cfg: TrainConfig,
-                timings: dict[str, float]) -> tuple[dict[str, float], int]:
-    """Claim units of ``step`` and update their components that ``models``
-    has, until no unit is left, then serve the second half of the Q targets.
-    Returns their losses and the number of units claimed."""
-    losses: dict[str, float] = {}
-    count = 0
-    while (unit := board.claim(step)) is not None:
-        for name in unit:
-            if name in models:
-                if name == "qnet":
-                    board.open_half(step)
-                losses.update(_update(models, name, batch, rngs, cfg, timings,
-                                      lambda compute: board.second_half(step, compute)))
-        count += 1
-
-    def prepare():  # the proposal draw needs no updated parameters
-        return proposal_halves(models["qnet"], models["action_cvae"],
-                               _q_transitions(batch, cfg)[3], cfg.m_proposals,
-                               rngs[2], use_target=True)[1]
-
-    board.serve_half(step, prepare)
-    return losses, count
-
-
-def _serve(conn, board: _Board, models: ModelSet, dataset: TrajectoryDataset,
+def _serve(conn, half: _Half | None, models: ModelSet, dataset: TrajectoryDataset,
            cfg: TrainConfig, rng: np.random.Generator) -> None:
-    """The worker's loop: per step number received, draw the batch and rng
-    children that the parent draws from its own copy of ``rng``, run what it
-    can claim and, if that was a unit, reply with their losses and seconds;
-    ``None`` stops it. An exception stops the board and is sent back as its
-    traceback text."""
+    """The worker's loop: per "go" received, draw the batch and rng children
+    that the parent draws from its own copy of ``rng``, then serve the
+    ``half``, or without one update every component but the policy and reply
+    with their losses and seconds; ``None`` stops it. An exception stops the
+    half and is sent back as its traceback text."""
     try:
-        while (step := conn.recv()) is not None:
-            timings: dict[str, float] = {}
+        while conn.recv():
             batch, rngs = _draw(dataset, cfg, rng)
-            losses, count = _run_claims(board, step, models, batch, rngs, cfg, timings)
-            if count:  # then the parent, which did not run every unit, waits
-                conn.send(("ok", losses, timings))
+            if half is not None:
+                half.serve(models, batch, rngs, cfg)
+                continue
+            losses: dict[str, float] = {}
+            timings: dict[str, float] = {}
+            for name in UPDATE_ORDER:
+                if name in models and name != "policy":
+                    losses.update(_update(models, name, batch, rngs, cfg, timings))
+            conn.send(("ok", losses, timings))
     except (EOFError, _Stopped):  # the parent has gone or stops training
         pass
     except Exception:  # the worker's boundary: report to the parent, then exit
-        board.stop()
+        if half is not None:
+            half.stop()
         with contextlib.suppress(OSError):
             conn.send(("error", traceback.format_exc()))
 
 
 class _Worker:
-    """The forked process that runs the components other than the policy,
-    one step per :meth:`start_step`/:meth:`finish_step` pair of
-    ``train_step``. The parent takes over any unit of a step that the worker
-    has not claimed by the time the policy update is done, so a worker that
-    the machine leaves waiting for a CPU delays the step by at most the unit
-    it is in, and a worker that falls behind catches up by drawing the
-    batches of the steps it missed. The two processes are pinned to distinct
-    CPUs of the parent's mask, as the kernel may otherwise keep both on one;
-    :meth:`stop` restores the mask."""
+    """The forked process that shares each ``train_step`` with this one: it
+    updates the components other than the policy, or, for a model set
+    without a policy, computes the second half of the Q targets (``half``).
+    The two processes are pinned to distinct CPUs of the parent's mask, as
+    the kernel may otherwise keep both on one; :meth:`stop` restores the
+    mask."""
 
     def __init__(self, models: ModelSet, dataset: TrajectoryDataset,
                  cfg: TrainConfig, rng: np.random.Generator):
         self.rng = rng
-        self.step = 0
         for prefix, store in models.stores().items():
             if prefix != "policy":
                 store.share()
         ctx = multiprocessing.get_context("fork")
-        self.board = _Board(tuple(models), cfg.batch_size * cfg.sample_t, ctx)
+        # without a policy, sample_t is 1: one Q transition per window
+        self.half = None if "policy" in models else _Half(cfg.batch_size, ctx)
         self.conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(target=_serve, name="goalsel-train-worker",
-                                   args=(child_conn, self.board, models, dataset, cfg,
+                                   args=(child_conn, self.half, models, dataset, cfg,
                                          rng),
                                    daemon=True)
         self.process.start()
         child_conn.close()
-        self.board.partner_alive = self.process.is_alive
+        if self.half is not None:
+            self.half.partner_alive = self.process.is_alive
         self.mask = os.sched_getaffinity(0)
         cpus = sorted(self.mask)
         os.sched_setaffinity(self.process.pid, {cpus[-1]})
         os.sched_setaffinity(0, {cpus[0]})
 
-    def start_step(self) -> int:
-        """Send the worker the next step; returns its number."""
-        self.step += 1
-        self.conn.send(self.step)
-        return self.step
-
-    def finish_step(self, wait: bool) -> tuple[dict[str, float], dict[str, float]]:
-        """The worker's losses and component seconds for the step, for which it
-        replies (and the parent waits) only if it ran a unit of it."""
-        if not wait:
-            return {}, {}
+    def reply(self) -> tuple[dict[str, float], dict[str, float]]:
+        """The worker's losses and component seconds for the step, or its
+        error raised here."""
         try:
             kind, *payload = self.conn.recv()
         except EOFError:
@@ -496,11 +402,30 @@ class _Worker:
             raise RuntimeError(f"training worker failed:\n{payload[0]}")
         return payload
 
+    def open_half(self, timings: dict[str, float]):
+        """The :func:`~goalsel.models.proposal_value` hook of this process's
+        Q targets: open the second half to the worker, and return a function
+        that waits for its maxima (adding the seconds to ``timings["wait"]``)
+        or raises the worker's error."""
+        self.half.opened.release()
+
+        def maxima() -> np.ndarray:
+            with _timed(timings, "wait"):
+                try:
+                    self.half.wait(self.half.done)
+                except _Stopped:  # the worker failed or exited: raise its error
+                    self.reply()
+                    raise
+            return self.half.values
+
+        return maxima
+
     def stop(self) -> None:
         """Stop the worker, whatever state it is in, and restore this
         process's CPU mask."""
         try:
-            self.board.stop()
+            if self.half is not None:
+                self.half.stop()
             with contextlib.suppress(OSError, EOFError):  # the worker may be gone
                 self.conn.send(None)
                 while self.conn.poll(WORKER_STOP_TIMEOUT_S):
@@ -588,9 +513,10 @@ def train(dataset: TrajectoryDataset, cfg: TrainConfig, out_dir) -> TrainResult:
     checkpoint is always written, then one every ``ckpt_every`` iterations and
     at the end. Each ``metrics.csv`` row and the ``timings.csv`` row of the
     same ``log_every`` window reach their files as they are produced, and
-    ``manifest.json`` gains its end time when the run finishes. The
-    goal-selection components train in a forked worker when the module's
-    conditions for it hold, with identical results. A run
+    ``manifest.json`` gains its end time when the run finishes. Each step is
+    shared with a forked worker, in the roles that the module docstring sets
+    out, when its conditions hold, with identical results; under a one-CPU
+    mask (``taskset -c N``) the run is serial. A run
     directory that already holds checkpoints is refused, since an earlier
     run's later checkpoints would survive beside the new ones; so is, before
     anything is written, a dataset with no ``cfg.sample_t``-step window.

@@ -10,6 +10,7 @@ from goalsel.models import (
     QNet,
     build_models,
     polyak_update,
+    proposal_max,
     proposal_value,
 )
 from goalsel.nn import GaussianHead, adam_step, grad_check, kl_to_standard_normal
@@ -466,6 +467,9 @@ class TestProposalValue:
         got = proposal_value(q, cvae, s, m, np.random.default_rng(7), use_target)
         # reference: the training forward pass, one proposal index at a time
         z = np.random.default_rng(7).standard_normal((m, batch, cvae.latent_dim))
+        # a hook that runs the second half, [5, 10), in place
+        split = proposal_value(q, cvae, s, m, np.random.default_rng(7), use_target,
+                               lambda: lambda: proposal_max(q, cvae, s, z[5:], use_target))
         net = q.target_mlp if use_target else q.mlp
         s_n = (s - norm.state.mean) / norm.state.std
         best = np.full(batch, -np.inf)
@@ -474,7 +478,7 @@ class TestProposalValue:
             a_n = (a - norm.action.mean) / norm.action.std
             value, _ = net.forward(np.concatenate([s_n, a_n], axis=1))
             best = np.maximum(best, value[:, 0])
-        assert got.tobytes() == best.tobytes()
+        assert got.tobytes() == split.tobytes() == best.tobytes()
 
 
 class TestPolyak:

@@ -26,7 +26,6 @@ from goalsel.training import (
     METRIC_COLUMNS,
     TIMING_COLUMNS,
     UPDATE_ORDER,
-    UPDATE_UNITS,
     TrainConfig,
     q_targets_batch,
     read_metrics,
@@ -221,11 +220,9 @@ class TestTrainStep:
                 assert np.array_equal(t.grad, ablated[part].store.params[name].grad)
 
     def test_update_units_hold_each_component_once(self):
-        names = [name for unit in UPDATE_UNITS for name in unit]
-        assert sorted(names) == sorted(COMPONENTS)
-        assert tuple(names) == UPDATE_ORDER
+        assert sorted(UPDATE_ORDER) == sorted(COMPONENTS)
         # the Q targets sample from the action cVAE after its update
-        assert ("action_cvae", "qnet") in UPDATE_UNITS
+        assert UPDATE_ORDER.index("action_cvae") < UPDATE_ORDER.index("qnet")
 
     def test_q_all_transitions_flag(self, small_demo_set):
         dataset, _ = small_demo_set
@@ -377,21 +374,6 @@ def gate(monkeypatch, is_open):
     monkeypatch.setattr(training_module, "_can_fork", lambda models: is_open)
 
 
-def claims_only(monkeypatch, side, method="claim"):
-    """Let only the ``side`` process ("parent" or "worker") claim the update
-    units (or, with ``method="claim_half"``, the second half of the Q
-    targets), or at each step the one that "alternate" picks (the worker at
-    odd steps). Patched before the fork, so the worker inherits it."""
-    parent = os.getpid()
-    real = getattr(training_module._Board, method)
-
-    def claim(self, step):
-        by_worker = side == "worker" or side == "alternate" and step % 2 == 1
-        return real(self, step) if (os.getpid() == parent) != by_worker else None
-
-    monkeypatch.setattr(training_module._Board, method, claim)
-
-
 def read_timings(run_dir):
     with open(run_dir / "timings.csv", newline="") as fh:
         return list(csv.reader(fh))
@@ -409,18 +391,6 @@ class TestSplitWorker:
     @pytest.mark.parametrize("variant", ["iris", "iris_no_q", "bcq", "iris_no_goal_vae"])
     def test_split_matches_serial(self, small_demo_set, tmp_path, monkeypatch,
                                   variant):
-        self.check_split_matches_serial(small_demo_set, tmp_path, monkeypatch, variant)
-
-    @pytest.mark.parametrize("variant,side", [
-        ("iris", "worker"), ("iris", "parent"), ("iris", "alternate"),
-        ("iris_no_q", "alternate"),
-        ("bcq", "worker"), ("bcq", "parent"), ("bcq", "alternate")])
-    def test_split_matches_serial_whoever_claims(self, small_demo_set, tmp_path,
-                                                 monkeypatch, variant, side):
-        # the parent waits for the worker, takes over every component, or both
-        # in turn; for bcq, the side runs the second half of the Q targets,
-        # whichever process updates the action cVAE
-        claims_only(monkeypatch, side, "claim_half" if variant == "bcq" else "claim")
         self.check_split_matches_serial(small_demo_set, tmp_path, monkeypatch, variant)
 
     @staticmethod
@@ -464,7 +434,6 @@ class TestSplitWorker:
             raise ArithmeticError("q update exploded")
 
         monkeypatch.setattr(QNet, "loss_and_grad", failing_q)
-        claims_only(monkeypatch, "worker")
         gate(monkeypatch, True)
         with pytest.raises(RuntimeError, match="q update exploded"):
             train(dataset, tiny_config("iris"), tmp_path / "r")
@@ -485,8 +454,6 @@ class TestSplitWorker:
             return real(self, *args, **kwargs)
 
         monkeypatch.setattr(QNet, "value", value)
-        claims_only(monkeypatch, "parent")
-        claims_only(monkeypatch, "worker", "claim_half")
         gate(monkeypatch, True)
         started = time.perf_counter()
         with pytest.raises(RuntimeError, match="half exploded"):
@@ -496,7 +463,7 @@ class TestSplitWorker:
 
     def test_parent_failure_in_bcq_step_stops_waiting_worker(self, small_demo_set,
                                                               tmp_path, monkeypatch):
-        # the worker, with no unit to claim, waits for a half that never opens
+        # the worker waits for a half that never opens
         dataset, _ = small_demo_set
         real = ConditionalVAE.loss_and_grad
         calls = []
@@ -508,7 +475,6 @@ class TestSplitWorker:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(ConditionalVAE, "loss_and_grad", failing)
-        claims_only(monkeypatch, "parent")
         gate(monkeypatch, True)
         started = time.perf_counter()
         with pytest.raises(FloatingPointError, match="step failed"):
@@ -520,13 +486,11 @@ class TestSplitWorker:
     def test_parent_failure_stops_worker(self, small_demo_set, tmp_path,
                                          monkeypatch, where):
         # a failing policy update leaves the worker in the middle of its step;
-        # a failing Q update is one the parent took over
+        # a failing Q update is one of bcq's parent, after the worker's half
         dataset, _ = small_demo_set
         owner, name = {"train_step": (training_module, "train_step"),
                        "policy": (PolicyRNN, "loss_and_grad"),
                        "q": (QNet, "loss_and_grad")}[where]
-        if where == "q":
-            claims_only(monkeypatch, "parent")
         real = getattr(owner, name)
         calls = []
 
@@ -539,7 +503,7 @@ class TestSplitWorker:
         monkeypatch.setattr(owner, name, failing)
         gate(monkeypatch, True)
         with pytest.raises(FloatingPointError, match="step failed"):
-            train(dataset, tiny_config("iris"), tmp_path / "r")
+            train(dataset, tiny_config("bcq" if where == "q" else "iris"), tmp_path / "r")
         assert multiprocessing.active_children() == []
 
     def test_worker_with_foreign_rng_rejected(self, small_demo_set):
@@ -574,25 +538,42 @@ class TestSplitWorker:
             worker.stop()
         assert len(here) == len(there) == 1 and here | there <= mask and here != there
 
-    def test_board_claims_each_component_once_per_step(self):
-        board = training_module._Board(("policy", "goal_cvae", "action_cvae", "qnet"),
-                                       4, multiprocessing.get_context("fork"))
-        assert len(board.claimed) == 2  # one claimed step per unit
-        for step in (1, 2):  # a new step reopens every unit
-            assert board.claim(step) == ("action_cvae", "qnet")  # one claim for both
-            assert not board.claim_half(step)  # the half opens after the cVAE update
-            board.open_half(step)
-            assert board.claim_half(step)
-            assert not board.claim_half(step)  # claimed once
-            assert board.claim(step) == ("goal_cvae",)
-            assert board.claim(step) is None
-        assert board.claim(1) is None  # an earlier step stays closed
-        assert not board.claim_half(1)
-        board.serve_half(2, lambda: 1 / 0)  # claimed: not run again
-        # the opener gets a half that the other process served
-        board.open_half(3)
-        board.serve_half(3, lambda: lambda: np.arange(3.0))
-        assert board.second_half(3, lambda: 1 / 0).tolist() == [0.0, 1.0, 2.0]
+    @pytest.mark.parametrize("variant", ["iris", "iris_no_q", "iris_no_goal_vae", "bcq"])
+    def test_each_process_keeps_its_role(self, small_demo_set, tmp_path, monkeypatch,
+                                         variant):
+        # patched before the fork, so the worker logs its updates and halves too
+        dataset, _ = small_demo_set
+        log = tmp_path / "log"
+        real_update, real_serve = training_module._update, training_module._Half.serve
+
+        def record(name):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {name}\n")
+
+        def update(models, name, *args):
+            record(name)
+            return real_update(models, name, *args)
+
+        def serve(self, *args):
+            record("half")
+            return real_serve(self, *args)
+
+        monkeypatch.setattr(training_module, "_update", update)
+        monkeypatch.setattr(training_module._Half, "serve", serve)
+        gate(monkeypatch, True)
+        cfg = tiny_config(variant)
+        train(dataset, cfg, tmp_path / "r")
+        runs: dict[bool, list[str]] = {}
+        pids = set()
+        for line in log.read_text().splitlines():
+            pid, name = line.split()
+            pids.add(pid)
+            runs.setdefault(int(pid) == os.getpid(), []).append(name)
+        parent = {"policy"} if "policy" in VARIANTS[variant] else {"action_cvae", "qnet"}
+        worker = set(VARIANTS[variant]) - parent or {"half"}  # bcq: the half, each step
+        assert len(pids) == 2
+        assert sorted(runs[True]) == sorted(list(parent) * cfg.n_iter)
+        assert sorted(runs[False]) == sorted(list(worker) * cfg.n_iter)
 
     @pytest.mark.parametrize("variant", ["bc", "bc_rnn"])
     def test_gate_shut_without_policy_and_partner(self, small_demo_set, variant):
