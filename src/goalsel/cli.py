@@ -8,8 +8,9 @@ BLAS is pinned to one thread unless the environment says otherwise: the
 models' products are too small to gain from a thread pool, and a
 single-threaded process lets training share each step with a forked worker:
 the updates other than the policy's, or for ``bcq`` half of the Q targets'
-action proposals (see :mod:`goalsel.training`). Under a one-CPU mask
-(``taskset -c N goalsel train ...``) training runs serially, with the same
+action proposals (see :mod:`goalsel.training`). Eval of an ``iris`` run shares
+half of each goal refresh's action proposals that way. Under a one-CPU mask
+(``taskset -c N goalsel train ...``) both run serially, with the same
 outputs. Pin each run of a sweep to its own CPU that way: split runs side by
 side all pin their parent process to the first CPU of their mask.
 """
@@ -169,7 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate every checkpoint of a run")
+    p = sub.add_parser(
+        "eval", help="evaluate every checkpoint of a run",
+        description="Evaluate every checkpoint of a run. On two or more CPUs an iris "
+                    "run's goal scoring is shared with a forked worker; under a "
+                    "one-CPU mask (taskset -c N) eval runs serially, with the same "
+                    "reports.")
     p.add_argument("--config", help="flat JSON EvalConfig")
     p.add_argument("--run", required=True, help="training run directory")
     p.add_argument("--dataset", required=True)

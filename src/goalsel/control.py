@@ -11,15 +11,19 @@ variants that skip scoring still draw identical proposals under a shared seed.
 Controllers are stateful per-rollout objects; the underlying frozen models can
 be shared read-only. They act on one state at a time, so they add the batch
 axis that the models take and drop it from what the models return.
+The ``iris`` scorer, :class:`ProposalScorer`, takes an optional split hook,
+which :func:`~goalsel.evaluation.evaluate` sets to score on two CPUs (under a
+one-CPU mask, ``taskset -c N``, it scores serially).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import VARIANTS, ModelSet, proposal_value
+from .models import VARIANTS, ModelSet, proposal_max, proposal_noise, proposal_value
 
 
 @dataclass(frozen=True)
@@ -27,6 +31,28 @@ class GoalLogEntry:
     step: int
     goal: np.ndarray
     score: float | None
+
+
+class ProposalScorer:
+    """Each goal's BCQ value over ``m_actions`` action proposals from the
+    online Q-net. ``second_half``, when set, is each call's
+    :func:`~goalsel.models.proposal_value` hook, given the call's goals and
+    rng first; the other process of the split runs :meth:`second_half_max`."""
+
+    def __init__(self, qnet, action_cvae, m_actions: int):
+        self.qnet, self.action_cvae, self.m_actions = qnet, action_cvae, m_actions
+        self.second_half = None
+
+    def __call__(self, goals, rng: np.random.Generator) -> np.ndarray:
+        hook = self.second_half and functools.partial(self.second_half, goals, rng)
+        return proposal_value(self.qnet, self.action_cvae, goals, self.m_actions, rng,
+                              use_target=False, second_half=hook)
+
+    def second_half_max(self, goals, rng: np.random.Generator) -> np.ndarray:
+        """The maxima over the second half of a split call's proposals."""
+        eps, h = proposal_noise(self.action_cvae, goals, self.m_actions, rng)
+        return proposal_max(self.qnet, self.action_cvae, goals, eps[h:],
+                            use_target=False)
 
 
 class HierarchicalController:
@@ -144,8 +170,6 @@ def make_policy(models: ModelSet, *, t_segment: int = 10, n_goals: int = 100,
     if "qnet" not in models:
         return HierarchicalController(policy, t_segment,
                                       lambda s, rng: goal_cvae.sample(s, 1, rng))
-    action_cvae, qnet = models["action_cvae"], models["qnet"]
     return HierarchicalController(
         policy, t_segment, lambda s, rng: goal_cvae.sample(s, n_goals, rng),
-        lambda goals, rng: proposal_value(qnet, action_cvae, goals, m_actions, rng,
-                                          use_target=False))
+        ProposalScorer(models["qnet"], models["action_cvae"], m_actions))

@@ -6,6 +6,12 @@ Each episode is one :func:`~goalsel.envs.rollout` (the loop that also records
 demonstrations), called through this module's name ``rollout``, with its rng
 derived from (seed, episode index): evaluations are deterministic and
 order-independent. Returns are absorbing-goal returns (``discounted_return``).
+
+:func:`evaluate` scores an ``iris`` controller's goals on two CPUs: a worker
+forked for the call and pinned as the training split's (:mod:`goalsel.training`)
+scores the second half of each refresh's action proposals, with identical
+reports. Under a one-CPU mask (``taskset -c N``), or for any other
+controller, the call is serial.
 """
 
 from __future__ import annotations
@@ -20,12 +26,12 @@ import numpy as np
 
 from .binfile import write_atomic
 from .config import config_digest, from_flat, load_flat
-from .control import make_policy
+from .control import ProposalScorer, make_policy
 from .data import TrajectoryDataset
 from .envs import EpisodeRecord, discounted_return, rollout  # noqa: F401
 from .models import ModelSet, build_models
 from .nn import load_checkpoint
-from .training import TrainConfig
+from .training import TrainConfig, _Forked, _forkable, _Half, _shared
 
 
 @dataclass(frozen=True)
@@ -116,29 +122,83 @@ class EvalReport:
         }
 
 
+_WORD = 1 << 64
+
+
+def _score_halves(conn, half: _Half, scorer: ProposalScorer, goals, words) -> None:
+    """The eval worker's loop: per opened half, set an rng to the PCG64 state
+    in ``words`` and write the second half's maxima for ``goals``."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    while True:
+        half.wait(half.opened)
+        w = [int(x) for x in words]
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64", "has_uint32": w[4], "uinteger": w[5],
+            "state": {"state": w[0] * _WORD + w[1], "inc": w[2] * _WORD + w[3]}}
+        half.values[:] = scorer.second_half_max(goals, rng)
+        half.done.release()
+
+
+class _SplitScorer:
+    """The worker that scores each refresh's second half for one
+    :func:`evaluate` call. Its hook on ``scorer`` writes the ``rows`` goals
+    and the rng's PCG64 state (state and increment as high and low words,
+    ``has_uint32``, ``uinteger``) to shared memory and opens the half; a
+    refresh with another number of goals runs serially."""
+
+    def __init__(self, scorer: ProposalScorer, rows: int):
+        self.scorer, self.waits = scorer, {}
+        self.goals = _shared(rows * scorer.qnet.norm.state.dim, np.float64).reshape(rows, -1)
+        self.words = _shared(6, np.uint64)
+        self.worker = _Forked(_score_halves, (scorer, self.goals, self.words),
+                              _Half(rows), "goalsel-eval-worker")
+        scorer.second_half = self.open
+
+    def open(self, goals, rng: np.random.Generator):
+        if goals.shape != self.goals.shape:
+            return None
+        self.goals[:] = goals
+        st = rng.bit_generator.state
+        self.words[:] = (*divmod(st["state"]["state"], _WORD),
+                         *divmod(st["state"]["inc"], _WORD), st["has_uint32"], st["uinteger"])
+        return self.worker.open_half(self.waits)
+
+    def stop(self) -> None:
+        self.scorer.second_half = None
+        self.worker.stop()
+
+
 def evaluate(policy, env, cfg: EvalConfig,
              checkpoint_hash: str | None = None) -> EvalReport:
     """Run ``n_episodes`` rollouts per seed and aggregate the three metrics.
 
     ``mean_success_length`` averages only successful episodes and is absent
-    when a seed never succeeds.
+    when a seed never succeeds. An ``iris`` policy scores on two CPUs, as the
+    module docstring sets out.
     """
     cfg.validate()
+    scorer = getattr(policy, "score", None)
+    split = (_SplitScorer(scorer, cfg.n_goals)
+             if isinstance(scorer, ProposalScorer) and _forkable() else None)
     per_seed = []
-    for seed in cfg.seeds:
-        episodes = []
-        for ep in range(cfg.n_episodes):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, ep]))
-            episodes.append(rollout(env, policy, cfg.h_max, rng, gamma=cfg.gamma))
-        successes = [e for e in episodes if e.success]
-        per_seed.append(SeedResult(
-            seed=seed,
-            success_rate=len(successes) / cfg.n_episodes,
-            mean_success_length=(float(np.mean([e.length for e in successes]))
-                                 if successes else None),
-            mean_return=float(np.mean([e.ret for e in episodes])),
-            episodes=episodes,
-        ))
+    try:
+        for seed in cfg.seeds:
+            episodes = []
+            for ep in range(cfg.n_episodes):
+                rng = np.random.default_rng(np.random.SeedSequence([seed, ep]))
+                episodes.append(rollout(env, policy, cfg.h_max, rng, gamma=cfg.gamma))
+            successes = [e for e in episodes if e.success]
+            per_seed.append(SeedResult(
+                seed=seed,
+                success_rate=len(successes) / cfg.n_episodes,
+                mean_success_length=(float(np.mean([e.length for e in successes]))
+                                     if successes else None),
+                mean_return=float(np.mean([e.ret for e in episodes])),
+                episodes=episodes,
+            ))
+    finally:
+        if split is not None:
+            split.stop()
     return EvalReport(per_seed=per_seed, config=cfg,
                       checkpoint_hash=checkpoint_hash)
 

@@ -299,9 +299,22 @@ class QNet:
 
     def value(self, s, a, use_target: bool = False) -> np.ndarray:
         """(B,) values of (B, obs) states and (B, act) actions from the online
-        or target parameters."""
+        or target parameters, or (n, B) values of (n, B, act) actions, n per
+        state."""
         net = self.target_mlp if use_target else self.mlp
-        return net.predict(self._inputs(s, a))[:, 0]
+        if np.ndim(a) == 2:
+            return net.predict(self._inputs(s, a))[:, 0]
+        # one Q input: the state columns are written once, the action columns
+        # once per proposal
+        s_n = self.norm.state.norm(s)
+        obs = s_n.shape[1]
+        x = np.empty((len(s_n), obs + self.norm.action.dim))
+        x[:, :obs] = s_n
+        out = np.empty(np.shape(a)[:-1])
+        for j, a_j in enumerate(a):
+            x[:, obs:] = self.norm.action.norm(a_j)
+            out[j] = net.predict(x)[:, 0]
+        return out
 
     def loss_and_grad(self, s, a, targets) -> tuple[float, float]:
         """Mean squared TD error against fixed targets; returns (loss, mean Q)."""
@@ -325,12 +338,15 @@ def polyak_update(qnet: QNet, tau: float) -> QNet:
     return qnet
 
 
-def proposal_noise(action_cvae: ConditionalVAE, s, m: int, rng: np.random.Generator):
+def proposal_noise(action_cvae: ConditionalVAE, s, m: int, rng: np.random.Generator,
+                   first_half: bool = False):
     """The ``(m, B, latent)`` normal draw of ``rng`` from which
     :func:`proposal_value` decodes ``m`` action proposals at each row of ``s``,
-    and ``h = ceil(m / 2)``, where a split :func:`proposal_value`'s second half
-    starts."""
-    return rng.standard_normal((m, len(s), action_cvae.latent_dim)), -(-m // 2)
+    or with ``first_half`` only its first ``h`` rows, and ``h = ceil(m / 2)``,
+    where a split :func:`proposal_value`'s second half starts. A draw fills its
+    array in order from one stream, so the rows are the same either way."""
+    h = -(-m // 2)
+    return rng.standard_normal((h if first_half else m, len(s), action_cvae.latent_dim)), h
 
 
 def proposal_max(qnet: QNet, action_cvae: ConditionalVAE, s, eps,
@@ -343,8 +359,8 @@ def proposal_max(qnet: QNet, action_cvae: ConditionalVAE, s, eps,
     n * B rows of a 128-row training batch measured slower than n forwards.
     """
     best = np.full(len(s), -np.inf)
-    for a in action_cvae.sample_each(s, len(eps), eps=eps):
-        best = np.maximum(best, qnet.value(s, a, use_target=use_target))
+    for q in qnet.value(s, action_cvae.sample_each(s, len(eps), eps=eps), use_target):
+        best = np.maximum(best, q)
     return best
 
 
@@ -356,17 +372,17 @@ def proposal_value(qnet: QNet, action_cvae: ConditionalVAE, s, m: int,
     from one :func:`proposal_noise` draw.
 
     A ``second_half`` hook splits the proposals at ``h``: it is called before
-    the draw and the first half ``[0, h)`` run here, starts the max over
-    ``[h, m)`` of the same draw elsewhere, and returns a function that waits
-    for those maxima. Their ``np.maximum`` with the first half's is the max
-    over all ``m`` bit for bit.
+    the draw, starts the max over ``[h, m)`` of the same draw elsewhere, and
+    returns a function that waits for those maxima (or None, which leaves the
+    call whole). Only the first half ``[0, h)`` is drawn and run here, and the
+    ``np.maximum`` of its maxima and the second half's is the max over all
+    ``m`` bit for bit.
     """
     # the hook goes first, so that the second half starts during this draw
     maxima = None if second_half is None else second_half()
-    eps, h = proposal_noise(action_cvae, s, m, rng)
-    if maxima is None:
-        return proposal_max(qnet, action_cvae, s, eps, use_target)
-    return np.maximum(proposal_max(qnet, action_cvae, s, eps[:h], use_target), maxima())
+    eps, _ = proposal_noise(action_cvae, s, m, rng, first_half=maxima is not None)
+    best = proposal_max(qnet, action_cvae, s, eps, use_target)
+    return best if maxima is None else np.maximum(best, maxima())
 
 
 class Regressor:

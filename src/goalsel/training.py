@@ -33,6 +33,8 @@ is restored when the worker stops. Both processes run the same update body
 memory, Adam step counters included (:meth:`~goalsel.nn.ParamStore.share`),
 and the worker draws each step's batch and rng children from its fork-time
 copies of the dataset and the step rng, the same draws this process makes.
+The fork, pin and stop code (``_Forked``) and the handoff of a half
+(``_Half``) serve :func:`~goalsel.evaluation.evaluate`'s goal scoring too.
 Checkpoints, ``metrics.csv`` and the returned models are byte-identical to a
 serial run. Per-component step times and this process's minor page faults
 per step go to ``timings.csv`` beside ``metrics.csv``; ``manifest.json``
@@ -269,11 +271,17 @@ def train_step(models: ModelSet, dataset: TrajectoryDataset, cfg: TrainConfig,
 
 def _can_fork(models: ModelSet) -> bool:
     """Whether :func:`train` runs part of each step in a forked worker: the
-    model set has two components or more (beside the policy, or the action
-    cVAE and Q-net, whose Q targets split in two halves), the process may run
-    on two or more CPUs, and it has exactly one OS thread."""
-    if len(models) < 2:
-        return False
+    model set has a role for it (components beside the policy or, without a
+    policy, the action cVAE and Q-net, whose Q targets split in two halves),
+    and :func:`_forkable`."""
+    if "policy" in models:
+        return len(models) >= 2 and _forkable()
+    return {"action_cvae", "qnet"} <= set(models) and _forkable()
+
+
+def _forkable() -> bool:
+    """Whether this process may share work with a forked worker: it may run
+    on two or more CPUs and has exactly one OS thread."""
     try:
         return (len(os.sched_getaffinity(0)) >= 2
                 and len(os.listdir("/proc/self/task")) == 1)
@@ -282,7 +290,7 @@ def _can_fork(models: ModelSet) -> bool:
 
 
 class _Stopped(RuntimeError):
-    """A wait on the half ended: training stops or the other process exited."""
+    """A wait on the half ended: the work stops or the other process exited."""
 
 
 def _shared(n: int, dtype=np.int64) -> np.ndarray:
@@ -291,21 +299,23 @@ def _shared(n: int, dtype=np.int64) -> np.ndarray:
 
 
 class _Half:
-    """The handoff of the Q targets' second half from the parent of a split
-    run without a policy to its worker: the worker's ``rows`` maxima and a
-    stop flag in shared memory, and two semaphores, ``opened`` by the parent
-    and ``done`` by the worker. A wait takes a semaphore, which :meth:`stop`
-    also releases, and ends if ``partner_alive()`` turns false."""
+    """The handoff of the second half of ``proposal_value``'s proposals from
+    a parent to its worker: the worker's ``rows`` maxima and a stop flag in
+    shared memory, and two semaphores, ``opened`` by the parent and ``done``
+    by the worker. A wait takes a semaphore, which :meth:`stop` also
+    releases, and ends if ``partner_alive()`` turns false."""
 
-    def __init__(self, rows: int, ctx):
+    def __init__(self, rows: int):
+        ctx = multiprocessing.get_context("fork")
         self.values, self.stopped = _shared(rows, np.float64), _shared(1)
         self.opened, self.done = ctx.Semaphore(0), ctx.Semaphore(0)
-        parent = os.getpid()  # the worker's view; the parent's is set in _Worker
+        parent = os.getpid()  # the worker's view; the parent's is set in _Forked
         self.partner_alive = lambda: os.getppid() == parent
 
     def serve(self, models: ModelSet, batch: WindowBatch, rngs, cfg: TrainConfig) -> None:
-        """The worker's step: draw the proposals' noise (it needs no updated
-        parameters), wait for the half to open, then write its maxima."""
+        """The training worker's step of a run without a policy: draw the Q
+        targets' proposal noise (it needs no updated parameters), wait for
+        the half to open, then write its maxima."""
         s_next = _q_transitions(batch, cfg)[3]
         eps, h = proposal_noise(models["action_cvae"], s_next, cfg.m_proposals, rngs[2])
         self.wait(self.opened)
@@ -320,10 +330,10 @@ class _Half:
             if time.perf_counter() > spin_until:
                 while not semaphore.acquire(timeout=WORKER_STOP_TIMEOUT_S):
                     if not self.partner_alive():
-                        raise _Stopped("training worker exited")
+                        raise _Stopped("worker exited")
                 break
         if self.stopped[0]:
-            raise _Stopped("training stopped")
+            raise _Stopped("stopped")
 
     def stop(self) -> None:
         """End every wait on the half, now and later."""
@@ -332,26 +342,13 @@ class _Half:
         self.done.release()
 
 
-def _serve(conn, half: _Half | None, models: ModelSet, dataset: TrajectoryDataset,
-           cfg: TrainConfig, rng: np.random.Generator) -> None:
-    """The worker's loop: per "go" received, draw the batch and rng children
-    that the parent draws from its own copy of ``rng``, then serve the
-    ``half``, or without one update every component but the policy and reply
-    with their losses and seconds; ``None`` stops it. An exception stops the
-    half and is sent back as its traceback text."""
+def _run(loop, conn, half: _Half | None, *args) -> None:
+    """A forked worker's body: ``loop(conn, half, *args)`` until it returns,
+    the parent goes or the half stops. An exception stops the half and is
+    sent back as its traceback text."""
     try:
-        while conn.recv():
-            batch, rngs = _draw(dataset, cfg, rng)
-            if half is not None:
-                half.serve(models, batch, rngs, cfg)
-                continue
-            losses: dict[str, float] = {}
-            timings: dict[str, float] = {}
-            for name in UPDATE_ORDER:
-                if name in models and name != "policy":
-                    losses.update(_update(models, name, batch, rngs, cfg, timings))
-            conn.send(("ok", losses, timings))
-    except (EOFError, _Stopped):  # the parent has gone or stops training
+        loop(conn, half, *args)
+    except (EOFError, _Stopped):  # the parent has gone or stops the worker
         pass
     except Exception:  # the worker's boundary: report to the parent, then exit
         if half is not None:
@@ -360,32 +357,42 @@ def _serve(conn, half: _Half | None, models: ModelSet, dataset: TrajectoryDatase
             conn.send(("error", traceback.format_exc()))
 
 
-class _Worker:
-    """The forked process that shares each ``train_step`` with this one: it
-    updates the components other than the policy, or, for a model set
-    without a policy, computes the second half of the Q targets (``half``).
-    The two processes are pinned to distinct CPUs of the parent's mask, as
+def _serve(conn, half: _Half | None, models: ModelSet, dataset: TrajectoryDataset,
+           cfg: TrainConfig, rng: np.random.Generator) -> None:
+    """The training worker's loop: per "go" received, draw the batch and rng
+    children that the parent draws from its own copy of ``rng``, then serve
+    the ``half``, or without one update every component but the policy and
+    reply with their losses and seconds; ``None`` stops it."""
+    while conn.recv():
+        batch, rngs = _draw(dataset, cfg, rng)
+        if half is not None:
+            half.serve(models, batch, rngs, cfg)
+            continue
+        losses: dict[str, float] = {}
+        timings: dict[str, float] = {}
+        for name in UPDATE_ORDER:
+            if name in models and name != "policy":
+                losses.update(_update(models, name, batch, rngs, cfg, timings))
+        conn.send(("ok", losses, timings))
+
+
+class _Forked:
+    """A process forked to run ``loop(conn, half, *args)`` (:func:`_run`)
+    beside this one, with a pipe (``conn``) and optionally a :class:`_Half`.
+    The two processes are pinned to distinct CPUs of this process's mask, as
     the kernel may otherwise keep both on one; :meth:`stop` restores the
     mask."""
 
-    def __init__(self, models: ModelSet, dataset: TrajectoryDataset,
-                 cfg: TrainConfig, rng: np.random.Generator):
-        self.rng = rng
-        for prefix, store in models.stores().items():
-            if prefix != "policy":
-                store.share()
+    def __init__(self, loop, args: tuple, half: _Half | None, name: str):
         ctx = multiprocessing.get_context("fork")
-        # without a policy, sample_t is 1: one Q transition per window
-        self.half = None if "policy" in models else _Half(cfg.batch_size, ctx)
+        self.half = half
         self.conn, child_conn = ctx.Pipe()
-        self.process = ctx.Process(target=_serve, name="goalsel-train-worker",
-                                   args=(child_conn, self.half, models, dataset, cfg,
-                                         rng),
-                                   daemon=True)
+        self.process = ctx.Process(target=_run, name=name,
+                                   args=(loop, child_conn, half, *args), daemon=True)
         self.process.start()
         child_conn.close()
-        if self.half is not None:
-            self.half.partner_alive = self.process.is_alive
+        if half is not None:
+            half.partner_alive = self.process.is_alive
         self.mask = os.sched_getaffinity(0)
         cpus = sorted(self.mask)
         os.sched_setaffinity(self.process.pid, {cpus[-1]})
@@ -397,16 +404,16 @@ class _Worker:
         try:
             kind, *payload = self.conn.recv()
         except EOFError:
-            raise RuntimeError("training worker exited") from None
+            raise RuntimeError(f"{self.process.name} exited") from None
         if kind == "error":
-            raise RuntimeError(f"training worker failed:\n{payload[0]}")
+            raise RuntimeError(f"{self.process.name} failed:\n{payload[0]}")
         return payload
 
     def open_half(self, timings: dict[str, float]):
-        """The :func:`~goalsel.models.proposal_value` hook of this process's
-        Q targets: open the second half to the worker, and return a function
-        that waits for its maxima (adding the seconds to ``timings["wait"]``)
-        or raises the worker's error."""
+        """A :func:`~goalsel.models.proposal_value` hook: open the second half
+        to the worker, and return a function that waits for its maxima
+        (adding the seconds to ``timings["wait"]``) or raises the worker's
+        error."""
         self.half.opened.release()
 
         def maxima() -> np.ndarray:
@@ -437,6 +444,22 @@ class _Worker:
             self.conn.close()
         finally:
             os.sched_setaffinity(0, self.mask)
+
+
+class _Worker(_Forked):
+    """The forked process that shares each ``train_step`` with this one: it
+    updates the components other than the policy, or, for a model set
+    without a policy, computes the second half of the Q targets (``half``)."""
+
+    def __init__(self, models: ModelSet, dataset: TrajectoryDataset,
+                 cfg: TrainConfig, rng: np.random.Generator):
+        self.rng = rng
+        for prefix, store in models.stores().items():
+            if prefix != "policy":
+                store.share()
+        # without a policy, sample_t is 1: one Q transition per window
+        half = None if "policy" in models else _Half(cfg.batch_size)
+        super().__init__(_serve, (models, dataset, cfg, rng), half, "goalsel-train-worker")
 
 
 def _q_transitions(batch: WindowBatch, cfg: TrainConfig):

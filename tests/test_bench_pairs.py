@@ -50,6 +50,20 @@ def test_medians_wins_and_verdicts():
     pairs[0]["change"]["end_to_end"]["train_step_ms_mean"] = 13.0  # 3 wins of 4
     assert bench_pairs.compare(pairs, SPEC)["metrics"]["train_step_ms_mean"][
         "verdict"] == "unchanged"
+    # "worse" asks as much: 2 ms slower, past the spread and inside the bound,
+    # in all 4 pairs, then in 3 of them
+    for pair, step in zip(pairs, (12.0, 13.0, 14.0, 15.0)):
+        pair["change"]["end_to_end"]["train_step_ms_mean"] = step
+    assert bench_pairs.compare(pairs, SPEC)["metrics"]["train_step_ms_mean"][
+        "verdict"] == "worse"
+    pairs[0]["change"]["end_to_end"]["train_step_ms_mean"] = 9.0
+    assert bench_pairs.compare(pairs, SPEC)["metrics"]["train_step_ms_mean"][
+        "verdict"] == "unchanged"
+    # an A/A batch of a metric that barely spreads: 44.70 -> 44.74 MB in 2 of 4
+    for k, pair in enumerate(pairs):
+        pair["parent"]["end_to_end"]["setup_s"] = 44.70
+        pair["change"]["end_to_end"]["setup_s"] = 44.74 if k % 2 else 44.70
+    assert bench_pairs.compare(pairs, SPEC)["metrics"]["setup_s"]["verdict"] == "unchanged"
     quality = metrics["quality_path_eff"]
     assert (quality["wins"], quality["past_spread"], quality["verdict"]) == \
         (0, False, "unchanged")

@@ -1,10 +1,14 @@
 import csv
+import multiprocessing
+import os
 import re
+import time
 
 import numpy as np
 import pytest
 
-from goalsel.control import make_policy
+from goalsel import evaluation as evaluation_module
+from goalsel.control import ProposalScorer, make_policy
 from goalsel.envs import GraphReachEnv, central_waypoints, make_env
 from goalsel.evaluation import (
     EvalConfig,
@@ -22,9 +26,10 @@ from goalsel.evaluation import (
     SVG_MARGIN,
     SVG_SIZE,
 )
+from goalsel.models import VARIANTS, build_models
 from goalsel.nn import load_checkpoint, save_checkpoint
-from goalsel.training import train
-from conftest import oracle, small_train_config
+from goalsel.training import WORKER_STOP_TIMEOUT_S, train
+from conftest import flat_norm, oracle, small_train_config
 
 
 class ZeroPolicy:
@@ -151,6 +156,94 @@ class TestEvaluate:
                           EvalConfig(n_episodes=4, h_max=5, seeds=(0,)))
         counted = sum(e.success for e in report.per_seed[0].episodes)
         assert report.per_seed[0].success_rate == counted / 4
+
+
+def report_bytes(report):
+    """An eval report's dict and every episode's states, actions and goal log."""
+    return (report.to_dict(),
+            [(e.states.tobytes(), e.actions.tobytes(),
+              [(g.step, g.goal.tobytes(), g.score) for g in e.goal_log])
+             for s in report.per_seed for e in s.episodes])
+
+
+class TestSplitScoring:
+    CFG = EvalConfig(n_episodes=2, h_max=60, seeds=(0, 3), n_goals=12, m_actions=3)
+
+    @pytest.fixture(autouse=True)
+    def clean_state(self):
+        # the split leaves this process's CPU mask as it found it, and no worker
+        mask = os.sched_getaffinity(0)
+        yield
+        assert os.sched_getaffinity(0) == mask
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def iris_policy(trained_iris_run):
+        result, dataset = trained_iris_run
+        return (make_policy(result.models, t_segment=10, n_goals=12, m_actions=3),
+                make_env(dataset.env_id))
+
+    def test_split_matches_serial(self, trained_iris_run, monkeypatch):
+        opened = []
+        real_open = evaluation_module._SplitScorer.open
+        monkeypatch.setattr(evaluation_module._SplitScorer, "open",
+                            lambda self, *args: opened.append(1) or real_open(self, *args))
+        reports = {}
+        for split in (True, False):
+            monkeypatch.setattr(evaluation_module, "_forkable", lambda: split)
+            policy, env = self.iris_policy(trained_iris_run)
+            reports[split] = report_bytes(evaluate(policy, env, self.CFG))
+            assert policy.score.second_half is None
+        assert reports[True] == reports[False]
+        # each of the 2 x 2 episodes refreshes its goal every 10 of its steps
+        assert len(opened) >= 4
+
+    def test_worker_failure_raised_in_parent(self, trained_iris_run, monkeypatch):
+        def failing(self, goals, rng):  # only the worker scores second halves
+            raise ArithmeticError("half exploded")
+
+        monkeypatch.setattr(ProposalScorer, "second_half_max", failing)
+        monkeypatch.setattr(evaluation_module, "_forkable", lambda: True)
+        policy, env = self.iris_policy(trained_iris_run)
+        started = time.perf_counter()
+        with pytest.raises(RuntimeError, match="(?s)Traceback.*half exploded"):
+            evaluate(policy, env, self.CFG)
+        assert time.perf_counter() - started < WORKER_STOP_TIMEOUT_S / 4
+        assert policy.score.second_half is None
+
+    def test_parent_failure_stops_worker(self, trained_iris_run, monkeypatch):
+        real = evaluation_module.rollout
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise FloatingPointError("rollout failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation_module, "rollout", failing)
+        monkeypatch.setattr(evaluation_module, "_forkable", lambda: True)
+        policy, env = self.iris_policy(trained_iris_run)
+        with pytest.raises(FloatingPointError, match="rollout failed"):
+            evaluate(policy, env, self.CFG)
+        assert policy.score.second_half is None
+
+    @pytest.mark.parametrize("variant, cpus", [
+        *((v, {0, 1}) for v in VARIANTS if v != "iris"), ("iris", {0})])
+    def test_no_fork_without_a_proposal_scorer_or_second_cpu(self, monkeypatch,
+                                                              variant, cpus):
+        models = build_models(variant, 2, 2, flat_norm(), hidden_dim=6, enc_dim=6,
+                              rng=np.random.default_rng(0))
+        policy = make_policy(models, n_goals=12, m_actions=3)
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(os, "fork", no_fork)
+        report = evaluate(policy, GraphReachEnv(), EvalConfig(
+            n_episodes=1, h_max=20, seeds=(0,), n_goals=12, m_actions=3))
+        assert report.per_seed[0].episodes[0].length == 20
 
 
 class TestNearestState:

@@ -11,6 +11,7 @@ from goalsel.models import (
     build_models,
     polyak_update,
     proposal_max,
+    proposal_noise,
     proposal_value,
 )
 from goalsel.nn import GaussianHead, adam_step, grad_check, kl_to_standard_normal
@@ -444,6 +445,14 @@ class TestQNet:
         x = np.concatenate([norm.state.norm(s), norm.action.norm(a)], axis=1)
         assert np.allclose(q.value(s, a), q.mlp.forward(x)[0][:, 0])
 
+    def test_values_of_stacked_actions_are_each_batch_values(self, rng):
+        q = QNet(2, 2, random_norm(rng), hidden_dim=5, rng=rng)
+        s, a = rng.normal(0, 1, (7, 2)), rng.normal(0, 1, (3, 7, 2))
+        stacked = q.value(s, a, use_target=True)
+        assert stacked.shape == (3, 7)
+        for j in range(3):
+            assert stacked[j].tobytes() == q.value(s, a[j], use_target=True).tobytes()
+
     def test_loss_gradient_check(self, rng):
         q = QNet(2, 2, random_norm(rng), hidden_dim=5, rng=rng)
         s = rng.normal(0, 1, (4, 2))
@@ -479,6 +488,18 @@ class TestProposalValue:
             value, _ = net.forward(np.concatenate([s_n, a_n], axis=1))
             best = np.maximum(best, value[:, 0])
         assert got.tobytes() == split.tobytes() == best.tobytes()
+
+
+    @pytest.mark.parametrize("m, batch, latent", [(10, 100, 4), (10, 128, 4), (9, 7, 3)])
+    def test_first_half_draw_is_a_prefix_of_the_full_draw(self, rng, m, batch, latent):
+        # a split's calling process draws only the first half's noise
+        cvae = ConditionalVAE(flat_norm().action, flat_norm().state, latent, 0.05, rng=rng)
+        s = np.zeros((batch, 2))
+        full, h = proposal_noise(cvae, s, m, np.random.default_rng(3))
+        first, h_first = proposal_noise(cvae, s, m, np.random.default_rng(3), first_half=True)
+        assert h == h_first == -(-m // 2)
+        assert full.shape == (m, batch, latent) and first.shape == (h, batch, latent)
+        assert first.tobytes() == full[:h].tobytes()
 
 
 class TestPolyak:

@@ -18,6 +18,7 @@ from goalsel.models import (
     COMPONENTS,
     VARIANTS,
     ConditionalVAE,
+    ModelSet,
     PolicyRNN,
     QNet,
     build_models,
@@ -32,7 +33,7 @@ from goalsel.training import (
     train,
     train_step,
 )
-from conftest import flat_norm, make_dataset, small_train_config
+from conftest import bc_net, flat_norm, make_dataset, small_train_config
 
 
 def q_target(qnet, action_cvae, s_next, r, is_terminal, gamma, n_proposals, rng):
@@ -589,6 +590,14 @@ class TestSplitWorker:
                               rng=np.random.default_rng(0))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         assert training_module._can_fork(models)
+
+    def test_gate_shut_without_policy_or_action_cvae(self, monkeypatch):
+        # no process would ever open a Q-target half for the worker to serve
+        rng = np.random.default_rng(0)
+        models = ModelSet([("qnet", QNet(2, 2, flat_norm(), hidden_dim=4, rng=rng)),
+                           ("bc", bc_net(flat_norm(), hidden_dim=4, rng=rng))])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert not training_module._can_fork(models)
 
     def test_gate_shut_on_one_cpu_or_second_thread(self, small_demo_set,
                                                    monkeypatch):

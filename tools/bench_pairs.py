@@ -13,8 +13,9 @@ spread. The verdict is "worse past bound" when the change's median is worse
 by more than the bound; "unresolved" when the parent's spread is wider than
 the bound, unless every run of the change reads better than every run of the
 parent; "better" when the change won at least nine tenths of the pairs and
-its median is better by more than the parent's spread; "worse" when it is
-worse by more than that spread; otherwise "unchanged".
+its median is better by more than the parent's spread; "worse" when it lost
+at least nine tenths of the pairs and its median is worse by more than that
+spread; otherwise "unchanged".
 Pairs whose two runs differ in ``checkpoint_sha256`` or in failure count are
 flagged. Run both checkouts from clean trees: ``bench/run.py`` imports the
 package from its own checkout's ``src/``.
@@ -54,6 +55,7 @@ def compare(pairs: list[dict[str, dict]], spec: list[dict]) -> dict:
         spread = parent["q3"] - parent["q1"]
         limit = m["bound"] * abs(parent["median"])
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        losses = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
         all_better = (min(sign * v for v in values["change"])
                       > max(sign * v for v in values["parent"]))
         if gain < -limit:
@@ -62,7 +64,7 @@ def compare(pairs: list[dict[str, dict]], spec: list[dict]) -> dict:
             verdict = "unresolved"
         elif gain > spread and wins >= 0.9 * len(both):
             verdict = "better"
-        elif gain < -spread:
+        elif gain < -spread and losses >= 0.9 * len(both):
             verdict = "worse"
         else:
             verdict = "unchanged"
