@@ -5,14 +5,10 @@ Every subcommand reads an optional flat JSON config plus repeatable
 Errors exit nonzero without writing partial outputs.
 
 BLAS is pinned to one thread unless the environment says otherwise: the
-models' products are too small to gain from a thread pool, and a
-single-threaded process lets training share each step with a forked worker:
-the updates other than the policy's, or for ``bcq`` half of the Q targets'
-action proposals (see :mod:`goalsel.training`). Eval of an ``iris`` run shares
-half of each goal refresh's action proposals that way. Under a one-CPU mask
-(``taskset -c N goalsel train ...``) both run serially, with the same
-outputs. Pin each run of a sweep to its own CPU that way: split runs side by
-side all pin their parent process to the first CPU of their mask.
+models' products are too small to gain from a thread pool, and only a
+single-threaded process shares training steps, or an ``iris`` run's goal
+scoring, with a forked worker (:mod:`goalsel.procs`; ``taskset -c N`` runs
+serially, with the same outputs).
 """
 
 from __future__ import annotations

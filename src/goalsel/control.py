@@ -12,8 +12,7 @@ Controllers are stateful per-rollout objects; the underlying frozen models can
 be shared read-only. They act on one state at a time, so they add the batch
 axis that the models take and drop it from what the models return.
 The ``iris`` scorer, :class:`ProposalScorer`, takes an optional split hook,
-which :func:`~goalsel.evaluation.evaluate` sets to score on two CPUs (under a
-one-CPU mask, ``taskset -c N``, it scores serially).
+which :func:`~goalsel.evaluation.evaluate` sets (see :mod:`goalsel.procs`).
 """
 
 from __future__ import annotations

@@ -229,8 +229,9 @@ class TrajectoryDataset:
         state_rows = (state_start[traj_index] + start)[:, None] + steps
         action_rows = (action_start[traj_index] + start)[:, None] + steps[:-1]
         # a window is terminal iff it is the last one of its trajectory
-        return WindowBatch(states=self.stacked_states[state_rows],
-                           actions=actions[action_rows], rewards=rewards[action_rows],
+        return WindowBatch(states=self.stacked_states.take(state_rows, axis=0),
+                           actions=actions.take(action_rows, axis=0),
+                           rewards=rewards.take(action_rows, axis=0),
                            is_terminal=flats + 1 == offsets[j + 1],
                            traj_index=traj_index, start=start)
 

@@ -8,10 +8,9 @@ derived from (seed, episode index): evaluations are deterministic and
 order-independent. Returns are absorbing-goal returns (``discounted_return``).
 
 :func:`evaluate` scores an ``iris`` controller's goals on two CPUs: a worker
-forked for the call and pinned as the training split's (:mod:`goalsel.training`)
-scores the second half of each refresh's action proposals, with identical
-reports. Under a one-CPU mask (``taskset -c N``), or for any other
-controller, the call is serial.
+forked for the call (:mod:`goalsel.procs`) scores the second half of each
+refresh's action proposals, with identical reports. Any other controller, or
+a one-CPU mask, keeps the call serial.
 """
 
 from __future__ import annotations
@@ -31,7 +30,8 @@ from .data import TrajectoryDataset
 from .envs import EpisodeRecord, discounted_return, rollout  # noqa: F401
 from .models import ModelSet, build_models
 from .nn import load_checkpoint
-from .training import TrainConfig, _Forked, _forkable, _Half, _shared
+from .procs import Forked, Half, forkable, shared
+from .training import TrainConfig
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ class EvalReport:
 _WORD = 1 << 64
 
 
-def _score_halves(conn, half: _Half, scorer: ProposalScorer, goals, words) -> None:
+def _score_halves(conn, half: Half, scorer: ProposalScorer, goals, words) -> None:
     """The eval worker's loop: per opened half, set an rng to the PCG64 state
     in ``words`` and write the second half's maxima for ``goals``."""
     rng = np.random.Generator(np.random.PCG64(0))
@@ -148,10 +148,10 @@ class _SplitScorer:
 
     def __init__(self, scorer: ProposalScorer, rows: int):
         self.scorer, self.waits = scorer, {}
-        self.goals = _shared(rows * scorer.qnet.norm.state.dim, np.float64).reshape(rows, -1)
-        self.words = _shared(6, np.uint64)
-        self.worker = _Forked(_score_halves, (scorer, self.goals, self.words),
-                              _Half(rows), "goalsel-eval-worker")
+        self.goals = shared(rows * scorer.qnet.norm.state.dim, np.float64).reshape(rows, -1)
+        self.words = shared(6, np.uint64)
+        self.worker = Forked(_score_halves, (scorer, self.goals, self.words),
+                             Half(rows), "goalsel-eval-worker")
         scorer.second_half = self.open
 
     def open(self, goals, rng: np.random.Generator):
@@ -179,7 +179,7 @@ def evaluate(policy, env, cfg: EvalConfig,
     cfg.validate()
     scorer = getattr(policy, "score", None)
     split = (_SplitScorer(scorer, cfg.n_goals)
-             if isinstance(scorer, ProposalScorer) and _forkable() else None)
+             if isinstance(scorer, ProposalScorer) and forkable() else None)
     per_seed = []
     try:
         for seed in cfg.seeds:

@@ -12,29 +12,17 @@ sample from the action VAE after its update. A variant updates only its
 components (``models.VARIANTS``); per-component noise comes from fixed rng
 slots so an absent component never perturbs the others' draws.
 
-:func:`train` splits each step between this process and one forked worker
-when it can, with roles fixed by the model set. With a policy, which shares
-no parameters and no rng draws with the other components, this process
-updates the policy and the worker updates the rest, computing the Q targets
-in place as a serial run does, and replies with their losses and seconds.
-Without one (``bcq``), this process updates the action cVAE and the Q-net,
-and the worker computes the second half of the Q targets' action proposals
-(``models.proposal_value``): it waits for this process to open the half,
-writes the maxima to shared memory and signals that they are done. The
-worker starts after the initial checkpoint and is stopped when training ends
-or fails. It is used only when the model set has two components or more, the
-process may run on two or more CPUs, and the process has exactly one OS
-thread (a BLAS thread pool in each process would fight over the cores, and
-only a single-threaded process is safe to fork); otherwise every update runs
-here. The two processes are pinned to two distinct CPUs of this process's
-affinity mask, since the kernel may otherwise run both on one, and the mask
-is restored when the worker stops. Both processes run the same update body
-(``_update``): the stores of every component but the policy live in shared
-memory, Adam step counters included (:meth:`~goalsel.nn.ParamStore.share`),
-and the worker draws each step's batch and rng children from its fork-time
-copies of the dataset and the step rng, the same draws this process makes.
-The fork, pin and stop code (``_Forked``) and the handoff of a half
-(``_Half``) serve :func:`~goalsel.evaluation.evaluate`'s goal scoring too.
+:func:`train` shares each step with one worker forked through
+:mod:`goalsel.procs` when the model set gives it a role (``_can_fork``), from
+the initial checkpoint until training ends or fails. With a policy, which
+shares no parameters and no rng draws with the other components, this process
+updates the policy and the worker the rest, and replies with their losses and
+seconds. Without one (``bcq``), this process updates both components, and the
+worker hands back the maxima of the second half of the Q targets' action
+proposals through a :class:`~goalsel.procs.Half`. Both run one update body
+(``_update``) on the stores in shared memory, every one but the policy's
+(:meth:`~goalsel.nn.ParamStore.share`), and the worker mirrors this process's
+draws from its fork-time copies of the dataset and the step rng.
 Checkpoints, ``metrics.csv`` and the returned models are byte-identical to a
 serial run. Per-component step times and this process's minor page faults
 per step go to ``timings.csv`` beside ``metrics.csv``; ``manifest.json``
@@ -48,13 +36,9 @@ import csv
 import functools
 import json
 import math
-import mmap
-import multiprocessing
-import os
 import platform
 import resource
 import time
-import traceback
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -77,6 +61,7 @@ from .models import (
     proposal_value,
 )
 from .nn import adam_step, grad_check, save_checkpoint
+from .procs import Forked, Half, forkable
 
 METRIC_COLUMNS = ("iter", "loss_policy", "loss_goal_recon", "loss_goal_kl",
                   "loss_action_recon", "loss_action_kl", "loss_q", "q_mean")
@@ -86,10 +71,6 @@ METRIC_COLUMNS = ("iter", "loss_policy", "loss_goal_recon", "loss_goal_kl",
 # faults per step of this process, within ``train_step``.
 TIMING_COLUMNS = ("iter", "sample", "policy", "goal_cvae", "goal_reg", "action_cvae",
                   "q", "wait", "faults")
-WORKER_STOP_TIMEOUT_S = 10.0
-# A wait on the other training process spins this long before it blocks: a
-# blocked process took 44 us (median) to 407 us (p90) to wake on a KVM host.
-SPIN_S = 0.002
 
 
 @dataclass(frozen=True)
@@ -273,100 +254,28 @@ def _can_fork(models: ModelSet) -> bool:
     """Whether :func:`train` runs part of each step in a forked worker: the
     model set has a role for it (components beside the policy or, without a
     policy, the action cVAE and Q-net, whose Q targets split in two halves),
-    and :func:`_forkable`."""
+    and :func:`~goalsel.procs.forkable`."""
     if "policy" in models:
-        return len(models) >= 2 and _forkable()
-    return {"action_cvae", "qnet"} <= set(models) and _forkable()
+        return len(models) >= 2 and forkable()
+    return {"action_cvae", "qnet"} <= set(models) and forkable()
 
 
-def _forkable() -> bool:
-    """Whether this process may share work with a forked worker: it may run
-    on two or more CPUs and has exactly one OS thread."""
-    try:
-        return (len(os.sched_getaffinity(0)) >= 2
-                and len(os.listdir("/proc/self/task")) == 1)
-    except (AttributeError, OSError):  # no affinity call or no /proc: serial
-        return False
-
-
-class _Stopped(RuntimeError):
-    """A wait on the half ended: the work stops or the other process exited."""
-
-
-def _shared(n: int, dtype=np.int64) -> np.ndarray:
-    """n zeros of an 8-byte dtype in memory that a forked process shares."""
-    return np.frombuffer(mmap.mmap(-1, 8 * n), dtype)
-
-
-class _Half:
-    """The handoff of the second half of ``proposal_value``'s proposals from
-    a parent to its worker: the worker's ``rows`` maxima and a stop flag in
-    shared memory, and two semaphores, ``opened`` by the parent and ``done``
-    by the worker. A wait takes a semaphore, which :meth:`stop` also
-    releases, and ends if ``partner_alive()`` turns false."""
-
-    def __init__(self, rows: int):
-        ctx = multiprocessing.get_context("fork")
-        self.values, self.stopped = _shared(rows, np.float64), _shared(1)
-        self.opened, self.done = ctx.Semaphore(0), ctx.Semaphore(0)
-        parent = os.getpid()  # the worker's view; the parent's is set in _Forked
-        self.partner_alive = lambda: os.getppid() == parent
-
-    def serve(self, models: ModelSet, batch: WindowBatch, rngs, cfg: TrainConfig) -> None:
-        """The training worker's step of a run without a policy: draw the Q
-        targets' proposal noise (it needs no updated parameters), wait for
-        the half to open, then write its maxima."""
-        s_next = _q_transitions(batch, cfg)[3]
-        eps, h = proposal_noise(models["action_cvae"], s_next, cfg.m_proposals, rngs[2])
-        self.wait(self.opened)
-        self.values[:] = proposal_max(models["qnet"], models["action_cvae"], s_next,
-                                      eps[h:], use_target=True)
-        self.done.release()
-
-    def wait(self, semaphore) -> None:
-        """Take ``semaphore``, spinning for up to ``SPIN_S`` before blocking."""
-        spin_until = time.perf_counter() + SPIN_S
-        while not semaphore.acquire(False):
-            if time.perf_counter() > spin_until:
-                while not semaphore.acquire(timeout=WORKER_STOP_TIMEOUT_S):
-                    if not self.partner_alive():
-                        raise _Stopped("worker exited")
-                break
-        if self.stopped[0]:
-            raise _Stopped("stopped")
-
-    def stop(self) -> None:
-        """End every wait on the half, now and later."""
-        self.stopped[0] = 1
-        self.opened.release()
-        self.done.release()
-
-
-def _run(loop, conn, half: _Half | None, *args) -> None:
-    """A forked worker's body: ``loop(conn, half, *args)`` until it returns,
-    the parent goes or the half stops. An exception stops the half and is
-    sent back as its traceback text."""
-    try:
-        loop(conn, half, *args)
-    except (EOFError, _Stopped):  # the parent has gone or stops the worker
-        pass
-    except Exception:  # the worker's boundary: report to the parent, then exit
-        if half is not None:
-            half.stop()
-        with contextlib.suppress(OSError):
-            conn.send(("error", traceback.format_exc()))
-
-
-def _serve(conn, half: _Half | None, models: ModelSet, dataset: TrajectoryDataset,
-           cfg: TrainConfig, rng: np.random.Generator) -> None:
-    """The training worker's loop: per "go" received, draw the batch and rng
-    children that the parent draws from its own copy of ``rng``, then serve
-    the ``half``, or without one update every component but the policy and
-    reply with their losses and seconds; ``None`` stops it."""
+def _worker_loop(conn, half: Half | None, models: ModelSet, dataset: TrajectoryDataset,
+                 cfg: TrainConfig, rng: np.random.Generator) -> None:
+    """The training worker's loop: per "go", draw the parent's batch and rng
+    children from this copy of ``rng``; then, with a ``half``, draw the Q
+    targets' proposal noise (no update needed), wait for the half to open and
+    write its maxima, or else update every component but the policy and reply
+    with their losses and seconds. ``None`` stops it."""
     while conn.recv():
         batch, rngs = _draw(dataset, cfg, rng)
         if half is not None:
-            half.serve(models, batch, rngs, cfg)
+            s_next = _q_transitions(batch, cfg)[3]
+            eps, h = proposal_noise(models["action_cvae"], s_next, cfg.m_proposals, rngs[2])
+            half.wait(half.opened)
+            half.values[:] = proposal_max(models["qnet"], models["action_cvae"], s_next,
+                                          eps[h:], use_target=True)
+            half.done.release()
             continue
         losses: dict[str, float] = {}
         timings: dict[str, float] = {}
@@ -376,77 +285,7 @@ def _serve(conn, half: _Half | None, models: ModelSet, dataset: TrajectoryDatase
         conn.send(("ok", losses, timings))
 
 
-class _Forked:
-    """A process forked to run ``loop(conn, half, *args)`` (:func:`_run`)
-    beside this one, with a pipe (``conn``) and optionally a :class:`_Half`.
-    The two processes are pinned to distinct CPUs of this process's mask, as
-    the kernel may otherwise keep both on one; :meth:`stop` restores the
-    mask."""
-
-    def __init__(self, loop, args: tuple, half: _Half | None, name: str):
-        ctx = multiprocessing.get_context("fork")
-        self.half = half
-        self.conn, child_conn = ctx.Pipe()
-        self.process = ctx.Process(target=_run, name=name,
-                                   args=(loop, child_conn, half, *args), daemon=True)
-        self.process.start()
-        child_conn.close()
-        if half is not None:
-            half.partner_alive = self.process.is_alive
-        self.mask = os.sched_getaffinity(0)
-        cpus = sorted(self.mask)
-        os.sched_setaffinity(self.process.pid, {cpus[-1]})
-        os.sched_setaffinity(0, {cpus[0]})
-
-    def reply(self) -> tuple[dict[str, float], dict[str, float]]:
-        """The worker's losses and component seconds for the step, or its
-        error raised here."""
-        try:
-            kind, *payload = self.conn.recv()
-        except EOFError:
-            raise RuntimeError(f"{self.process.name} exited") from None
-        if kind == "error":
-            raise RuntimeError(f"{self.process.name} failed:\n{payload[0]}")
-        return payload
-
-    def open_half(self, timings: dict[str, float]):
-        """A :func:`~goalsel.models.proposal_value` hook: open the second half
-        to the worker, and return a function that waits for its maxima
-        (adding the seconds to ``timings["wait"]``) or raises the worker's
-        error."""
-        self.half.opened.release()
-
-        def maxima() -> np.ndarray:
-            with _timed(timings, "wait"):
-                try:
-                    self.half.wait(self.half.done)
-                except _Stopped:  # the worker failed or exited: raise its error
-                    self.reply()
-                    raise
-            return self.half.values
-
-        return maxima
-
-    def stop(self) -> None:
-        """Stop the worker, whatever state it is in, and restore this
-        process's CPU mask."""
-        try:
-            if self.half is not None:
-                self.half.stop()
-            with contextlib.suppress(OSError, EOFError):  # the worker may be gone
-                self.conn.send(None)
-                while self.conn.poll(WORKER_STOP_TIMEOUT_S):
-                    self.conn.recv()
-            self.process.join(WORKER_STOP_TIMEOUT_S)
-            if self.process.is_alive():
-                self.process.terminate()
-                self.process.join()
-            self.conn.close()
-        finally:
-            os.sched_setaffinity(0, self.mask)
-
-
-class _Worker(_Forked):
+class _Worker(Forked):
     """The forked process that shares each ``train_step`` with this one: it
     updates the components other than the policy, or, for a model set
     without a policy, computes the second half of the Q targets (``half``)."""
@@ -458,8 +297,8 @@ class _Worker(_Forked):
             if prefix != "policy":
                 store.share()
         # without a policy, sample_t is 1: one Q transition per window
-        half = None if "policy" in models else _Half(cfg.batch_size)
-        super().__init__(_serve, (models, dataset, cfg, rng), half, "goalsel-train-worker")
+        half = None if "policy" in models else Half(cfg.batch_size)
+        super().__init__(_worker_loop, (models, dataset, cfg, rng), half, "goalsel-train-worker")
 
 
 def _q_transitions(batch: WindowBatch, cfg: TrainConfig):

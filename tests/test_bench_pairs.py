@@ -4,6 +4,8 @@ benchmark runs."""
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
@@ -93,3 +95,30 @@ def test_pairs_with_other_outputs_or_failures_are_flagged():
 def test_sides_alternate_parent_first_on_odd_pairs():
     assert [bench_pairs.order(k) for k in (1, 2, 3)] == [
         ("parent", "change"), ("change", "parent"), ("parent", "change")]
+
+
+def test_aa_runs_a_copy_and_prints_its_false_verdicts(tmp_path, monkeypatch, capsys):
+    checkout = tmp_path / "tree"
+    (checkout / "src").mkdir(parents=True)
+    (checkout / "src" / "mod.py").write_text("x = 1\n")
+    (checkout / ".git").mkdir()
+    seen = []
+
+    def fake_run(workload, seed, seconds, where):
+        seen.append(where)
+        assert (where / "src" / "mod.py").read_text() == "x = 1\n"
+        copy = where != checkout
+        assert (where / ".git").exists() != copy
+        # the copy reads 2 ms faster in every pair, and alike elsewhere
+        return record(10.0 + seed - 2.0 * copy, 100.0 + seed, 1.0 + seed)
+
+    monkeypatch.setattr(bench_pairs, "run_one", fake_run)
+    assert bench_pairs.main([str(checkout), "--aa", "--workload", "train-iris",
+                             "--pairs", "4"]) == 0
+    assert len(seen) == 8 and len(set(seen)) == 2 and not seen[1].exists()
+    false = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("false verdict")]
+    assert false == ["false verdict: train_step_ms_mean better (4/4 wins)"]
+    with pytest.raises(SystemExit):
+        bench_pairs.main([str(checkout), str(checkout), "--aa", "--workload",
+                          "train-iris", "--pairs", "1"])

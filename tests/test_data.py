@@ -10,6 +10,7 @@ from goalsel.binfile import FormatError
 from goalsel.data import (
     Trajectory,
     TrajectoryDataset,
+    WindowBatch,
     filter_best_fraction,
     load,
     save,
@@ -116,6 +117,21 @@ class TestNormStats:
         assert np.allclose(stats.action.denorm(stats.action.norm(x)), x)
 
 
+def fancy_index_batch(ds, t_window, batch_size, rng):
+    """``sample_window_batch`` with fancy indexing in place of ``take``."""
+    idx, offsets = ds._windows(t_window)
+    flats = rng.integers(offsets[-1], size=batch_size)
+    j = np.searchsorted(offsets, flats, side="right") - 1
+    traj_index, start = idx[j], flats - offsets[j]
+    actions, rewards, state_start, action_start = ds._flat_transitions
+    steps = np.arange(t_window + 1)
+    state_rows = (state_start[traj_index] + start)[:, None] + steps
+    action_rows = (action_start[traj_index] + start)[:, None] + steps[:-1]
+    return WindowBatch(states=ds.stacked_states[state_rows], actions=actions[action_rows],
+                       rewards=rewards[action_rows], is_terminal=flats + 1 == offsets[j + 1],
+                       traj_index=traj_index, start=start)
+
+
 class TestSampleWindow:
     def test_full_length_window_is_terminal(self, rng):
         ds = make_dataset(rng, lengths=[6])
@@ -168,6 +184,18 @@ class TestSampleWindow:
                 got = getattr(w, field)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), field
+
+    @pytest.mark.parametrize("t_window", [1, 10])
+    def test_take_matches_fancy_index(self, rng, t_window):
+        ds = make_dataset(rng, lengths=[10, 13, 11, 25, 40])
+        for seed in range(40):
+            got = ds.sample_window_batch(t_window, 32, np.random.default_rng(seed))
+            want = fancy_index_batch(ds, t_window, 32, np.random.default_rng(seed))
+            for field in WindowBatch.__dataclass_fields__:
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and a.shape == b.shape, field
+                assert a.flags.c_contiguous and b.flags.c_contiguous, field
+                assert a.tobytes() == b.tobytes(), field
 
     def test_seeded_determinism(self, rng):
         ds = make_dataset(rng, n_traj=6)

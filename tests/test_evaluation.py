@@ -28,7 +28,8 @@ from goalsel.evaluation import (
 )
 from goalsel.models import VARIANTS, build_models
 from goalsel.nn import load_checkpoint, save_checkpoint
-from goalsel.training import WORKER_STOP_TIMEOUT_S, train
+from goalsel.procs import WORKER_STOP_TIMEOUT_S
+from goalsel.training import train
 from conftest import flat_norm, oracle, small_train_config
 
 
@@ -190,7 +191,7 @@ class TestSplitScoring:
                             lambda self, *args: opened.append(1) or real_open(self, *args))
         reports = {}
         for split in (True, False):
-            monkeypatch.setattr(evaluation_module, "_forkable", lambda: split)
+            monkeypatch.setattr(evaluation_module, "forkable", lambda: split)
             policy, env = self.iris_policy(trained_iris_run)
             reports[split] = report_bytes(evaluate(policy, env, self.CFG))
             assert policy.score.second_half is None
@@ -203,7 +204,7 @@ class TestSplitScoring:
             raise ArithmeticError("half exploded")
 
         monkeypatch.setattr(ProposalScorer, "second_half_max", failing)
-        monkeypatch.setattr(evaluation_module, "_forkable", lambda: True)
+        monkeypatch.setattr(evaluation_module, "forkable", lambda: True)
         policy, env = self.iris_policy(trained_iris_run)
         started = time.perf_counter()
         with pytest.raises(RuntimeError, match="(?s)Traceback.*half exploded"):
@@ -222,7 +223,7 @@ class TestSplitScoring:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(evaluation_module, "rollout", failing)
-        monkeypatch.setattr(evaluation_module, "_forkable", lambda: True)
+        monkeypatch.setattr(evaluation_module, "forkable", lambda: True)
         policy, env = self.iris_policy(trained_iris_run)
         with pytest.raises(FloatingPointError, match="rollout failed"):
             evaluate(policy, env, self.CFG)

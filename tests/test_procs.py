@@ -1,0 +1,63 @@
+import ast
+import multiprocessing
+import os
+import signal
+import time
+from pathlib import Path
+
+import pytest
+
+import goalsel
+from goalsel import procs
+
+PACKAGE = Path(goalsel.__file__).parent
+
+
+def goalsel_imports(path: Path):
+    """(module, name) for each name that the module at ``path`` imports from
+    goalsel; ``name`` is None for a whole-module import."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "goalsel"):
+            for alias in node.names:
+                yield node.module, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "goalsel":
+                    yield alias.name, None
+
+
+class TestLayout:
+    def test_no_module_imports_another_modules_private_name(self):
+        private = []
+        for path in sorted(PACKAGE.glob("*.py")):
+            for module, name in goalsel_imports(path):
+                if name and name.startswith("_") and not name.startswith("__"):
+                    private.append(f"{path.name}: {name} from {module}")
+        assert private == []
+
+    def test_procs_imports_no_goalsel_module(self):
+        assert list(goalsel_imports(PACKAGE / "procs.py")) == []
+
+
+def deaf(conn, half):
+    """A worker loop that never reads its pipe, so never sees the stop."""
+    while True:
+        time.sleep(0.05)
+
+
+class TestForked:
+    def test_worker_that_ignores_the_stop_is_terminated(self, monkeypatch):
+        mask = os.sched_getaffinity(0)
+        if len(mask) < 2:
+            pytest.skip("needs two CPUs")
+        monkeypatch.setattr(procs, "WORKER_STOP_TIMEOUT_S", 0.2)
+        worker = procs.Forked(deaf, (), procs.Half(1), "goalsel-deaf-worker")
+        assert os.sched_getaffinity(0) != mask
+        started = time.perf_counter()
+        worker.stop()
+        # the pipe's poll and then the join each wait out the timeout
+        assert 0.4 <= time.perf_counter() - started < 5.0
+        assert worker.process.exitcode == -signal.SIGTERM
+        assert os.sched_getaffinity(0) == mask
+        assert multiprocessing.active_children() == []

@@ -23,6 +23,7 @@ from goalsel.models import (
     QNet,
     build_models,
 )
+from goalsel.procs import WORKER_STOP_TIMEOUT_S
 from goalsel.training import (
     METRIC_COLUMNS,
     TIMING_COLUMNS,
@@ -459,7 +460,7 @@ class TestSplitWorker:
         started = time.perf_counter()
         with pytest.raises(RuntimeError, match="half exploded"):
             train(dataset, tiny_config("bcq"), tmp_path / "r")
-        assert time.perf_counter() - started < training_module.WORKER_STOP_TIMEOUT_S / 4
+        assert time.perf_counter() - started < WORKER_STOP_TIMEOUT_S / 4
         assert multiprocessing.active_children() == []
 
     def test_parent_failure_in_bcq_step_stops_waiting_worker(self, small_demo_set,
@@ -480,7 +481,7 @@ class TestSplitWorker:
         started = time.perf_counter()
         with pytest.raises(FloatingPointError, match="step failed"):
             train(dataset, tiny_config("bcq"), tmp_path / "r")
-        assert time.perf_counter() - started < training_module.WORKER_STOP_TIMEOUT_S / 4
+        assert time.perf_counter() - started < WORKER_STOP_TIMEOUT_S / 4
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("where", ["train_step", "policy", "q"])
@@ -545,7 +546,7 @@ class TestSplitWorker:
         # patched before the fork, so the worker logs its updates and halves too
         dataset, _ = small_demo_set
         log = tmp_path / "log"
-        real_update, real_serve = training_module._update, training_module._Half.serve
+        real_update, real_max = training_module._update, training_module.proposal_max
 
         def record(name):
             with open(log, "a") as fh:
@@ -555,12 +556,12 @@ class TestSplitWorker:
             record(name)
             return real_update(models, name, *args)
 
-        def serve(self, *args):
+        def half_max(*args, **kwargs):  # only the worker's half calls it from training
             record("half")
-            return real_serve(self, *args)
+            return real_max(*args, **kwargs)
 
         monkeypatch.setattr(training_module, "_update", update)
-        monkeypatch.setattr(training_module._Half, "serve", serve)
+        monkeypatch.setattr(training_module, "proposal_max", half_max)
         gate(monkeypatch, True)
         cfg = tiny_config(variant)
         train(dataset, cfg, tmp_path / "r")

@@ -1,6 +1,7 @@
 """Alternating benchmark runs of two checkouts, compared pair by pair.
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N
+    python3 tools/bench_pairs.py --aa CHECKOUT_DIR --workload W --pairs N
 
 Runs ``bench/run.py --trace 0`` of workload W in each checkout N times, for
 the run length that ``BENCHMARK.json`` fixes. Pair k runs both sides at seed
@@ -19,13 +20,19 @@ spread; otherwise "unchanged".
 Pairs whose two runs differ in ``checkpoint_sha256`` or in failure count are
 flagged. Run both checkouts from clean trees: ``bench/run.py`` imports the
 package from its own checkout's ``src/``.
+
+With ``--aa`` (an A/A batch) the change is a copy of the checkout, made in a
+temporary directory, so every verdict other than "unchanged" or "unresolved"
+is false; they are printed after the report, one line each.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from bench_snapshot import ROOT, quartiles, run_one
@@ -107,27 +114,50 @@ def report(comparison: dict) -> str:
     return "\n".join(lines)
 
 
+def false_verdicts(comparison: dict) -> list[str]:
+    """The verdicts of an A/A comparison that claim a difference."""
+    return [f"false verdict: {name} {m['verdict']} ({m['wins']}/{m['pairs']} wins)"
+            for name, m in comparison["metrics"].items()
+            if m["verdict"] not in ("unchanged", "unresolved")]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
-    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit (with --aa, the one checkout)")
+    parser.add_argument("change", type=Path, nargs="?",
+                        help="checkout of the change (left out with --aa)")
+    parser.add_argument("--aa", action="store_true",
+                        help="run PARENT against a copy of itself")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("pairs must be >= 1")
+    if args.aa == (args.change is not None):
+        parser.error("give CHANGE_DIR, or --aa without it")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     if args.workload not in {w["name"] for w in spec["workloads"]}:
         parser.error(f"unknown workload {args.workload!r}")
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    pairs = []
-    for k in range(1, args.pairs + 1):
-        pair = {}
-        for side in order(k):
-            print(f"pair {k}/{args.pairs}: {side}", file=sys.stderr, flush=True)
-            pair[side] = run_one(args.workload, k, spec["run_seconds"], checkouts[side])
-        pairs.append(pair)
-    print(report(compare(pairs, spec["end_to_end"])))
+    with tempfile.TemporaryDirectory() as tmp:
+        checkouts = {"parent": args.parent.resolve()}
+        if args.aa:
+            checkouts["change"] = Path(tmp) / "copy"
+            shutil.copytree(checkouts["parent"], checkouts["change"],
+                            ignore=shutil.ignore_patterns(".git", "__pycache__"))
+        else:
+            checkouts["change"] = args.change.resolve()
+        pairs = []
+        for k in range(1, args.pairs + 1):
+            pair = {}
+            for side in order(k):
+                print(f"pair {k}/{args.pairs}: {side}", file=sys.stderr, flush=True)
+                pair[side] = run_one(args.workload, k, spec["run_seconds"],
+                                     checkouts[side])
+            pairs.append(pair)
+    comparison = compare(pairs, spec["end_to_end"])
+    print(report(comparison))
+    if args.aa:
+        print("\n".join(false_verdicts(comparison) or ["no false verdict"]))
     return 0
 
 
