@@ -12,17 +12,16 @@ Controllers are stateful per-rollout objects; the underlying frozen models can
 be shared read-only. They act on one state at a time, so they add the batch
 axis that the models take and drop it from what the models return.
 The ``iris`` scorer, :class:`ProposalScorer`, takes an optional split hook,
-which :func:`~goalsel.evaluation.evaluate` sets (see :mod:`goalsel.procs`).
+which :func:`~goalsel.evaluation.evaluate` sets (:func:`~goalsel.models.proposal_split`).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import VARIANTS, ModelSet, proposal_max, proposal_noise, proposal_value
+from .models import VARIANTS, ModelSet, proposal_value
 
 
 @dataclass(frozen=True)
@@ -33,25 +32,16 @@ class GoalLogEntry:
 
 
 class ProposalScorer:
-    """Each goal's BCQ value over ``m_actions`` action proposals from the
-    online Q-net. ``second_half``, when set, is each call's
-    :func:`~goalsel.models.proposal_value` hook, given the call's goals and
-    rng first; the other process of the split runs :meth:`second_half_max`."""
+    """Each goal's BCQ value over ``m_actions`` action proposals from the online
+    Q-net; ``split``, when set, is each :func:`~goalsel.models.proposal_value` hook."""
 
     def __init__(self, qnet, action_cvae, m_actions: int):
         self.qnet, self.action_cvae, self.m_actions = qnet, action_cvae, m_actions
-        self.second_half = None
+        self.split = None
 
     def __call__(self, goals, rng: np.random.Generator) -> np.ndarray:
-        hook = self.second_half and functools.partial(self.second_half, goals, rng)
         return proposal_value(self.qnet, self.action_cvae, goals, self.m_actions, rng,
-                              use_target=False, second_half=hook)
-
-    def second_half_max(self, goals, rng: np.random.Generator) -> np.ndarray:
-        """The maxima over the second half of a split call's proposals."""
-        eps, h = proposal_noise(self.action_cvae, goals, self.m_actions, rng)
-        return proposal_max(self.qnet, self.action_cvae, goals, eps[h:],
-                            use_target=False)
+                              use_target=False, split=self.split)
 
 
 class HierarchicalController:

@@ -8,14 +8,15 @@ derived from (seed, episode index): evaluations are deterministic and
 order-independent. Returns are absorbing-goal returns (``discounted_return``).
 
 :func:`evaluate` scores an ``iris`` controller's goals on two CPUs: a worker
-forked for the call (:mod:`goalsel.procs`) scores the second half of each
-refresh's action proposals, with identical reports. Any other controller, or
-a one-CPU mask, keeps the call serial.
+forked for the call (:func:`~goalsel.models.proposal_split`) scores the first
+half of each refresh's action proposals, from goals and noise handed to it,
+with identical reports. Other controllers and one-CPU masks stay serial.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 from dataclasses import dataclass
@@ -28,9 +29,9 @@ from .config import config_digest, from_flat, load_flat
 from .control import ProposalScorer, make_policy
 from .data import TrajectoryDataset
 from .envs import EpisodeRecord, discounted_return, rollout  # noqa: F401
-from .models import ModelSet, build_models
+from .models import ModelSet, build_models, proposal_split
 from .nn import load_checkpoint
-from .procs import Forked, Half, forkable, shared
+from .procs import Forked, forkable
 from .training import TrainConfig
 
 
@@ -122,52 +123,6 @@ class EvalReport:
         }
 
 
-_WORD = 1 << 64
-
-
-def _score_halves(conn, half: Half, scorer: ProposalScorer, goals, words) -> None:
-    """The eval worker's loop: per opened half, set an rng to the PCG64 state
-    in ``words`` and write the second half's maxima for ``goals``."""
-    rng = np.random.Generator(np.random.PCG64(0))
-    while True:
-        half.wait(half.opened)
-        w = [int(x) for x in words]
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64", "has_uint32": w[4], "uinteger": w[5],
-            "state": {"state": w[0] * _WORD + w[1], "inc": w[2] * _WORD + w[3]}}
-        half.values[:] = scorer.second_half_max(goals, rng)
-        half.done.release()
-
-
-class _SplitScorer:
-    """The worker that scores each refresh's second half for one
-    :func:`evaluate` call. Its hook on ``scorer`` writes the ``rows`` goals
-    and the rng's PCG64 state (state and increment as high and low words,
-    ``has_uint32``, ``uinteger``) to shared memory and opens the half; a
-    refresh with another number of goals runs serially."""
-
-    def __init__(self, scorer: ProposalScorer, rows: int):
-        self.scorer, self.waits = scorer, {}
-        self.goals = shared(rows * scorer.qnet.norm.state.dim, np.float64).reshape(rows, -1)
-        self.words = shared(6, np.uint64)
-        self.worker = Forked(_score_halves, (scorer, self.goals, self.words),
-                             Half(rows), "goalsel-eval-worker")
-        scorer.second_half = self.open
-
-    def open(self, goals, rng: np.random.Generator):
-        if goals.shape != self.goals.shape:
-            return None
-        self.goals[:] = goals
-        st = rng.bit_generator.state
-        self.words[:] = (*divmod(st["state"]["state"], _WORD),
-                         *divmod(st["state"]["inc"], _WORD), st["has_uint32"], st["uinteger"])
-        return self.worker.open_half(self.waits)
-
-    def stop(self) -> None:
-        self.scorer.second_half = None
-        self.worker.stop()
-
-
 def evaluate(policy, env, cfg: EvalConfig,
              checkpoint_hash: str | None = None) -> EvalReport:
     """Run ``n_episodes`` rollouts per seed and aggregate the three metrics.
@@ -178,8 +133,12 @@ def evaluate(policy, env, cfg: EvalConfig,
     """
     cfg.validate()
     scorer = getattr(policy, "score", None)
-    split = (_SplitScorer(scorer, cfg.n_goals)
-             if isinstance(scorer, ProposalScorer) and forkable() else None)
+    worker = None
+    if isinstance(scorer, ProposalScorer) and forkable():
+        worker = Forked(*proposal_split(scorer.qnet, scorer.action_cvae, cfg.n_goals,
+                                        scorer.m_actions, use_target=False),
+                        "goalsel-eval-worker")
+        scorer.split = functools.partial(worker.open_half, {})
     per_seed = []
     try:
         for seed in cfg.seeds:
@@ -197,8 +156,9 @@ def evaluate(policy, env, cfg: EvalConfig,
                 episodes=episodes,
             ))
     finally:
-        if split is not None:
-            split.stop()
+        if worker is not None:
+            scorer.split = None
+            worker.stop()
     return EvalReport(per_seed=per_seed, config=cfg,
                       checkpoint_hash=checkpoint_hash)
 

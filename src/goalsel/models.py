@@ -31,6 +31,8 @@ unroll's per-step values in arrays reused across calls (:class:`_StepCaches`).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .data import NormStats, Scaler
@@ -44,6 +46,7 @@ from .nn import (
     relu,
     relu_backward,
 )
+from .procs import Half, serve
 
 # A component's position is its place in a checkpoint and the index of the rng
 # slot its initialization draws from.
@@ -338,17 +341,6 @@ def polyak_update(qnet: QNet, tau: float) -> QNet:
     return qnet
 
 
-def proposal_noise(action_cvae: ConditionalVAE, s, m: int, rng: np.random.Generator,
-                   first_half: bool = False):
-    """The ``(m, B, latent)`` normal draw of ``rng`` from which
-    :func:`proposal_value` decodes ``m`` action proposals at each row of ``s``,
-    or with ``first_half`` only its first ``h`` rows, and ``h = ceil(m / 2)``,
-    where a split :func:`proposal_value`'s second half starts. A draw fills its
-    array in order from one stream, so the rows are the same either way."""
-    h = -(-m // 2)
-    return rng.standard_normal((h if first_half else m, len(s), action_cvae.latent_dim)), h
-
-
 def proposal_max(qnet: QNet, action_cvae: ConditionalVAE, s, eps,
                  use_target: bool) -> np.ndarray:
     """``max_j Q(s, a_j)`` over the proposals that ``action_cvae`` decodes from
@@ -366,23 +358,39 @@ def proposal_max(qnet: QNet, action_cvae: ConditionalVAE, s, eps,
 
 def proposal_value(qnet: QNet, action_cvae: ConditionalVAE, s, m: int,
                    rng: np.random.Generator, use_target: bool,
-                   second_half=None) -> np.ndarray:
+                   split=None) -> np.ndarray:
     """BCQ state value ``V(s) = max_j Q(s, a_j)`` over ``m`` action-VAE
     proposals ``a_j`` at each row of the (B, obs_dim) batch ``s``, decoded
-    from one :func:`proposal_noise` draw.
+    from one ``(m, B, latent)`` normal draw of ``rng``, the only draw of
+    proposal noise.
 
-    A ``second_half`` hook splits the proposals at ``h``: it is called before
-    the draw, starts the max over ``[h, m)`` of the same draw elsewhere, and
-    returns a function that waits for those maxima (or None, which leaves the
-    call whole). Only the first half ``[0, h)`` is drawn and run here, and the
-    ``np.maximum`` of its maxima and the second half's is the max over all
-    ``m`` bit for bit.
+    A ``split`` hook (:func:`proposal_split`) is called with ``s`` and the
+    noise of the first ``h = ceil(m / 2)`` proposals, starts their max
+    elsewhere and returns a function that waits for it, or None, which leaves
+    the call whole. The rest is drawn and scored here. Two fills equal one
+    draw, so the ``np.maximum`` of the halves is the max over all ``m`` bit
+    for bit.
     """
-    # the hook goes first, so that the second half starts during this draw
-    maxima = None if second_half is None else second_half()
-    eps, _ = proposal_noise(action_cvae, s, m, rng, first_half=maxima is not None)
-    best = proposal_max(qnet, action_cvae, s, eps, use_target)
-    return best if maxima is None else np.maximum(best, maxima())
+    h = -(-m // 2)
+    eps = np.empty((m, len(s), action_cvae.latent_dim))
+    rng.standard_normal(out=eps[:h])
+    maxima = None if split is None else split(s, eps[:h])
+    rng.standard_normal(out=eps[h:])
+    # scored before the wait, so that both halves run at once
+    best = proposal_max(qnet, action_cvae, s, eps if maxima is None else eps[h:], use_target)
+    return best if maxima is None else np.maximum(maxima(), best)
+
+
+def proposal_split(qnet: QNet, action_cvae: ConditionalVAE, rows: int, m: int,
+                   use_target: bool):
+    """The :class:`~goalsel.procs.Forked` arguments (loop, args, half) of the
+    worker of a split :func:`proposal_value` over ``rows`` states and ``m``
+    proposals, whose hook is then ``partial(worker.open_half, timings)``:
+    :func:`~goalsel.procs.serve` of :func:`proposal_max` on a
+    :class:`~goalsel.procs.Half` of the states and the first half's noise."""
+    shapes = (rows, qnet.norm.state.dim), (-(-m // 2), rows, action_cvae.latent_dim)
+    fn = functools.partial(proposal_max, qnet, action_cvae, use_target=use_target)
+    return serve, (fn,), Half(rows, *shapes)
 
 
 class Regressor:

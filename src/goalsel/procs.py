@@ -9,12 +9,14 @@ caller runs serially, with the same outputs. :class:`Forked` pins this
 process to the first CPU of its mask and the worker to the last; split runs
 side by side thus share one CPU for their parents, and a sweep should pin
 each run with ``taskset -c N``. A worker's exception is raised in the parent
-with its traceback (:func:`run`, :meth:`Forked.reply`).
-"""
+with its traceback (:func:`run`, :meth:`Forked.reply`). A :class:`Half`
+carries a job's inputs in (:meth:`Forked.open_half`) and its values out
+(:func:`serve`)."""
 
 from __future__ import annotations
 
 import contextlib
+import math
 import mmap
 import multiprocessing
 import os
@@ -49,15 +51,16 @@ def shared(n: int, dtype=np.int64) -> np.ndarray:
 
 
 class Half:
-    """The handoff of a job's second half from a parent to its worker: the
-    worker's ``rows`` values and a stop flag in shared memory, and two
-    semaphores, ``opened`` by the parent and ``done`` by the worker. A wait
-    takes a semaphore, which :meth:`stop` also releases, and raises
-    :class:`Stopped` if the half stopped or ``partner_alive()`` turns false."""
+    """The handoff of half a job from a parent to its worker: float64 ``inputs``
+    of the given ``shapes``, the worker's ``rows`` values and a stop flag in
+    shared memory, and two semaphores, ``opened`` by the parent and ``done`` by
+    the worker. A wait takes a semaphore, which :meth:`stop` also releases, and
+    raises :class:`Stopped` if the half stopped or ``partner_alive()`` turns false."""
 
-    def __init__(self, rows: int):
+    def __init__(self, rows: int, *shapes: tuple[int, ...]):
         ctx = multiprocessing.get_context("fork")
         self.values, self.stopped = shared(rows, np.float64), shared(1)
+        self.inputs = [shared(math.prod(shape), np.float64).reshape(shape) for shape in shapes]
         self.opened, self.done = ctx.Semaphore(0), ctx.Semaphore(0)
         parent = os.getpid()  # the worker's view; the parent's is set in Forked
         self.partner_alive = lambda: os.getppid() == parent
@@ -79,6 +82,15 @@ class Half:
         self.stopped[0] = 1
         self.opened.release()
         self.done.release()
+
+
+def serve(conn, half: Half, fn) -> None:
+    """The worker's loop for a :class:`Half`: each time it opens, write
+    ``fn(*half.inputs)`` to its values. It ends when the half stops."""
+    while True:
+        half.wait(half.opened)
+        half.values[:] = fn(*half.inputs)
+        half.done.release()
 
 
 def run(loop, conn, half: Half | None, *args) -> None:
@@ -128,10 +140,15 @@ class Forked:
             raise RuntimeError(f"{self.process.name} failed:\n{payload[0]}")
         return payload
 
-    def open_half(self, timings: dict[str, float]):
-        """A :func:`~goalsel.models.proposal_value` hook: open the half, and
-        return a function that waits for its values (adding the seconds to
-        ``timings["wait"]``) or raises the worker's error."""
+    def open_half(self, timings: dict[str, float], *inputs):
+        """Copy ``inputs`` into the half and open it, and return a function
+        that waits for its values (adding the seconds to ``timings["wait"]``)
+        or raises the worker's error; None, with the half left shut, when an
+        input's shape differs from the half's."""
+        if [np.shape(x) for x in inputs] != [x.shape for x in self.half.inputs]:
+            return None
+        for buffer, x in zip(self.half.inputs, inputs):
+            buffer[...] = x
         self.half.opened.release()
 
         def values() -> np.ndarray:

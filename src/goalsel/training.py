@@ -16,13 +16,12 @@ slots so an absent component never perturbs the others' draws.
 :mod:`goalsel.procs` when the model set gives it a role (``_can_fork``), from
 the initial checkpoint until training ends or fails. With a policy, which
 shares no parameters and no rng draws with the other components, this process
-updates the policy and the worker the rest, and replies with their losses and
-seconds. Without one (``bcq``), this process updates both components, and the
-worker hands back the maxima of the second half of the Q targets' action
-proposals through a :class:`~goalsel.procs.Half`. Both run one update body
-(``_update``) on the stores in shared memory, every one but the policy's
-(:meth:`~goalsel.nn.ParamStore.share`), and the worker mirrors this process's
-draws from its fork-time copies of the dataset and the step rng.
+updates the policy and the worker the rest (one update body, ``_update``),
+mirroring this process's draws from fork-time copies of the dataset and the
+step rng. Without one (``bcq``), this process updates both components and
+hands the worker the first half of the Q targets' proposals, noise drawn
+(:func:`~goalsel.models.proposal_split`). The worker reads the stores in
+shared memory, every one but the policy's (:meth:`~goalsel.nn.ParamStore.share`).
 Checkpoints, ``metrics.csv`` and the returned models are byte-identical to a
 serial run. Per-component step times and this process's minor page faults
 per step go to ``timings.csv`` beside ``metrics.csv``; ``manifest.json``
@@ -56,19 +55,18 @@ from .models import (
     QNet,
     build_models,
     polyak_update,
-    proposal_max,
-    proposal_noise,
+    proposal_split,
     proposal_value,
 )
 from .nn import adam_step, grad_check, save_checkpoint
-from .procs import Forked, Half, forkable
+from .procs import Forked, forkable
 
 METRIC_COLUMNS = ("iter", "loss_policy", "loss_goal_recon", "loss_goal_kl",
                   "loss_action_recon", "loss_action_kl", "loss_q", "q_mean")
 # Mean ms per step: window sampling, each component's update (``q`` is the
 # targets plus the Q update), and the parent's wait for the worker (its reply,
-# or the Q targets' second half, which ``q`` includes); then the minor page
-# faults per step of this process, within ``train_step``.
+# or its half of the Q targets' proposals, which ``q`` includes); then the
+# minor page faults per step of this process, within ``train_step``.
 TIMING_COLUMNS = ("iter", "sample", "policy", "goal_cvae", "goal_reg", "action_cvae",
                   "q", "wait", "faults")
 
@@ -133,14 +131,14 @@ class TrainConfig:
 
 def q_targets_batch(qnet: QNet, action_cvae: ConditionalVAE, s_next, r,
                     is_terminal, gamma: float, n_proposals: int,
-                    rng: np.random.Generator, second_half=None) -> np.ndarray:
+                    rng: np.random.Generator, split=None) -> np.ndarray:
     """Bootstrap targets for a batch of transitions.
 
     Non-terminal: ``r + gamma * max_i Q'(s_next, a_i)`` over ``n_proposals``
     action-VAE proposals at each ``s_next``, scored by the target Q-network.
     Terminal: the absorbing-goal value ``r / (1 - gamma)``. The tests check
     it against a scalar oracle that enumerates the proposals one transition
-    at a time. ``second_half`` goes to :func:`~goalsel.models.proposal_value`.
+    at a time. ``split`` goes to :func:`~goalsel.models.proposal_value`.
     """
     if n_proposals < 1:
         raise ValueError("need at least one action proposal")
@@ -148,7 +146,7 @@ def q_targets_batch(qnet: QNet, action_cvae: ConditionalVAE, s_next, r,
     r = np.asarray(r, dtype=np.float64)
     is_terminal = np.asarray(is_terminal, dtype=bool)
     best = proposal_value(qnet, action_cvae, s_next, n_proposals, rng,
-                          use_target=True, second_half=second_half)
+                          use_target=True, split=split)
     out = r + gamma * best
     out[is_terminal] = r[is_terminal] / (1.0 - gamma)
     return out
@@ -173,10 +171,10 @@ UPDATE_ORDER = ("policy", "bc", "action_cvae", "qnet", "goal_cvae", "goal_reg")
 
 
 def _update(models: ModelSet, name: str, batch: WindowBatch, rngs, cfg: TrainConfig,
-            timings: dict[str, float], second_half=None) -> dict[str, float]:
+            timings: dict[str, float], split=None) -> dict[str, float]:
     """Component ``name``'s update: its loss and gradients, its Adam step and,
     for the Q-net, the polyak update of its target, whose targets take
-    ``second_half`` (:func:`q_targets_batch`). Returns its losses and adds its
+    ``split`` (:func:`q_targets_batch`). Returns its losses and adds its
     seconds to ``timings``."""
     goal_rng, action_rng, proposal_rng = rngs
     model = models[name]
@@ -195,8 +193,7 @@ def _update(models: ModelSet, name: str, batch: WindowBatch, rngs, cfg: TrainCon
         elif name == "qnet":
             s, a, r, s_next, terminal = _q_transitions(batch, cfg)
             targets = q_targets_batch(model, models["action_cvae"], s_next, r, terminal,
-                                      cfg.gamma, cfg.m_proposals, proposal_rng,
-                                      second_half)
+                                      cfg.gamma, cfg.m_proposals, proposal_rng, split)
             losses = dict(zip(("loss_q", "q_mean"), model.loss_and_grad(s, a, targets)))
         elif name == "goal_cvae":
             _, parts = model.loss_and_grad(batch.states[:, -1], batch.states[:, 0],
@@ -219,29 +216,27 @@ def train_step(models: ModelSet, dataset: TrajectoryDataset, cfg: TrainConfig,
     Returns the losses under their ``METRIC_COLUMNS`` names, in that order.
     With a ``worker`` (which :func:`train` forks), this process updates the
     policy while the worker updates the other components, or, without a
-    policy, updates them all while the worker computes the second half of
-    the Q targets; ``rng`` must be the rng the worker was forked with, since
-    the worker mirrors its draws. The seconds of each phase
+    policy, updates them all while the worker scores half of the Q targets'
+    proposals. Beside a policy, ``rng`` must be the rng the worker was forked
+    with, since the worker mirrors its draws. The seconds of each phase
     (``TIMING_COLUMNS``) are added to ``timings`` if given.
     """
     timings = {} if timings is None else timings
-    if worker is not None and rng is not worker.rng:
+    beside_policy = worker is not None and worker.half is None
+    if beside_policy and rng is not worker.rng:
         raise ValueError("a training worker mirrors the draws of the rng it "
                          "was forked with; train_step got another rng")
     with _timed(timings, "sample"):
         batch, rngs = _draw(dataset, cfg, rng)
-    names, second_half = UPDATE_ORDER, None
-    if worker is not None:
+    if beside_policy:
         worker.conn.send(True)  # go
-        if worker.half is None:
-            names = ("policy",)
-        else:
-            second_half = functools.partial(worker.open_half, timings)
+    split = (None if worker is None or beside_policy
+             else functools.partial(worker.open_half, timings))
     losses: dict[str, float] = {}
-    for name in names:
+    for name in ("policy",) if beside_policy else UPDATE_ORDER:
         if name in models:
-            losses.update(_update(models, name, batch, rngs, cfg, timings, second_half))
-    if worker is not None and worker.half is None:
+            losses.update(_update(models, name, batch, rngs, cfg, timings, split))
+    if beside_policy:
         with _timed(timings, "wait"):
             worker_losses, worker_timings = worker.reply()
         losses.update(worker_losses)
@@ -260,23 +255,13 @@ def _can_fork(models: ModelSet) -> bool:
     return {"action_cvae", "qnet"} <= set(models) and forkable()
 
 
-def _worker_loop(conn, half: Half | None, models: ModelSet, dataset: TrajectoryDataset,
+def _worker_loop(conn, half: None, models: ModelSet, dataset: TrajectoryDataset,
                  cfg: TrainConfig, rng: np.random.Generator) -> None:
-    """The training worker's loop: per "go", draw the parent's batch and rng
-    children from this copy of ``rng``; then, with a ``half``, draw the Q
-    targets' proposal noise (no update needed), wait for the half to open and
-    write its maxima, or else update every component but the policy and reply
-    with their losses and seconds. ``None`` stops it."""
+    """The worker beside a policy: per "go", draw the parent's batch and rng
+    children from this copy of ``rng``, update every component but the policy
+    and reply with their losses and seconds. ``None`` stops it."""
     while conn.recv():
         batch, rngs = _draw(dataset, cfg, rng)
-        if half is not None:
-            s_next = _q_transitions(batch, cfg)[3]
-            eps, h = proposal_noise(models["action_cvae"], s_next, cfg.m_proposals, rngs[2])
-            half.wait(half.opened)
-            half.values[:] = proposal_max(models["qnet"], models["action_cvae"], s_next,
-                                          eps[h:], use_target=True)
-            half.done.release()
-            continue
         losses: dict[str, float] = {}
         timings: dict[str, float] = {}
         for name in UPDATE_ORDER:
@@ -288,7 +273,7 @@ def _worker_loop(conn, half: Half | None, models: ModelSet, dataset: TrajectoryD
 class _Worker(Forked):
     """The forked process that shares each ``train_step`` with this one: it
     updates the components other than the policy, or, for a model set
-    without a policy, computes the second half of the Q targets (``half``)."""
+    without a policy, scores half of the Q targets' proposals (``half``)."""
 
     def __init__(self, models: ModelSet, dataset: TrajectoryDataset,
                  cfg: TrainConfig, rng: np.random.Generator):
@@ -296,9 +281,12 @@ class _Worker(Forked):
         for prefix, store in models.stores().items():
             if prefix != "policy":
                 store.share()
-        # without a policy, sample_t is 1: one Q transition per window
-        half = None if "policy" in models else Half(cfg.batch_size)
-        super().__init__(_worker_loop, (models, dataset, cfg, rng), half, "goalsel-train-worker")
+        if "policy" in models:
+            job = _worker_loop, (models, dataset, cfg, rng), None
+        else:  # sample_t is 1: one Q transition per window
+            job = proposal_split(models["qnet"], models["action_cvae"], cfg.batch_size,
+                                 cfg.m_proposals, use_target=True)
+        super().__init__(*job, "goalsel-train-worker")
 
 
 def _q_transitions(batch: WindowBatch, cfg: TrainConfig):

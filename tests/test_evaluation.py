@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from goalsel import evaluation as evaluation_module
-from goalsel.control import ProposalScorer, make_policy
+from goalsel import procs
+from goalsel.control import make_policy
 from goalsel.envs import GraphReachEnv, central_waypoints, make_env
 from goalsel.evaluation import (
     EvalConfig,
@@ -26,7 +27,7 @@ from goalsel.evaluation import (
     SVG_MARGIN,
     SVG_SIZE,
 )
-from goalsel.models import VARIANTS, build_models
+from goalsel.models import VARIANTS, QNet, build_models
 from goalsel.nn import load_checkpoint, save_checkpoint
 from goalsel.procs import WORKER_STOP_TIMEOUT_S
 from goalsel.training import train
@@ -179,38 +180,55 @@ class TestSplitScoring:
         assert multiprocessing.active_children() == []
 
     @staticmethod
-    def iris_policy(trained_iris_run):
+    def iris_policy(trained_iris_run, m_actions=3):
         result, dataset = trained_iris_run
-        return (make_policy(result.models, t_segment=10, n_goals=12, m_actions=3),
+        return (make_policy(result.models, t_segment=10, n_goals=12, m_actions=m_actions),
                 make_env(dataset.env_id))
 
     def test_split_matches_serial(self, trained_iris_run, monkeypatch):
+        self.check_split_matches_serial(trained_iris_run, monkeypatch, 3)
+
+    def test_split_matches_serial_at_unit_m(self, trained_iris_run, monkeypatch):
+        # the worker takes the only proposal, and this process's empty half reads -inf
+        self.check_split_matches_serial(trained_iris_run, monkeypatch, 1)
+
+    def check_split_matches_serial(self, trained_iris_run, monkeypatch, m):
         opened = []
-        real_open = evaluation_module._SplitScorer.open
-        monkeypatch.setattr(evaluation_module._SplitScorer, "open",
-                            lambda self, *args: opened.append(1) or real_open(self, *args))
+        real_open = procs.Forked.open_half
+
+        def open_half(self, *args):
+            values = real_open(self, *args)
+            opened.append(values is not None)
+            return values
+
+        monkeypatch.setattr(procs.Forked, "open_half", open_half)
         reports = {}
         for split in (True, False):
             monkeypatch.setattr(evaluation_module, "forkable", lambda: split)
-            policy, env = self.iris_policy(trained_iris_run)
+            policy, env = self.iris_policy(trained_iris_run, m)
             reports[split] = report_bytes(evaluate(policy, env, self.CFG))
-            assert policy.score.second_half is None
+            assert policy.score.split is None
         assert reports[True] == reports[False]
         # each of the 2 x 2 episodes refreshes its goal every 10 of its steps
-        assert len(opened) >= 4
+        assert sum(opened) >= 4
 
     def test_worker_failure_raised_in_parent(self, trained_iris_run, monkeypatch):
-        def failing(self, goals, rng):  # only the worker scores second halves
-            raise ArithmeticError("half exploded")
+        parent = os.getpid()
+        real = QNet.value
 
-        monkeypatch.setattr(ProposalScorer, "second_half_max", failing)
+        def value(self, *args, **kwargs):
+            if os.getpid() != parent:
+                raise ArithmeticError("half exploded")
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(QNet, "value", value)
         monkeypatch.setattr(evaluation_module, "forkable", lambda: True)
         policy, env = self.iris_policy(trained_iris_run)
         started = time.perf_counter()
         with pytest.raises(RuntimeError, match="(?s)Traceback.*half exploded"):
             evaluate(policy, env, self.CFG)
         assert time.perf_counter() - started < WORKER_STOP_TIMEOUT_S / 4
-        assert policy.score.second_half is None
+        assert policy.score.split is None
 
     def test_parent_failure_stops_worker(self, trained_iris_run, monkeypatch):
         real = evaluation_module.rollout
@@ -227,7 +245,7 @@ class TestSplitScoring:
         policy, env = self.iris_policy(trained_iris_run)
         with pytest.raises(FloatingPointError, match="rollout failed"):
             evaluate(policy, env, self.CFG)
-        assert policy.score.second_half is None
+        assert policy.score.split is None
 
     @pytest.mark.parametrize("variant, cpus", [
         *((v, {0, 1}) for v in VARIANTS if v != "iris"), ("iris", {0})])

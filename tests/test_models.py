@@ -11,7 +11,6 @@ from goalsel.models import (
     build_models,
     polyak_update,
     proposal_max,
-    proposal_noise,
     proposal_value,
 )
 from goalsel.nn import GaussianHead, adam_step, grad_check, kl_to_standard_normal
@@ -476,9 +475,12 @@ class TestProposalValue:
         got = proposal_value(q, cvae, s, m, np.random.default_rng(7), use_target)
         # reference: the training forward pass, one proposal index at a time
         z = np.random.default_rng(7).standard_normal((m, batch, cvae.latent_dim))
-        # a hook that runs the second half, [5, 10), in place
+        # a hook that runs the first half, [0, 5), in place from the noise it is handed
+        handed = []
         split = proposal_value(q, cvae, s, m, np.random.default_rng(7), use_target,
-                               lambda: lambda: proposal_max(q, cvae, s, z[5:], use_target))
+                               lambda s_, eps: handed.append(eps.tobytes()) or (
+                                   lambda: proposal_max(q, cvae, s_, eps, use_target)))
+        assert handed == [z[:5].tobytes()]
         net = q.target_mlp if use_target else q.mlp
         s_n = (s - norm.state.mean) / norm.state.std
         best = np.full(batch, -np.inf)
@@ -489,17 +491,17 @@ class TestProposalValue:
             best = np.maximum(best, value[:, 0])
         assert got.tobytes() == split.tobytes() == best.tobytes()
 
-
-    @pytest.mark.parametrize("m, batch, latent", [(10, 100, 4), (10, 128, 4), (9, 7, 3)])
-    def test_first_half_draw_is_a_prefix_of_the_full_draw(self, rng, m, batch, latent):
-        # a split's calling process draws only the first half's noise
-        cvae = ConditionalVAE(flat_norm().action, flat_norm().state, latent, 0.05, rng=rng)
-        s = np.zeros((batch, 2))
-        full, h = proposal_noise(cvae, s, m, np.random.default_rng(3))
-        first, h_first = proposal_noise(cvae, s, m, np.random.default_rng(3), first_half=True)
-        assert h == h_first == -(-m // 2)
-        assert full.shape == (m, batch, latent) and first.shape == (h, batch, latent)
-        assert first.tobytes() == full[:h].tobytes()
+    @pytest.mark.parametrize("m, batch, latent",
+                             [(10, 100, 4), (10, 128, 4), (9, 7, 3), (1, 5, 4)])
+    def test_two_fills_equal_one_draw(self, m, batch, latent):
+        # a split proposal_value fills [0, h) for the worker, then [h, m) for itself
+        h = -(-m // 2)
+        eps = np.empty((m, batch, latent))
+        rng = np.random.default_rng(3)
+        rng.standard_normal(out=eps[:h])
+        rng.standard_normal(out=eps[h:])
+        assert eps.tobytes() == np.random.default_rng(3).standard_normal(
+            (m, batch, latent)).tobytes()
 
 
 class TestPolyak:

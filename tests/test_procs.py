@@ -5,6 +5,7 @@ import signal
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import goalsel
@@ -61,3 +62,44 @@ class TestForked:
         assert worker.process.exitcode == -signal.SIGTERM
         assert os.sched_getaffinity(0) == mask
         assert multiprocessing.active_children() == []
+
+
+class TestHalf:
+    @staticmethod
+    def unforked(half):
+        """A Forked around ``half`` with no process, for the parent's side alone."""
+        worker = object.__new__(procs.Forked)
+        worker.half = half
+        return worker
+
+    def test_open_half_copies_the_inputs_and_opens(self):
+        half = procs.Half(2, (2, 3), (1, 2, 2))
+        s, eps = np.arange(6.0).reshape(2, 3), np.full((1, 2, 2), 0.5)
+        assert callable(self.unforked(half).open_half({}, s, eps))
+        assert half.opened.acquire(False)
+        assert half.inputs[0].tobytes() == s.tobytes()
+        assert half.inputs[1].tobytes() == eps.tobytes()
+
+    @pytest.mark.parametrize("shapes", [((3, 3), (1, 2, 2)), ((2, 3), (2, 2, 2)),
+                                        ((2, 3),)])
+    def test_open_half_with_another_shape_leaves_it_shut(self, shapes):
+        half = procs.Half(2, (2, 3), (1, 2, 2))
+        inputs = [np.ones(shape) for shape in shapes]
+        assert self.unforked(half).open_half({}, *inputs) is None
+        assert not half.opened.acquire(False)
+        assert not half.inputs[0].any()
+
+    def test_serve_writes_fn_of_the_inputs(self):
+        half = procs.Half(2, (2, 3), (1, 2))
+        half.inputs[0][:] = np.arange(6.0).reshape(2, 3)
+        half.inputs[1][:] = [[10.0, 20.0]]
+
+        def fn(s, eps):
+            half.stop()  # the loop ends at its next wait
+            return s.sum(axis=1) + eps[0]
+
+        half.opened.release()
+        with pytest.raises(procs.Stopped):
+            procs.serve(None, half, fn)
+        assert half.values.tolist() == [13.0, 32.0]
+        assert half.done.acquire(False)

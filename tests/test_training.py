@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import goalsel
+from goalsel import models as models_module
 from goalsel import training as training_module
 from goalsel.config import config_digest
 from goalsel.models import (
@@ -395,10 +396,18 @@ class TestSplitWorker:
                                   variant):
         self.check_split_matches_serial(small_demo_set, tmp_path, monkeypatch, variant)
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_bcq_split_matches_serial_at_odd_and_unit_m(self, small_demo_set, tmp_path,
+                                                        monkeypatch, m):
+        # the worker takes ceil(m / 2) proposals; at m = 1 this process's half is empty
+        self.check_split_matches_serial(small_demo_set, tmp_path, monkeypatch, "bcq",
+                                        m_proposals=m)
+
     @staticmethod
-    def check_split_matches_serial(small_demo_set, tmp_path, monkeypatch, variant):
+    def check_split_matches_serial(small_demo_set, tmp_path, monkeypatch, variant,
+                                   **overrides):
         dataset, _ = small_demo_set
-        cfg = tiny_config(variant)
+        cfg = tiny_config(variant, **overrides)
         results = {}
         for mode in ("split", "serial"):
             gate(monkeypatch, mode == "split")
@@ -546,7 +555,7 @@ class TestSplitWorker:
         # patched before the fork, so the worker logs its updates and halves too
         dataset, _ = small_demo_set
         log = tmp_path / "log"
-        real_update, real_max = training_module._update, training_module.proposal_max
+        real_update, real_serve = training_module._update, models_module.serve
 
         def record(name):
             with open(log, "a") as fh:
@@ -556,12 +565,11 @@ class TestSplitWorker:
             record(name)
             return real_update(models, name, *args)
 
-        def half_max(*args, **kwargs):  # only the worker's half calls it from training
-            record("half")
-            return real_max(*args, **kwargs)
+        def serve(conn, half, fn):  # the loop of the bcq worker's half
+            return real_serve(conn, half, lambda *inputs: record("half") or fn(*inputs))
 
         monkeypatch.setattr(training_module, "_update", update)
-        monkeypatch.setattr(training_module, "proposal_max", half_max)
+        monkeypatch.setattr(models_module, "serve", serve)
         gate(monkeypatch, True)
         cfg = tiny_config(variant)
         train(dataset, cfg, tmp_path / "r")
