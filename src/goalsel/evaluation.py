@@ -1,6 +1,5 @@
 """Closed-loop evaluation: success/length/return metrics with multi-seed
-aggregation, nearest-dataset-state statistics, checkpoint loading, and
-SVG/CSV trajectory export.
+aggregation, checkpoint loading, and SVG/CSV trajectory export.
 
 Each episode is one :func:`~goalsel.envs.rollout` (the loop that also records
 demonstrations), called through this module's name ``rollout``, with its rng
@@ -180,15 +179,6 @@ class ReplayPolicy:
         a = traj.actions[min(self._step, traj.length - 1)]
         self._step += 1
         return np.asarray(a, dtype=np.float64)
-
-
-def nearest_state_distances(states, dataset: TrajectoryDataset) -> np.ndarray:
-    """Distance from each query state to its nearest dataset state."""
-    # imported here: a module-level import costs every process about 36 MB and 0.2 s
-    from scipy.spatial import cKDTree
-    tree = cKDTree(dataset.stacked_states)
-    dist, _ = tree.query(np.asarray(states, dtype=np.float64))
-    return np.asarray(dist)
 
 
 # --- checkpoint plumbing -----------------------------------------------------

@@ -11,6 +11,8 @@ returns ``(B, ...)`` arrays; the recurrent policy's training unroll takes
 ``(B, T, ...)`` windows. A caller with one row adds and drops the batch axis
 itself. The one exception is :meth:`ConditionalVAE.sample`, ``n`` samples for
 one condition: :meth:`~ConditionalVAE.sample_each` over ``n`` copies of it.
+Two functions draw noise from an rng: :meth:`ConditionalVAE.sample` and
+:func:`proposal_value`. Every other model method takes its noise as an array.
 
 All models map inputs and targets through the dataset's two scalers
 (:class:`~goalsel.data.Scaler`: ``norm.state`` and ``norm.action``) and
@@ -213,28 +215,17 @@ class ConditionalVAE:
                                [latent_dim + cond.dim, hidden_dim, hidden_dim, target.dim],
                                rng)
 
-    def encode(self, target_n: np.ndarray, cond_n: np.ndarray):
-        raw, cache = self.encoder.forward(np.concatenate([target_n, cond_n], axis=-1))
-        return GaussianHead.from_raw(raw), cache
-
-    def loss_and_grad(self, target, cond, rng: np.random.Generator | None = None,
-                      eps: np.ndarray | None = None) -> tuple[float, dict[str, float]]:
-        """Reconstruction (squared error, normalized space) + beta * closed-form KL.
-
-        Noise is drawn from ``rng`` unless ``eps`` is injected (frozen-noise
-        gradient checks). Accumulates gradients.
-        """
+    def loss_and_grad(self, target, cond, eps) -> tuple[float, dict[str, float]]:
+        """Reconstruction (squared error, normalized space) + beta * closed-form KL,
+        with the latent reparameterized by the (B, latent_dim) standard-normal
+        noise ``eps``. Accumulates gradients."""
         target_n = self.target.norm(target)
         cond_n = self.cond.norm(cond)
         if target_n.shape[0] != cond_n.shape[0]:
             raise ValueError("target/condition batch mismatch")
         batch = target_n.shape[0]
-        head, enc_cache = self.encode(target_n, cond_n)
-        if eps is None:
-            if rng is None:
-                raise ValueError("need either an rng or injected noise")
-            eps = rng.standard_normal(head.mu.shape)
-        eps = np.asarray(eps, dtype=np.float64).reshape(head.mu.shape)
+        raw, enc_cache = self.encoder.forward(np.concatenate([target_n, cond_n], axis=-1))
+        head = GaussianHead.from_raw(raw)
         sigma = head.sigma
         z = head.mu + sigma * eps
         out_n, dec_cache = self.decoder.forward(np.concatenate([z, cond_n], axis=-1))
@@ -253,32 +244,31 @@ class ConditionalVAE:
         return loss, {"recon": recon, "kl": kl}
 
     def sample(self, cond, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n samples for one (cond_dim,) condition: :meth:`sample_each` over n
-        copies of it (a copy costs less than ``np.broadcast_to`` per call);
-        returns (n, target_dim)."""
+        """n samples for one (cond_dim,) condition: :meth:`sample_each` of one
+        ``(1, n, latent_dim)`` normal draw of ``rng`` over n copies of it (a
+        copy costs less than ``np.broadcast_to`` per call); returns
+        (n, target_dim)."""
         if n < 1:
             raise ValueError("need at least one sample")
         if np.ndim(cond) != 1:
             raise ValueError("sample() takes a single condition; see sample_each()")
-        return self.sample_each(np.asarray(cond)[None].repeat(n, 0), 1, rng)[0]
+        eps = rng.standard_normal((1, n, self.latent_dim))
+        return self.sample_each(np.asarray(cond)[None].repeat(n, 0), eps)[0]
 
-    def sample_each(self, cond, n: int, rng: np.random.Generator | None = None,
-                    eps: np.ndarray | None = None) -> np.ndarray:
-        """n samples for each of a batch of conditions; returns (n, B, target_dim).
-        The (n, B, latent_dim) latent noise is drawn from ``rng`` unless ``eps``
-        is given."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
+    def sample_each(self, cond, eps: np.ndarray) -> np.ndarray:
+        """``n = len(eps)`` samples (none when n is 0) for each of a batch of B
+        conditions, decoded from the (n, B, latent_dim) latent noise ``eps``;
+        returns (n, B, target_dim)."""
         cond_n = self.cond.norm(cond)
         batch = cond_n.shape[0]
-        z = rng.standard_normal((n, batch, self.latent_dim)) if eps is None else eps
         # one decoder input: the condition columns are written once, the
         # latent columns once per proposal
         dec_in = np.empty((batch, self.latent_dim + self.cond.dim))
         dec_in[:, self.latent_dim:] = cond_n
+        n = len(eps)
         out_n = np.empty((n, batch, self.target.dim))
-        for j in range(n):
-            dec_in[:, :self.latent_dim] = z[j]
+        for j in range(n):  # indexing costs less than iterating over the array
+            dec_in[:, :self.latent_dim] = eps[j]
             out_n[j] = self.decoder.predict(dec_in)
         return self.target.denorm(out_n)
 
@@ -351,7 +341,7 @@ def proposal_max(qnet: QNet, action_cvae: ConditionalVAE, s, eps,
     n * B rows of a 128-row training batch measured slower than n forwards.
     """
     best = np.full(len(s), -np.inf)
-    for q in qnet.value(s, action_cvae.sample_each(s, len(eps), eps=eps), use_target):
+    for q in qnet.value(s, action_cvae.sample_each(s, eps), use_target):
         best = np.maximum(best, q)
     return best
 

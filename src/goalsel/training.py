@@ -187,8 +187,8 @@ def _update(models: ModelSet, name: str, batch: WindowBatch, rngs, cfg: TrainCon
             losses = {"loss_policy": model.loss_and_grad(batch.states[:, 0],
                                                          batch.actions[:, 0])}
         elif name == "action_cvae":
-            _, parts = model.loss_and_grad(batch.actions[:, -1], batch.states[:, -2],
-                                           rng=action_rng)
+            eps = action_rng.standard_normal((len(batch), model.latent_dim))
+            _, parts = model.loss_and_grad(batch.actions[:, -1], batch.states[:, -2], eps)
             losses = {"loss_action_recon": parts["recon"], "loss_action_kl": parts["kl"]}
         elif name == "qnet":
             s, a, r, s_next, terminal = _q_transitions(batch, cfg)
@@ -196,8 +196,8 @@ def _update(models: ModelSet, name: str, batch: WindowBatch, rngs, cfg: TrainCon
                                       cfg.gamma, cfg.m_proposals, proposal_rng, split)
             losses = dict(zip(("loss_q", "q_mean"), model.loss_and_grad(s, a, targets)))
         elif name == "goal_cvae":
-            _, parts = model.loss_and_grad(batch.states[:, -1], batch.states[:, 0],
-                                           rng=goal_rng)
+            eps = goal_rng.standard_normal((len(batch), model.latent_dim))
+            _, parts = model.loss_and_grad(batch.states[:, -1], batch.states[:, 0], eps)
             losses = {"loss_goal_recon": parts["recon"], "loss_goal_kl": parts["kl"]}
         else:  # goal_reg
             losses = {"loss_goal_recon": model.loss_and_grad(batch.states[:, 0],
@@ -441,17 +441,6 @@ def train(dataset: TrajectoryDataset, cfg: TrainConfig, out_dir) -> TrainResult:
                        elapsed=time.perf_counter() - started)
 
 
-def read_metrics(path) -> dict[str, np.ndarray]:
-    """Load a metrics CSV as column arrays (missing entries become NaN)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    out = {}
-    for col in METRIC_COLUMNS:
-        out[col] = np.array([float(row[col]) if row[col] else np.nan
-                             for row in rows])
-    return out
-
-
 def jitter_params(store, rng: np.random.Generator, scale: float = 0.05) -> None:
     """Randomize every parameter (biases included) for gradient checking.
 
@@ -494,10 +483,10 @@ def standard_grad_check_suite(n_instances: int = 20, seed: int = 0) -> dict[str,
                            states[:, :-1], actions, states[:, -1])),
             "goal_cvae": (models["goal_cvae"].store,
                           lambda: models["goal_cvae"].loss_and_grad(
-                              states[:, -1], states[:, 0], eps=eps_g)[0]),
+                              states[:, -1], states[:, 0], eps_g)[0]),
             "action_cvae": (models["action_cvae"].store,
                             lambda: models["action_cvae"].loss_and_grad(
-                                actions[:, -1], states[:, -2], eps=eps_a)[0]),
+                                actions[:, -1], states[:, -2], eps_a)[0]),
             "q": (models["qnet"].store,
                   lambda: models["qnet"].loss_and_grad(
                       states[:, -2], actions[:, -1], targets)[0]),

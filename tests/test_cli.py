@@ -35,7 +35,9 @@ def tiny_setup(tmp_path_factory):
 
 class TestImport:
     def test_cli_loads_no_scipy(self):
-        # scipy.spatial alone would add about 36 MB to every goalsel process
+        # no goalsel module imports scipy (tests/test_procs.py); neither may
+        # anything the CLI imports, since scipy.spatial alone would add about
+        # 36 MB to every goalsel process
         src = Path(__file__).resolve().parents[1] / "src"
         code = ("import sys, goalsel.cli; print(sorted(m for m in sys.modules "
                 "if m == 'scipy' or m.startswith('scipy.')))")
@@ -43,6 +45,25 @@ class TestImport:
                               text=True, check=True,
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.stdout.strip() == "[]"
+
+
+class TestGrid9:
+    def test_gen_data_train_eval_end_to_end(self, tmp_path):
+        data_path, run_dir = tmp_path / "data.bin", tmp_path / "run"
+        report_path = tmp_path / "report.json"
+        assert main(["gen-data", "--out", str(data_path),
+                     "--set", "grid_n=9", "--set", "n_demos=4"]) == 0
+        assert load(data_path).env_id == "graph-reach-n9-v1"
+        assert main(["train", "--dataset", str(data_path), "--out", str(run_dir),
+                     "--variant", "iris", "--set", "n_iter=4", "--set", "batch_size=8",
+                     "--set", "hidden_dim=8", "--set", "enc_dim=8",
+                     "--set", "ckpt_every=4"]) == 0
+        assert main(["eval", "--run", str(run_dir), "--dataset", str(data_path),
+                     "--report", str(report_path), "--set", "n_episodes=2",
+                     "--set", "h_max=20", "--set", "n_goals=4",
+                     "--set", "m_actions=2"]) == 0
+        report = json.loads(report_path.read_text())
+        assert set(report["per_checkpoint"]) == {"ckpt_0000000.bin", "ckpt_0000004.bin"}
 
 
 class TestHelp:

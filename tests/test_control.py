@@ -10,8 +10,8 @@ from goalsel.control import (
     HierarchicalController,
     make_policy,
 )
-from goalsel.envs import make_env
-from goalsel.evaluation import rollout
+from goalsel.envs import GraphReachEnv, make_env
+from goalsel.evaluation import EvalConfig, evaluate, rollout
 from goalsel.models import (
     VARIANTS,
     ConditionalVAE,
@@ -130,6 +130,35 @@ class TestActCadence:
         assert ctrl.goal_log[0].step == 0
 
 
+class TestRefreshRngs:
+    def test_refresh_k_uses_children_2k_and_2k_plus_1_of_the_episode_seed(self):
+        models = build_models("iris", 2, 2, flat_norm(), hidden_dim=8, enc_dim=8,
+                              rng=np.random.default_rng(0))
+        policy = make_policy(models, t_segment=3, n_goals=4, m_actions=3)
+        seen = []
+
+        def recorded(fn):
+            def call(x, rng):
+                seq = rng.bit_generator.seed_seq
+                seen.append((seq.entropy, seq.spawn_key, rng.bit_generator.state))
+                return fn(x, rng)
+            return call
+
+        # a wrapped scorer also keeps evaluate serial
+        policy.propose, policy.score = recorded(policy.propose), recorded(policy.score)
+        seed = 3
+        evaluate(policy, GraphReachEnv(), EvalConfig(n_episodes=2, h_max=7, seeds=(seed,),
+                                                     n_goals=4, m_actions=3))
+        expected = []
+        for ep in range(2):
+            for k in range(3):  # refreshes at steps 0, 3 and 6
+                for key in (2 * k,), (2 * k + 1,):  # proposals, then scores
+                    child = np.random.SeedSequence([seed, ep], spawn_key=key)
+                    expected.append(([seed, ep], key,
+                                     np.random.default_rng(child).bit_generator.state))
+        assert seen == expected
+
+
 class TestTrainedControllerRollouts:
     def test_seeded_rollout_replay_identical(self, trained_iris_run):
         result, dataset = trained_iris_run
@@ -201,7 +230,7 @@ class TestGoalRegressorMode:
             for _ in range(12):
                 reg.loss_and_grad(s, f)
                 adam_step(reg.store, 3e-3)
-                cvae.loss_and_grad(f, s, rng=data_rng)
+                cvae.loss_and_grad(f, s, data_rng.standard_normal((len(f), 4)))
                 adam_step(cvae.store, 3e-3)
         test_s = data_rng.normal(0, 1, (64, 2))
         test_f = test_s + np.array([0.3, -0.2])

@@ -21,7 +21,6 @@ from goalsel.evaluation import (
     export_trajectories,
     file_sha256,
     load_models,
-    nearest_state_distances,
     rollout,
     svg_point,
     SVG_MARGIN,
@@ -263,18 +262,6 @@ class TestSplitScoring:
         report = evaluate(policy, GraphReachEnv(), EvalConfig(
             n_episodes=1, h_max=20, seeds=(0,), n_goals=12, m_actions=3))
         assert report.per_seed[0].episodes[0].length == 20
-
-
-class TestNearestState:
-    def test_dataset_states_have_zero_distance(self, small_demo_set):
-        dataset, _ = small_demo_set
-        states = dataset.trajectories[0].states[:10].astype(np.float64)
-        assert np.allclose(nearest_state_distances(states, dataset), 0.0)
-
-    def test_far_state_distance(self, small_demo_set):
-        dataset, _ = small_demo_set
-        d = nearest_state_distances(np.array([[50.0, 50.0]]), dataset)
-        assert d[0] > 10
 
 
 class TestCheckpointEval:

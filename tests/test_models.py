@@ -402,9 +402,9 @@ class TestSampling:
         jitter_params(cvae.store, rng)
         s = rng.normal(0, 1, 3)
         out = cvae.sample(s, n, np.random.default_rng(7))
-        each = cvae.sample_each(np.tile(s, (n, 1)), 1, np.random.default_rng(7))[0]
-        # the one-condition decode that sample() ran before it called sample_each()
         z = np.random.default_rng(7).standard_normal((n, 4))
+        each = cvae.sample_each(np.tile(s, (n, 1)), z[None])[0]
+        # the one-condition decode that sample() ran before it called sample_each()
         cond_n = np.broadcast_to(cvae.cond.norm(s)[None, :], (n, cvae.cond.dim))
         decoded = cvae.target.denorm(cvae.decoder.predict(np.concatenate([z, cond_n],
                                                                          axis=-1)))
@@ -415,9 +415,9 @@ class TestSampling:
         norm = flat_norm()
         cvae = ConditionalVAE(norm.action, norm.state, 2, 0.05, hidden_dim=5, rng=rng)
         conds = rng.normal(0, 1, (3, 2))
-        out = cvae.sample_each(conds, 4, np.random.default_rng(0))
-        assert out.shape == (4, 3, 2)
         z = np.random.default_rng(0).standard_normal((4, 3, 2))
+        out = cvae.sample_each(conds, z)
+        assert out.shape == (4, 3, 2)
         for j in range(4):
             assert np.allclose(out[j], decode(cvae, z[j], conds))
 

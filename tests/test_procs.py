@@ -40,6 +40,20 @@ class TestLayout:
     def test_procs_imports_no_goalsel_module(self):
         assert list(goalsel_imports(PACKAGE / "procs.py")) == []
 
+    def test_no_module_imports_scipy(self):
+        # numpy is goalsel's one runtime dependency
+        scipy = []
+        for path in sorted(PACKAGE.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                scipy += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
+        assert scipy == []
+
 
 def deaf(conn, half):
     """A worker loop that never reads its pipe, so never sees the stop."""

@@ -31,7 +31,6 @@ from goalsel.training import (
     UPDATE_ORDER,
     TrainConfig,
     q_targets_batch,
-    read_metrics,
     train,
     train_step,
 )
@@ -247,7 +246,7 @@ class TestTrainLoop:
         dataset, _ = small_demo_set
         cfg = small_train_config("iris_no_q", n_iter=2000, log_every=25)
         result = train(dataset, cfg, tmp_path / "r")
-        metrics = read_metrics(result.metrics_path)
+        metrics = np.genfromtxt(result.metrics_path, delimiter=",", names=True, ndmin=1)
         early = metrics["loss_policy"][metrics["iter"] <= 100].mean()
         late = metrics["loss_policy"][-4:].mean()
         assert late <= 0.5 * early
@@ -326,7 +325,8 @@ class TestTrainLoop:
         cfg = small_train_config("bc", n_iter=10, log_every=2)
         with pytest.raises(FloatingPointError, match="iteration 5"):
             train(dataset, cfg, tmp_path / "r")
-        metrics = read_metrics(tmp_path / "r" / "metrics.csv")
+        metrics = np.genfromtxt(tmp_path / "r" / "metrics.csv", delimiter=",",
+                                names=True, ndmin=1)
         assert list(metrics["iter"]) == [2.0, 4.0]
         assert np.all(np.isfinite(metrics["loss_policy"]))
 
@@ -360,7 +360,7 @@ class TestTrainLoop:
         result, _ = trained_iris_run
         header = result.metrics_path.read_text().splitlines()[0]
         assert header == ",".join(METRIC_COLUMNS)
-        metrics = read_metrics(result.metrics_path)
+        metrics = np.genfromtxt(result.metrics_path, delimiter=",", names=True, ndmin=1)
         assert np.all(np.isfinite(metrics["loss_policy"]))
         assert np.all(np.isfinite(metrics["q_mean"]))
 
