@@ -104,6 +104,8 @@ class PolicyRNN:
     per (T, B) shape. Caches allocated per step would grow the heap by the
     whole unroll and hand it back every training step, faulting its pages in
     again each time. No array returned to a caller is part of a kept cache.
+    The caches live until :meth:`release_caches`, which
+    :func:`~goalsel.training.train` calls when it returns.
     """
 
     def __init__(self, obs_dim: int, act_dim: int, norm: NormStats, *,
@@ -124,6 +126,10 @@ class PolicyRNN:
 
     def init_hidden(self, batch: int = 1) -> np.ndarray:
         return np.zeros((batch, self.hidden_dim), dtype=self.store.dtype)
+
+    def release_caches(self) -> None:
+        """Drop the kept caches; the next unroll or step allocates them again."""
+        self._caches.clear()
 
     def _step_caches(self, t_window: int, s_n: np.ndarray,
                      g_n: np.ndarray | None) -> _StepCaches:
@@ -304,8 +310,8 @@ class QNet:
         x = np.empty((len(s_n), obs + self.norm.action.dim))
         x[:, :obs] = s_n
         out = np.empty(np.shape(a)[:-1])
-        for j, a_j in enumerate(a):
-            x[:, obs:] = self.norm.action.norm(a_j)
+        for j in range(len(out)):  # indexing costs less than iterating over the array
+            x[:, obs:] = self.norm.action.norm(a[j])
             out[j] = net.predict(x)[:, 0]
         return out
 

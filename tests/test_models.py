@@ -291,6 +291,26 @@ class TestPolicyCaches:
                                    policy.norm.state.norm(goal))
         assert not any(np.shares_memory(pred_n, a) for a in kept)
 
+    def test_release_then_unroll_matches_reference_over_adam_steps(self):
+        policy, reference = policy_pair(np.float32, True)
+        rng = np.random.default_rng(11)
+        released = []
+        for k in range(3):
+            states, actions, goal = window_batch(rng, 8, 4)
+            loss = policy.loss_and_grad(states, actions, goal)
+            expected = reference_loss_and_grad(reference, states, actions, goal)
+            assert np.float64(loss).tobytes() == np.float64(expected).tobytes()
+            assert grad_bytes(policy) == grad_bytes(reference)
+            kept = kept_arrays(policy)
+            assert kept and not any(np.shares_memory(a, old)
+                                    for a in kept for old in released)
+            adam_step(policy.store)
+            adam_step(reference.store)
+            if k == 0:
+                released = kept  # held here, so that no new array reuses them
+                policy.release_caches()
+                assert kept_arrays(policy) == []
+
     def test_interleaved_step_leaves_training_unchanged(self, rng):
         policy, reference = policy_pair(np.float32, True)
         first, second = window_batch(rng, 8, 4), window_batch(rng, 8, 4)

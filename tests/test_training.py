@@ -356,6 +356,27 @@ class TestTrainLoop:
         manifest = json.loads((tmp_path / "failed" / "manifest.json").read_text())
         assert manifest["start_time"] and manifest["end_time"] is None
 
+    def test_returned_policy_keeps_no_unroll_cache(self, small_demo_set, tmp_path,
+                                                   monkeypatch):
+        dataset, _ = small_demo_set
+        cfg = small_train_config("iris", n_iter=3, batch_size=16, hidden_dim=8,
+                                 enc_dim=8)
+        real_step = training_module.train_step
+        during = []
+
+        def recording_step(models, *args, **kwargs):
+            losses = real_step(models, *args, **kwargs)
+            during.append(id(models["policy"]._caches[cfg.t_window, cfg.batch_size]))
+            return losses
+
+        monkeypatch.setattr(training_module, "train_step", recording_step)
+        policy = train(dataset, cfg, tmp_path / "r").models["policy"]
+        assert len(set(during)) == 1  # kept across the steps of the run
+        assert policy._caches == {}
+        states = dataset.stacked_states[:1]
+        policy.step(policy.init_hidden(), states, states)
+        assert list(policy._caches) == [(1, 1)]
+
     def test_metrics_columns_spec(self, trained_iris_run):
         result, _ = trained_iris_run
         header = result.metrics_path.read_text().splitlines()[0]
