@@ -310,7 +310,7 @@ class QNet:
         x = np.empty((len(s_n), obs + self.norm.action.dim))
         x[:, :obs] = s_n
         out = np.empty(np.shape(a)[:-1])
-        for j in range(len(out)):  # indexing costs less than iterating over the array
+        for j in range(len(out)):
             x[:, obs:] = self.norm.action.norm(a[j])
             out[j] = net.predict(x)[:, 0]
         return out

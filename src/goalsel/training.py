@@ -23,10 +23,10 @@ hands the worker the first half of the Q targets' proposals, noise drawn
 (:func:`~goalsel.models.proposal_split`). The worker reads the stores in
 shared memory, every one but the policy's (:meth:`~goalsel.nn.ParamStore.share`).
 Checkpoints, ``metrics.csv`` and the returned models are byte-identical to a
-serial run, and the returned policy holds no unroll buffers. Per-component
-step times and this process's minor page faults per step go to
-``timings.csv`` beside ``metrics.csv``; ``manifest.json`` records the config
-digest and the sha256 of the dataset file.
+serial run. Per-component step times and this process's minor page faults
+per step go to ``timings.csv`` beside ``metrics.csv``; ``manifest.json``
+records the config digest and the sha256 of the dataset file. The returned
+policy holds no unroll buffers.
 """
 
 from __future__ import annotations
@@ -362,16 +362,16 @@ def train(dataset: TrajectoryDataset, cfg: TrainConfig, out_dir) -> TrainResult:
 
     Fully offline and deterministic given (config, seed): the initial
     checkpoint is always written, then one every ``ckpt_every`` iterations and
-    at the end. The returned models hold no unroll buffers. Each
-    ``metrics.csv`` row and the ``timings.csv`` row of the same ``log_every``
-    window reach their files as they are produced, and ``manifest.json`` gains
-    its end time when the run finishes. Each step is shared with a forked
-    worker, in the roles that the module docstring sets out, when its
-    conditions hold, with identical results; under a one-CPU mask
-    (``taskset -c N``) the run is serial. A run directory that already holds
-    checkpoints is refused, since an earlier run's later checkpoints would
-    survive beside the new ones; so is, before anything is written, a dataset
-    with no ``cfg.sample_t``-step window.
+    at the end. Each ``metrics.csv`` row and the ``timings.csv`` row of the
+    same ``log_every`` window reach their files as they are produced, and
+    ``manifest.json`` gains its end time when the run finishes. Each step is
+    shared with a forked worker, in the roles that the module docstring sets
+    out, when its conditions hold, with identical results; under a one-CPU
+    mask (``taskset -c N``) the run is serial. A run
+    directory that already holds checkpoints is refused, since an earlier
+    run's later checkpoints would survive beside the new ones; so is, before
+    anything is written, a dataset with no ``cfg.sample_t``-step window.
+    The returned models hold no unroll buffers.
     """
     cfg.validate()
     if not len(dataset) or dataset.lengths.max() < cfg.sample_t:
